@@ -31,7 +31,7 @@ def _resolve_seed(flag_seed: int | None, file_cfg: dict) -> int:
     if flag_seed is not None:
         return flag_seed
     if "seed" in file_cfg:
-        return int(file_cfg["seed"])
+        return file_cfg["seed"]     # PipelineConfig checks its type
     env = os.environ.get("HRVDA_SEED")
     if env is not None:
         try:

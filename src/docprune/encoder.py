@@ -27,7 +27,7 @@ the gating semantics, so it is fixed rather than configurable.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -287,6 +287,15 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
                      probs=out.probs, origin=out.origin), stats
 
 
+def _child_max(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Max over each 2x2 block of a row-major (rows, cols) map."""
+    if rows % 2 or cols % 2:
+        raise ValueError(f"cannot merge an odd grid: {rows}x{cols}")
+    pm = p.reshape(rows, cols)
+    return np.maximum.reduce([pm[0::2, 0::2], pm[0::2, 1::2],
+                              pm[1::2, 0::2], pm[1::2, 1::2]]).ravel()
+
+
 def merge_patches(grid: TokenGrid, p_raw: np.ndarray,
                   merge: tuple[np.ndarray, np.ndarray],
                   counter: FlopCounter | None = None) -> tuple[TokenGrid, np.ndarray]:
@@ -296,29 +305,56 @@ def merge_patches(grid: TokenGrid, p_raw: np.ndarray,
     stage's threshold.
     """
     rows, cols, d = grid.rows, grid.cols, grid.dim
-    if rows % 2 or cols % 2:
-        raise ValueError(f"cannot merge an odd grid: {rows}x{cols}")
+    p_new = _child_max(p_raw, rows, cols)
     t = grid.tokens.reshape(rows, cols, d)
     children = (t[0::2, 0::2], t[0::2, 1::2], t[1::2, 0::2], t[1::2, 1::2])
     cat = np.concatenate(children, axis=-1).reshape(-1, 4 * d)
     with _cat(counter, "encoder_merge"):
         merged = linear(cat, merge[0], merge[1], counter)
-    pm = p_raw.reshape(rows, cols)
-    p_new = np.maximum.reduce([pm[0::2, 0::2], pm[0::2, 1::2],
-                               pm[1::2, 0::2], pm[1::2, 1::2]]).ravel()
     return TokenGrid(rows // 2, cols // 2, 2 * d, merged,
                      origin=grid.origin + 1), p_new
+
+
+def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
+                eps: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(raw, binarized) probability map on entry to each stage.
+
+    A merge takes the max over its four children, so every stage's raw
+    map is a function of p0 alone and never of the tokens.
+    """
+    raw, rows, cols = p0.values.copy(), grid.rows, grid.cols
+    maps = []
+    for s, st in enumerate(model.stages):
+        maps.append((raw, binarize(ProbabilityMap(raw), eps[s]).values))
+        if st.merge_after:
+            raw = _child_max(raw, rows, cols)
+            rows, cols = rows // 2, cols // 2
+    return maps
+
+
+@dataclass
+class EncodeCacheEntry:
+    """What a repeated encode needs; it owns its arrays and never lends them."""
+
+    grid: TokenGrid                 # stage-4 grid before the drop
+    stages: list[StageTraceEntry]   # trace without raw_entry/binarized
+    flops: dict[str, int]           # counter delta per FLOP category
 
 
 def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
            sched: ThresholdSchedule | None = None, gated: bool = True,
            bypass: bool = True, soft: bool = False,
-           counter: FlopCounter | None = None) -> EncodeResult:
+           counter: FlopCounter | None = None,
+           cache: dict[bytes, EncodeCacheEntry] | None = None) -> EncodeResult:
     """Run all four stages and drop inactive tokens from the final grid.
 
     With gated=False the probability map is ignored and every token gets
     the full ungated computation; that path multiplies by no gate values
     at all and serves as the reference for the equivalence tests.
+
+    `cache` belongs to one document: an encode whose per-stage binarized
+    masks were seen before returns the stored stage-4 tokens and charges
+    the stored FLOPs to `counter` instead of computing them again.
     """
     if len(p0) != grid.n_tokens:
         raise ValueError(
@@ -328,12 +364,32 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     if len(eps) != len(model.stages):
         raise ValueError(
             f"{len(eps)} thresholds for {len(model.stages)} stages")
+    if cache is not None and counter is None:
+        raise ValueError("an encode cache needs a FlopCounter to replay")
 
-    raw = p0.values.copy()
+    maps = _stage_maps(model, grid, p0, eps)
+    key = entry = None
+    if cache is not None:
+        # The key holds only the masks: a sweep keeps one cache per
+        # document and varies only eps_c/eps_i, so the weights, the grid,
+        # p0 and gated/bypass/soft are the same for every setting.
+        key = b"".join(np.packbits(b > 0.0).tobytes() for _, b in maps)
+        entry = cache.get(key)
+    if entry is not None:
+        for cat, n in entry.flops.items():
+            with counter.category(cat):
+                counter.add(n)
+        g = entry.grid
+        cur = TokenGrid(g.rows, g.cols, g.dim, g.tokens.copy(), origin=g.origin)
+        trace = [replace(e, raw_entry=raw, binarized=binp)
+                 for e, (raw, binp) in zip(entry.stages, maps)]
+        return _drop_inactive(cur, trace, gated)
+
+    before = dict(counter.by_category) if cache is not None else {}
     cur = grid
     trace: list[StageTraceEntry] = []
     for s, st in enumerate(model.stages):
-        binp = binarize(ProbabilityMap(raw), eps[s]).values
+        raw, binp = maps[s]
         gate = (raw if soft else binp) if gated else None
         attn0 = counter.get("encoder_attention") if counter is not None else 0
         stats = WindowStats()
@@ -348,12 +404,24 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
             stage=s + 1, n_tokens=cur.n_tokens, active=int(binp.sum()),
             windows_total=stats.total, windows_computed=stats.computed,
             windows_bypassed=stats.bypassed, attn_flops=attn_flops,
-            raw_entry=raw.copy(), binarized=binp))
+            raw_entry=raw, binarized=binp))
         if st.merge_after:
-            cur, raw = merge_patches(cur, raw, model.merges[s], counter)
+            cur, _ = merge_patches(cur, raw, model.merges[s], counter)
 
-    final_bin = trace[-1].binarized
-    kept = (np.flatnonzero(final_bin > 0.0) if gated
+    if cache is not None:
+        cache[key] = EncodeCacheEntry(
+            grid=TokenGrid(cur.rows, cur.cols, cur.dim, cur.tokens.copy(),
+                           origin=cur.origin),
+            stages=[replace(e, raw_entry=None, binarized=None) for e in trace],
+            flops={k: v - before.get(k, 0)
+                   for k, v in counter.by_category.items()
+                   if v != before.get(k, 0)})
+    return _drop_inactive(cur, trace, gated)
+
+
+def _drop_inactive(cur: TokenGrid, trace: list[StageTraceEntry],
+                   gated: bool) -> EncodeResult:
+    kept = (np.flatnonzero(trace[-1].binarized > 0.0) if gated
             else np.arange(cur.n_tokens))
     return EncodeResult(sequence=cur.tokens[kept], kept_indices=kept,
                         grid=cur, trace=trace)

@@ -21,8 +21,10 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -80,11 +82,35 @@ class PipelineConfig:
     decoder_flops_per_token_sq: int = DECODER_FLOPS_PER_TOKEN_SQ
 
     def __post_init__(self):
-        self.depths = tuple(self.depths)
-        self.eps_c = tuple(self.eps_c)
+        if isinstance(self.depths, list):
+            self.depths = tuple(self.depths)
+        if isinstance(self.eps_c, list):
+            self.eps_c = tuple(self.eps_c)
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, hint = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if not _has_type(value, hint):
+                raise ConfigError(
+                    f"config field {f.name!r} must be {_type_name(hint)}, "
+                    f"got {value!r}")
+            low = _INT_MIN.get(f.name, 1)
+            ints = value if isinstance(value, tuple) else (value,)
+            if hint in (int, tuple[int, ...]) and low is not None and any(
+                    v < low for v in ints):
+                raise ConfigError(
+                    f"config field {f.name!r} must be >= {low}, got {value!r}")
+        if not 0.0 <= self.content_fraction <= 1.0:
+            raise ConfigError(
+                "config field 'content_fraction' must lie in [0, 1], got "
+                f"{self.content_fraction!r}")
+        if len(self.depths) != 4:
+            raise ConfigError(
+                f"config field 'depths' needs 4 stage depths, got {self.depths}")
+        if len(self.eps_c) != 4:
+            raise ConfigError(
+                f"config field 'eps_c' needs 4 stage thresholds, got {self.eps_c}")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.detector not in ("oracle", "mlp"):
@@ -98,13 +124,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"stage-1 grid {grid} must be divisible by 8 for three "
                 "2x2 merges")
-        if len(self.depths) != 4:
-            raise ConfigError(f"need 4 stage depths, got {self.depths}")
-        if self.context_budget < 1:
-            raise ConfigError(
-                f"context budget must be >= 1, got {self.context_budget}")
-        if self.corpus_n < 1:
-            raise ConfigError(f"corpus size must be >= 1, got {self.corpus_n}")
         try:
             self.schedule()
         except ValueError as e:
@@ -136,12 +155,6 @@ class PipelineConfig:
         base.update(overrides)
         return PipelineConfig(**base)
 
-    KEYS = ("profile", "image_size", "patch_size", "d0", "depths", "window",
-            "ffn_ratio", "proj_hidden", "llm_dim", "eps_c", "eps_i",
-            "detector", "detector_weights", "ifm_weights", "gated", "bypass",
-            "soft_gating", "use_positions", "context_budget", "corpus_n",
-            "content_fraction", "seed", "decoder_flops_per_token_sq")
-
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
         unknown = set(d) - set(PipelineConfig.KEYS)
@@ -151,6 +164,28 @@ class PipelineConfig:
             return PipelineConfig(**d)
         except TypeError as e:
             raise ConfigError(str(e)) from e
+
+
+PipelineConfig.KEYS = tuple(f.name for f in fields(PipelineConfig))
+_FIELD_TYPES = get_type_hints(PipelineConfig)
+# integer fields and depths must be >= 1 except these; None means any int
+_INT_MIN = {"seed": None, "decoder_flops_per_token_sq": 0}
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a field annotation; bool is not a number here."""
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(
+            _has_type(v, get_args(hint)[0]) for v in value)
+    if get_origin(hint) is UnionType:
+        return any(_has_type(value, h) for h in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
 @dataclass
@@ -254,12 +289,15 @@ def _round_floats(obj):
 
 def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
         detector: DetectorModel | None = None, ifm: IfmModel | None = None,
-        return_artifacts: bool = False):
+        return_artifacts: bool = False, *,
+        encode_cache: dict[int, dict] | None = None):
     """Execute the pipeline over a corpus and assemble the report.
 
     The corpus defaults to the seeded synthetic corpus described by the
     config. With return_artifacts the per-document intermediate tensors
     come back alongside the report for the equivalence tests.
+    `encode_cache` is how `sweep` shares encodes between its settings: it
+    maps a document index to that document's `encode` cache.
     """
     config.validate()
     models = build_models(config, detector, ifm)
@@ -306,7 +344,9 @@ def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
         t0 = time.perf_counter()
         encoded = encode(models.encoder, grid, probs, sched,
                          gated=config.gated, bypass=config.bypass,
-                         soft=config.soft_gating, counter=counter)
+                         soft=config.soft_gating, counter=counter,
+                         cache=(None if encode_cache is None
+                                else encode_cache.setdefault(i, {})))
         timings["encode"] += (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
@@ -434,6 +474,10 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
           out_dir=None) -> tuple[list[RunReport], list[dict]]:
     """One run per (content, instruction) threshold setting, shared corpus.
 
+    Settings that binarize a document into the same per-stage masks share
+    one encode of it; each setting is still charged the encode's full
+    FLOPs, so every report equals that of a separate `run`.
+
     Raises RuntimeError if total compute ever increases along a single
     threshold axis; partial per-setting reports are written before the
     check so a violation leaves evidence behind.
@@ -445,13 +489,15 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
                              config.image_size, config.seed)
     reports = []
     rows = []
+    encode_cache: dict[int, dict] = {}
     for c, i in settings:
         sched = sweep_schedule(c, i)
         cfg = PipelineConfig.from_dict({
             **{k: getattr(config, k) for k in PipelineConfig.KEYS},
             "eps_c": sched.eps_c, "eps_i": i,
         })
-        rep = run(cfg, corpus=corpus, detector=detector, ifm=ifm)
+        rep = run(cfg, corpus=corpus, detector=detector, ifm=ifm,
+                  encode_cache=encode_cache)
         reports.append(rep)
         rows.append({
             "eps_c": c,

@@ -7,6 +7,7 @@ import pytest
 
 from docprune.cli import main
 from docprune.imageio import read_pbm
+from docprune.pipeline import ConfigError, PipelineConfig
 from docprune.pipeline import mask_from_hex  # noqa: F401 (import sanity)
 
 SMALL_CONFIG = {
@@ -123,6 +124,28 @@ def test_missing_weights_is_exit_3(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "out")]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gated", "false"),
+    ("patch_size", 4.0),
+    ("decoder_flops_per_token_sq", -1),
+    ("eps_c", [0.25, 0.25, 0.5]),
+    ("depths", [1, 1, 0, 1]),
+    ("content_fraction", 1.5),
+    ("ifm_weights", 3),
+    ("seed", 4.7),
+    ("seed", "abc"),
+])
+def test_bad_field_value_is_exit_2(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig.from_dict({**SMALL_CONFIG, key: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, key: value}))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_writes_summary(tmp_path, config_file, capsys):

@@ -226,6 +226,32 @@ def test_final_drop_matches_last_binarized_map():
                                   result.grid.tokens[result.kept_indices])
 
 
+def test_cached_encode_replays_and_owns_its_arrays():
+    grid = _grid()
+    p0 = ProbabilityMap((Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float))
+    model, sched = _model(), ThresholdSchedule.default()
+    ref_counter = FlopCounter()
+    ref = encode(model, grid, p0, sched, counter=ref_counter)
+    cache = {}
+    for _ in range(3):
+        counter = FlopCounter()
+        out = encode(model, grid, p0, sched, counter=counter, cache=cache)
+        assert counter.by_category == ref_counter.by_category
+        np.testing.assert_array_equal(out.grid.tokens, ref.grid.tokens)
+        np.testing.assert_array_equal(out.kept_indices, ref.kept_indices)
+        for a, b in zip(out.trace, ref.trace):
+            assert (a.active, a.windows_computed, a.attn_flops) == \
+                (b.active, b.windows_computed, b.attn_flops)
+            np.testing.assert_array_equal(a.raw_entry, b.raw_entry)
+            np.testing.assert_array_equal(a.binarized, b.binarized)
+        # writing into a result must not reach the next reuse
+        out.grid.tokens[:] = 0.0
+        for e in out.trace:
+            e.raw_entry[:] = 0.0
+            e.binarized[:] = 0.0
+    assert len(cache) == 1
+
+
 def test_encode_validates_inputs():
     grid = _grid()
     model = _model()
@@ -234,6 +260,8 @@ def test_encode_validates_inputs():
     with pytest.raises(ValueError, match="thresholds"):
         encode(model, grid, ProbabilityMap(np.ones(grid.n_tokens)),
                ThresholdSchedule(eps_c=(0.1, 0.2), eps_i=0.5))
+    with pytest.raises(ValueError, match="FlopCounter"):
+        encode(model, grid, ProbabilityMap(np.ones(grid.n_tokens)), cache={})
 
 
 # --- construction ----------------------------------------------------------

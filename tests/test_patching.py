@@ -116,6 +116,12 @@ def test_probability_map_validation():
     assert len(ok) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_map_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilityMap(np.array([0.5, bad, 0.0]))
+
+
 def test_labels_to_probs_matches_patch_labels():
     doc = generate(plan_layout(256, 0.5, seed=7))
     probs = labels_to_probs(doc, 4)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from docprune import encoder, pipeline
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex, prepare_ifm_samples,
                                render_masks, run, sweep, sweep_schedule,
@@ -164,6 +165,51 @@ def test_sweep_single_point_matches_run():
         "eps_c": sched.eps_c, "eps_i": 0.5}))
     assert reports[0].to_json() == direct.to_json()
     assert rows[0]["total_flops"] == direct.flops["total"]
+
+
+def _sweep_counting_window_passes(monkeypatch, cfg, settings, **kwargs):
+    """Sweep reports plus the number of window_pass calls in each setting."""
+    calls = []
+    real_run, real_pass = pipeline.run, encoder.window_pass
+
+    def counting_run(*args, **kw):
+        calls.append(0)
+        return real_run(*args, **kw)
+
+    def counting_pass(*args, **kw):
+        calls[-1] += 1
+        return real_pass(*args, **kw)
+
+    monkeypatch.setattr(pipeline, "run", counting_run)
+    monkeypatch.setattr(encoder, "window_pass", counting_pass)
+    reports, _ = sweep(cfg, settings, **kwargs)
+    monkeypatch.undo()
+    return reports, calls
+
+
+DEFAULT_GRID = [(0.25, 0.25), (0.25, 0.5), (0.5, 0.25), (0.5, 0.5)]
+GRADED_GRID = [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25), (0.75, 0.5)]
+
+
+@pytest.mark.parametrize("overrides,settings,computes", [
+    # the oracle binarizes alike at every threshold: one encode per document
+    ({}, DEFAULT_GRID, [True, False, False, False]),
+    ({"soft_gating": True}, DEFAULT_GRID, [True, False, False, False]),
+    ({"gated": False}, DEFAULT_GRID, [True, False, False, False]),
+    # graded probabilities: only the eps_i-only step repeats its masks
+    ({"detector": "mlp"}, GRADED_GRID, [True, True, True, False]),
+])
+def test_sweep_reuse_is_exact(monkeypatch, overrides, settings, computes):
+    cfg = _small_config(**overrides)
+    det = mlp_detector(seed=2, patch_size=4) if cfg.detector == "mlp" else None
+    reports, calls = _sweep_counting_window_passes(monkeypatch, cfg, settings,
+                                                   detector=det)
+    assert [n > 0 for n in calls] == computes
+    for (c, i), rep in zip(settings, reports):
+        direct = run(PipelineConfig.from_dict({
+            **{k: getattr(cfg, k) for k in PipelineConfig.KEYS},
+            "eps_c": sweep_schedule(c, i).eps_c, "eps_i": i}), detector=det)
+        assert rep.to_json() == direct.to_json()
 
 
 def test_sweep_writes_summary_and_reports(tmp_path):
