@@ -107,6 +107,31 @@ def _training_set(model: DetectorModel, corpus: list[LabeledImage]):
     return feats, labels.astype(np.float64).reshape(-1, 1)
 
 
+def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
+             pos_weight: float | str = 1.0) -> LossCurve:
+    """Full-batch gradient descent on weighted BCE; updates mlp in place.
+
+    The one training loop of both the detector and the IFM classifier.
+    pos_weight "auto" weights positives by the negative/positive ratio of
+    y (1.0 when y has no positives). Returns the per-epoch losses. The
+    loss is looked up in this module: the benchmark's smoke test replaces
+    content_filter.bce_loss to check that a non-finite loss fails a run.
+    """
+    if pos_weight == "auto":
+        pos = float(y.sum())
+        pos_weight = (y.size - pos) / pos if pos > 0 else 1.0
+    curve = LossCurve()
+    for _ in range(epochs):
+        pred, cache = mlp2_forward(x, mlp, sigmoid_out=True)
+        curve.append(bce_loss(pred, y, pos_weight))
+        g = mlp2_backward(cache, mlp, y, pos_weight)
+        mlp.w1 -= lr * g["dw1"]
+        mlp.b1 -= lr * g["db1"]
+        mlp.w2 -= lr * g["dw2"]
+        mlp.b2 -= lr * g["db2"]
+    return curve
+
+
 def train_detector(model: DetectorModel, corpus: list[LabeledImage],
                    epochs: int = 30, lr: float = 1e-2,
                    pos_weight: float | str = "auto") -> tuple[DetectorModel, LossCurve]:
@@ -118,20 +143,7 @@ def train_detector(model: DetectorModel, corpus: list[LabeledImage],
     if model.variant != "mlp":
         raise ValueError("only the mlp detector variant is trainable")
     x, y = _training_set(model, corpus)
-    if pos_weight == "auto":
-        pos = float(y.sum())
-        pos_weight = (y.size - pos) / pos if pos > 0 else 1.0
-    curve = LossCurve()
-    mlp = model.mlp
-    for _ in range(epochs):
-        pred, cache = mlp2_forward(x, mlp, sigmoid_out=True)
-        curve.append(bce_loss(pred, y, pos_weight))
-        g = mlp2_backward(cache, mlp, y, pos_weight)
-        mlp.w1 -= lr * g["dw1"]
-        mlp.b1 -= lr * g["db1"]
-        mlp.w2 -= lr * g["dw2"]
-        mlp.b2 -= lr * g["db2"]
-    return model, curve
+    return model, fit_mlp2(model.mlp, x, y, epochs, lr, pos_weight)
 
 
 def evaluate_detector(model: DetectorModel, corpus: list[LabeledImage],
@@ -165,9 +177,9 @@ def save_detector(path, model: DetectorModel) -> None:
 
 
 def load_detector(path) -> DetectorModel:
-    kind, arrays = weights_io.read_weights(path)
-    if kind != weights_io.KIND_DETECTOR:
-        raise ValueError(f"weight file {path} is not a detector (kind {kind})")
+    arrays = weights_io.read_model(
+        path, weights_io.KIND_DETECTOR,
+        ("meta", "embed_w", "embed_b", "w1", "b1", "w2", "b2"))
     patch_size = int(arrays["meta"][0])
     embed = PatchEmbed(patch_size, arrays["embed_w"], arrays["embed_b"])
     mlp = Mlp2(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights_io
+from .content_filter import fit_mlp2
 from .encoder import BlockWeights, _cat, block_init
 from .rng import Rng
-from .tensor import (FlopCounter, LossCurve, Mlp2, attention, bce_loss,
-                     gelu, layernorm, linear, mlp2_backward, mlp2_forward,
-                     mlp2_init)
+from .tensor import (FlopCounter, LossCurve, Mlp2, attention, gelu,
+                     layernorm, linear, mlp2_forward, mlp2_init)
 
 VOCAB_SIZE = 256
 MAX_INSTRUCTION_LEN = 32
@@ -201,21 +201,8 @@ def train_ifm(model: IfmModel, samples: list[tuple[np.ndarray, np.ndarray, np.nd
             raise ValueError(
                 f"sample has {feats[-1].shape[0]} tokens but "
                 f"{labels[-1].shape[0]} labels")
-    x = np.vstack(feats)
-    y = np.vstack(labels)
-    if pos_weight == "auto":
-        pos = float(y.sum())
-        pos_weight = (y.size - pos) / pos if pos > 0 else 1.0
-    curve = LossCurve()
-    clf = model.clf
-    for _ in range(epochs):
-        pred, cache = mlp2_forward(x, clf, sigmoid_out=True)
-        curve.append(bce_loss(pred, y, pos_weight))
-        g = mlp2_backward(cache, clf, y, pos_weight)
-        clf.w1 -= lr * g["dw1"]
-        clf.b1 -= lr * g["db1"]
-        clf.w2 -= lr * g["dw2"]
-        clf.b2 -= lr * g["db2"]
+    curve = fit_mlp2(model.clf, np.vstack(feats), np.vstack(labels), epochs,
+                     lr, pos_weight)
     return model, curve
 
 
@@ -258,9 +245,10 @@ def save_ifm(path, model: IfmModel) -> None:
 
 
 def load_ifm(path) -> IfmModel:
-    kind, arrays = weights_io.read_weights(path)
-    if kind != weights_io.KIND_IFM:
-        raise ValueError(f"weight file {path} is not an IFM (kind {kind})")
+    arrays = weights_io.read_model(
+        path, weights_io.KIND_IFM,
+        ("meta", "embed", "clf_w1", "clf_b1", "clf_w2", "clf_b2",
+         *(f"fuse_{n}" for n in _FUSION_FIELDS)))
     fusion = BlockWeights(**{n: arrays[f"fuse_{n}"] for n in _FUSION_FIELDS})
     clf = Mlp2(arrays["clf_w1"], arrays["clf_b1"],
                arrays["clf_w2"], arrays["clf_b2"])

@@ -38,7 +38,8 @@ from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
 from .patching import PatchEmbed, ProbabilityMap, partition, patch_embed_init
 from .rng import Rng
 from .synthdoc import (LabeledImage, instruction_target, make_corpus,
-                       mean_content_fraction, patchify_any)
+                       max_content_fraction, mean_content_fraction,
+                       patchify_any)
 from .tensor import FlopCounter, Mlp2, mlp2_forward, mlp2_init
 
 SCHEMA_VERSION = 1
@@ -124,6 +125,12 @@ class PipelineConfig:
             raise ConfigError(
                 f"stage-1 grid {grid} must be divisible by 8 for three "
                 "2x2 merges")
+        packable = max_content_fraction(self.image_size)
+        if self.content_fraction > packable:
+            raise ConfigError(
+                f"config field 'content_fraction' {self.content_fraction!r} "
+                f"exceeds {packable:.4f}, the most a {self.image_size}-px "
+                "page can pack")
         try:
             self.schedule()
         except ValueError as e:

@@ -101,6 +101,29 @@ def _snap(v: float) -> int:
     return max(LAYOUT_GRID, int(round(v / LAYOUT_GRID)) * LAYOUT_GRID)
 
 
+def _column_cells(image_size: int, fraction: float) -> int:
+    """BLOCK_SNAP cells of column width that hold fraction at _DENSITY_PACK."""
+    area = fraction * (image_size * image_size)
+    return math.ceil(area / (image_size * BLOCK_SNAP * _DENSITY_PACK))
+
+
+def max_content_fraction(image_size: int) -> float:
+    """Largest target fraction plan_layout can pack on a page of this side.
+
+    The content column is at most as many whole BLOCK_SNAP cells as fit
+    across the page (one on a narrower page), filled at _DENSITY_PACK. The
+    closed form is moved to the last float whose column still fits, so
+    this bound and plan_layout's column width agree at the boundary.
+    """
+    cells = max(1, image_size // BLOCK_SNAP)
+    limit = _DENSITY_PACK * cells * BLOCK_SNAP / image_size
+    while _column_cells(image_size, limit) > cells:
+        limit = math.nextafter(limit, 0.0)
+    while _column_cells(image_size, math.nextafter(limit, math.inf)) <= cells:
+        limit = math.nextafter(limit, math.inf)
+    return limit
+
+
 def plan_layout(image_size: int, target_fraction: float, seed: int,
                 background_value: float = 0.95) -> LayoutSpec:
     """Pack regions into a content column until the target area is met.
@@ -122,16 +145,14 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
     if target_fraction == 0.0:
         return LayoutSpec(image_size, (), background_value, 0.0, seed)
 
-    page_area = image_size * image_size
-    target_area = target_fraction * page_area
-    max_cells = max(1, image_size // BLOCK_SNAP)
-    width_cells = math.ceil(target_area / (image_size * BLOCK_SNAP * _DENSITY_PACK))
-    if width_cells > max_cells:
+    limit = max_content_fraction(image_size)
+    if target_fraction > limit:
         raise LayoutError(
             f"target fraction {target_fraction} not packable at density "
-            f"{_DENSITY_PACK}",
-            _DENSITY_PACK * max_cells * BLOCK_SNAP / image_size)
-    block_w = max(1, width_cells) * BLOCK_SNAP
+            f"{_DENSITY_PACK}", limit)
+    page_area = image_size * image_size
+    target_area = target_fraction * page_area
+    block_w = max(1, _column_cells(image_size, target_fraction)) * BLOCK_SNAP
 
     regions: list[ContentRegion] = []
     placed = 0

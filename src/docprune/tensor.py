@@ -119,14 +119,24 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return matmul(weights, v, counter)
 
 
-def gelu(x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+def _gelu_erf(x: np.ndarray) -> np.ndarray:
+    """erf(x / sqrt(2)), the term GELU and its derivative share."""
+    return erf(x * _INV_SQRT2)
+
+
+def gelu(x: np.ndarray, counter: FlopCounter | None = None,
+         erf_x: np.ndarray | None = None) -> np.ndarray:
+    """Exact GELU; erf_x, when given, must equal erf(x / sqrt(2))."""
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * x.size)
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    e = _gelu_erf(x) if erf_x is None else erf_x
+    return 0.5 * x * (1.0 + e)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: np.ndarray, erf_x: np.ndarray | None = None) -> np.ndarray:
+    """d gelu / dx; erf_x, when given, must equal erf(x / sqrt(2))."""
+    e = _gelu_erf(x) if erf_x is None else erf_x
+    return 0.5 * (1.0 + e) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
 
 
 def sigmoid(x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
@@ -183,10 +193,13 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
     if x.shape[1] != p.in_dim:
         raise ValueError(f"mlp2 input dim mismatch: x {x.shape}, w1 {p.w1.shape}")
     z1 = linear(x, p.w1, p.b1, counter)
-    h = gelu(z1, counter)
+    # erf dominates training time: the backward pass reuses this term and
+    # rebuilds the hidden activation from it, so the cache stays 4 arrays
+    erf_z1 = _gelu_erf(z1)
+    h = gelu(z1, counter, erf_z1)
     z2 = linear(h, p.w2, p.b2, counter)
     out = sigmoid(z2, counter) if sigmoid_out else z2
-    return out, (x, z1, h, out)
+    return out, (x, z1, erf_z1, out)
 
 
 def bce_loss(pred: np.ndarray, y: np.ndarray, pos_weight: float = 1.0) -> float:
@@ -204,16 +217,16 @@ def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
     is what makes these gradients finite-difference checkable to 1e-4.
     Returns dict with dw1, db1, dw2, db2, dx.
     """
-    x, z1, h, pred = cache
+    x, z1, erf_z1, pred = cache
     if pred.shape != y.shape:
         raise ValueError(f"label shape mismatch: pred {pred.shape}, y {y.shape}")
     n = y.size
     w = np.where(y > 0.5, pos_weight, 1.0)
     dz2 = w * (pred - y) / n
-    dw2 = h.T @ dz2
+    dw2 = gelu(z1, erf_x=erf_z1).T @ dz2
     db2 = dz2.sum(axis=0)
     dh = dz2 @ p.w2.T
-    dz1 = dh * gelu_grad(z1)
+    dz1 = dh * gelu_grad(z1, erf_z1)
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     dx = dz1 @ p.w1.T

@@ -14,6 +14,7 @@ Array order is preserved on round-trip; readers should index by name.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -23,6 +24,7 @@ VERSION = 1
 
 KIND_DETECTOR = 1
 KIND_IFM = 2
+_KIND_NAMES = {KIND_DETECTOR: "a detector", KIND_IFM: "an IFM"}
 
 
 def write_weights(path, kind: int, arrays: dict[str, np.ndarray]) -> None:
@@ -41,27 +43,57 @@ def write_weights(path, kind: int, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_weights(path) -> tuple[int, dict[str, np.ndarray]]:
+    """Parse a weight file; any damage raises ValueError naming the file."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise ValueError(f"bad magic in weight file {path}: {raw[:4]!r}")
-    version, kind = struct.unpack_from("<II", raw, 4)
+    view = memoryview(raw)
+    offset = 4
+
+    def take(n: int, what: str) -> memoryview:
+        # every length is checked against the file before it is used, so a
+        # cut file or a huge declared dim never reaches struct or numpy
+        nonlocal offset
+        if n > len(raw) - offset:
+            raise ValueError(
+                f"weight file {path} is truncated: {what} needs {n} bytes at "
+                f"offset {offset}, file has {len(raw)}")
+        chunk = view[offset:offset + n]
+        offset += n
+        return chunk
+
+    version, kind, count = struct.unpack("<III", take(12, "the header"))
     if version != VERSION:
-        raise ValueError(f"unsupported weight file version {version}")
-    (count,) = struct.unpack_from("<I", raw, 12)
-    offset = 16
+        raise ValueError(
+            f"unsupported weight file version {version} in {path}")
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{ndim}I", raw, offset)
-        offset += 4 * ndim
-        n = int(np.prod(dims)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(dims)
-        offset += 8 * n
-        arrays[name] = arr.copy()
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"array {i} name length"))
+        try:
+            name = bytes(take(name_len, f"array {i} name")).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"weight file {path}: array {i} name is not "
+                             f"utf-8") from e
+        if name in arrays:
+            raise ValueError(f"weight file {path} repeats array {name!r}")
+        (ndim,) = struct.unpack("<B", take(1, f"array {name!r} rank"))
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"array {name!r} dims"))
+        data = take(8 * math.prod(dims), f"array {name!r} data")
+        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+    if offset != len(raw):
+        raise ValueError(f"weight file {path} has {len(raw) - offset} "
+                         f"trailing bytes after {count} arrays")
     return kind, arrays
+
+
+def read_model(path, kind: int, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """read_weights, then require the model kind and every named array."""
+    found, arrays = read_weights(path)
+    if found != kind:
+        raise ValueError(
+            f"weight file {path} is not {_KIND_NAMES[kind]} (kind {found})")
+    missing = [n for n in names if n not in arrays]
+    if missing:
+        raise ValueError(f"weight file {path} lacks arrays {missing}")
+    return arrays

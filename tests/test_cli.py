@@ -133,6 +133,7 @@ def test_missing_weights_is_exit_3(tmp_path, capsys):
     ("eps_c", [0.25, 0.25, 0.5]),
     ("depths", [1, 1, 0, 1]),
     ("content_fraction", 1.5),
+    ("content_fraction", 0.95),
     ("ifm_weights", 3),
     ("seed", 4.7),
     ("seed", "abc"),

@@ -4,7 +4,7 @@ keep the boundary, and the learned head trains by plain gradient descent."""
 import numpy as np
 import pytest
 
-from docprune import weights_io
+from docprune import tensor, weights_io
 from docprune.content_filter import (DetectorModel, ThresholdSchedule,
                                      binarize, detect, evaluate_detector,
                                      load_detector, mlp_detector,
@@ -98,6 +98,22 @@ def test_loss_decreases_first_five_epochs(corpus):
     _, curve = train_detector(det, corpus[:2], epochs=6, lr=1e-2)
     for i in range(5):
         assert curve[i + 1] < curve[i]
+
+
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_training_evaluates_erf_once_per_epoch(corpus, monkeypatch, epochs):
+    # the backward pass must reuse the forward's erf term, not recompute it
+    calls = []
+    real_erf = tensor.erf
+
+    def counting_erf(x):
+        calls.append(x.shape)
+        return real_erf(x)
+
+    monkeypatch.setattr(tensor, "erf", counting_erf)
+    train_detector(mlp_detector(seed=2, patch_size=4), corpus[:1],
+                   epochs=epochs, lr=1e-2)
+    assert len(calls) == epochs
 
 
 def test_blank_corpus_drives_scores_to_zero():

@@ -2,6 +2,8 @@
 precisely on region boxes, patch labels follow by any-pooling, and every
 document is a pure function of its layout seed."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from docprune.instruction_filter import (COL_TOKEN_BASE, N_BINS,
 from docprune.synthdoc import (ContentRegion, LabeledImage, LayoutError,
                                LayoutSpec, RELEVANCE_MARGIN, generate,
                                instruction_target, load_corpus, make_corpus,
-                               mean_content_fraction, patchify_any,
+                               max_content_fraction, mean_content_fraction,
+                               patchify_any,
                                plan_layout, save_corpus)
 
 
@@ -120,6 +123,15 @@ def test_infeasible_fraction_reports_achieved():
         plan_layout(256, 0.99, seed=0)
     assert 0.0 < exc.value.achieved < 0.99
     assert f"{exc.value.achieved:.4f}" in str(exc.value)
+
+
+@pytest.mark.parametrize("size", [40, 128, 200, 256, 1536])
+def test_max_content_fraction_is_the_packing_boundary(size):
+    limit = max_content_fraction(size)
+    for seed in range(3):
+        assert plan_layout(size, limit, seed).target_content_fraction == limit
+        with pytest.raises(LayoutError, match="not packable"):
+            plan_layout(size, math.nextafter(limit, 1.0), seed)
 
 
 def test_image_values_in_unit_range():

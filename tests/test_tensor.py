@@ -217,6 +217,30 @@ def test_gelu_grad_matches_finite_differences():
     np.testing.assert_allclose(gelu_grad(x), numeric, atol=1e-6)
 
 
+@pytest.mark.parametrize("rows,in_dim,hidden,pw", [
+    (1, 3, 2, None), (7, 6, 5, 2.5), (64, 16, 24, None), (300, 32, 32, 9.0)])
+def test_backward_reuses_forward_erf_exactly(rows, in_dim, hidden, pw):
+    # reference: the standalone kernels, each evaluating erf itself
+    rng = Rng(rows * 1000 + hidden)
+    x = rng.uniforms(rows * in_dim, -2, 2).reshape(rows, in_dim)
+    y = (rng.uniforms(rows) > 0.6).astype(float).reshape(rows, 1)
+    p = mlp2_init(rng, in_dim, hidden, 1)
+    z1 = linear(x, p.w1, p.b1)
+    h = gelu(z1)
+    pred = sigmoid(linear(h, p.w2, p.b2))
+    dz2 = np.where(y > 0.5, 1.0 if pw is None else pw, 1.0) * (pred - y) / y.size
+    dz1 = (dz2 @ p.w2.T) * gelu_grad(z1)
+    want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
+            "db2": dz2.sum(axis=0), "dx": dz1 @ p.w1.T}
+    out, cache = mlp2_forward(x, p, sigmoid_out=True)
+    assert len(cache) == 4
+    assert np.array_equal(out, pred)
+    g = (mlp2_backward(cache, p, y) if pw is None
+         else mlp2_backward(cache, p, y, pos_weight=pw))
+    for key, ref in want.items():
+        assert np.array_equal(g[key], ref), key
+
+
 def test_mlp2_forward_rejects_bad_input():
     with pytest.raises(ValueError, match="dim mismatch"):
         mlp2_forward(np.zeros((2, 5)), mlp2_zeros(6, 4, 1))

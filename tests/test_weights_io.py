@@ -1,10 +1,14 @@
 """Weight files must round-trip exactly and reject foreign or damaged input."""
 
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from docprune.content_filter import load_detector, mlp_detector, save_detector
+from docprune.instruction_filter import ifm_init, load_ifm, save_ifm
 from docprune.rng import Rng
 from docprune.weights_io import (KIND_DETECTOR, KIND_IFM, MAGIC, VERSION,
                                  read_weights, write_weights)
@@ -59,3 +63,56 @@ def test_non_float_input_is_converted(tmp_path):
     _, back = read_weights(path)
     assert back["m"].dtype == np.float64
     np.testing.assert_array_equal(back["m"], np.arange(6).reshape(2, 3))
+
+
+def _seeded_arrays(rng: Rng) -> dict[str, np.ndarray]:
+    arrays = {}
+    for i in range(1 + rng.randint(3)):
+        dims = tuple(1 + rng.randint(4) for _ in range(1 + rng.randint(3)))
+        arrays[f"a{i}_{rng.randint(1000)}"] = rng.uniforms(
+            math.prod(dims)).reshape(dims)
+    return arrays
+
+
+def _damage(raw: bytes, how: str, seed: int, rng: Rng) -> bytes:
+    if how == "cut":
+        # seeds 0 and 1 cut inside the headers (file header, then the
+        # first array's name length); later seeds cut at a seeded offset
+        return raw[:(10, 18)[seed] if seed < 2 else rng.randint(len(raw))]
+    if how == "trailing":
+        return raw + bytes(1 + rng.randint(8))
+    # huge_dim: the first array's first dim sits after the 16-byte file
+    # header, its u16 name length, the name and its u8 rank
+    (name_len,) = struct.unpack_from("<H", raw, 16)
+    at = 16 + 2 + name_len + 1
+    return raw[:at] + struct.pack("<I", 0xFFFFFFFF - rng.randint(4)) + raw[at + 4:]
+
+
+@pytest.mark.parametrize("how", ["cut", "trailing", "huge_dim"])
+@pytest.mark.parametrize("seed", range(5))
+def test_damaged_file_is_value_error_naming_it(tmp_path, how, seed):
+    rng = Rng(seed).derive(how)
+    path = tmp_path / "damaged.hrvd"
+    write_weights(path, KIND_DETECTOR, _seeded_arrays(rng))
+    path.write_bytes(_damage(path.read_bytes(), how, seed, rng))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_weights(path)
+
+
+@pytest.mark.parametrize("kind", ["detector", "ifm"])
+@pytest.mark.parametrize("seed", range(3))
+def test_missing_array_is_value_error_naming_it(tmp_path, kind, seed):
+    path = tmp_path / f"{kind}.hrvd"
+    if kind == "detector":
+        save_detector(path, mlp_detector(seed, patch_size=4))
+        load = load_detector
+    else:
+        save_ifm(path, ifm_init(seed, dim=8))
+        load = load_ifm
+    file_kind, arrays = read_weights(path)
+    gone = Rng(seed).choice(sorted(arrays))
+    del arrays[gone]
+    write_weights(path, file_kind, arrays)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load(path)
+    assert repr(gone) in str(err.value)
