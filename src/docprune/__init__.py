@@ -6,47 +6,10 @@ an instruction filtering stage, exact FLOP accounting, and a deterministic
 benchmark pipeline around them.
 """
 
-from .content_filter import (DetectorModel, ThresholdSchedule, binarize,
-                             detect, evaluate_detector, load_detector,
-                             mlp_detector, oracle_detector, save_detector,
-                             train_detector)
-from .encoder import (BlockWeights, EncodeResult, EncoderModel, StageConfig,
-                      WindowStats, encode, encoder_init, gate_combine,
-                      gated_block, merge_patches, window_pass)
-from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
-                                 embed_instruction, evaluate_ifm,
-                                 filter_tokens, fuse, grid_positions,
-                                 ifm_init, load_ifm, save_ifm, train_ifm)
-from .patching import (PatchEmbed, ProbabilityMap, TokenGrid,
-                       flatten_patches, labels_to_probs, partition,
-                       patch_embed_init)
-from .pipeline import (ConfigError, PipelineConfig, RunReport, build_models,
-                       prepare_ifm_samples, render_masks, run, sweep,
-                       sweep_schedule, write_report)
-from .rng import Rng
-from .synthdoc import (ContentRegion, LabeledImage, LayoutError, LayoutSpec,
-                       generate, instruction_target, load_corpus,
-                       make_corpus, mean_content_fraction, plan_layout,
-                       save_corpus)
-from .tensor import FlopCounter, LossCurve, Mlp2
+from .pipeline import (ConfigError, PipelineConfig, RunReport, run, sweep,
+                       write_report)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockWeights", "ConfigError", "ContentRegion", "DetectorModel",
-    "EncodeResult", "EncoderModel", "FilterResult", "FlopCounter",
-    "IfmModel", "InstructionSpec", "LabeledImage", "LayoutError",
-    "LayoutSpec", "LossCurve", "Mlp2", "PatchEmbed", "PipelineConfig",
-    "ProbabilityMap", "Rng", "RunReport", "StageConfig",
-    "ThresholdSchedule", "TokenGrid", "WindowStats", "binarize",
-    "build_models", "detect", "embed_instruction", "encode", "encoder_init",
-    "evaluate_detector", "evaluate_ifm", "filter_tokens", "flatten_patches",
-    "fuse", "gate_combine", "gated_block", "generate", "grid_positions",
-    "ifm_init",
-    "instruction_target", "labels_to_probs", "load_corpus", "load_detector",
-    "load_ifm", "make_corpus", "mean_content_fraction", "merge_patches",
-    "mlp_detector", "oracle_detector", "partition", "patch_embed_init",
-    "plan_layout", "prepare_ifm_samples", "render_masks", "run",
-    "save_corpus", "save_detector", "save_ifm", "sweep", "sweep_schedule",
-    "train_detector", "train_ifm", "window_pass", "write_report",
-]
+__all__ = ["ConfigError", "PipelineConfig", "RunReport", "run", "sweep",
+           "write_report"]

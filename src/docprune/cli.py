@@ -14,14 +14,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .content_filter import (evaluate_detector, mlp_detector, save_detector,
                              train_detector)
 from .instruction_filter import evaluate_ifm, save_ifm, train_ifm
 from .pipeline import (ConfigError, PipelineConfig, build_models,
-                       prepare_ifm_samples, render_masks, run, sweep,
-                       write_report, write_summary_csv)
+                       prepare_ifm_samples, render_masks, run, summary_row,
+                       sweep, write_report, write_summary_csv)
 from .synthdoc import make_corpus, mean_content_fraction, save_corpus
 
 DEFAULT_GRID = "0.25:0.25,0.25:0.5,0.5:0.25,0.5:0.5"
@@ -53,13 +54,9 @@ def _load_config(args) -> PipelineConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
     profile = getattr(args, "profile", None) or file_cfg.get("profile", "desk")
-    if profile == "paper-scale":
-        base = {k: getattr(PipelineConfig.paper_scale(), k)
-                for k in PipelineConfig.KEYS}
-    elif profile == "desk":
-        base = {k: getattr(PipelineConfig(), k) for k in PipelineConfig.KEYS}
-    else:
-        raise ConfigError(f"unknown profile {profile!r}")
+    # from_dict rejects an unknown profile
+    base = asdict(PipelineConfig.paper_scale() if profile == "paper-scale"
+                  else PipelineConfig())
     base.update(file_cfg)
     base["profile"] = profile
     base["seed"] = _resolve_seed(getattr(args, "seed", None), file_cfg)
@@ -94,9 +91,7 @@ def _cmd_train_detector(args) -> int:
 def _cmd_train_ifm(args) -> int:
     config = _load_config(args)
     if args.n is not None:
-        config = PipelineConfig.from_dict(
-            {**{k: getattr(config, k) for k in PipelineConfig.KEYS},
-             "corpus_n": args.n})
+        config = replace(config, corpus_n=args.n)
     corpus = make_corpus(config.corpus_n, config.content_fraction,
                          config.image_size, config.seed)
     models = build_models(config)
@@ -116,17 +111,8 @@ def _cmd_run(args) -> int:
     report = run(config)
     path = write_report(report, args.out)
     if args.format == "csv":
-        row = {
-            "eps_c": config.eps_c[0],
-            "eps_i": config.eps_i,
-            "total_flops": report.flops["total"],
-            "encoder_attention_flops":
-                report.flops["by_category"]["encoder_attention"],
-            "decoder_flops": report.flops["by_category"]["decoder_stub"],
-            "kept_final": report.tokens["post_encoder"],
-            "post_ifm": report.tokens["post_ifm"],
-        }
-        write_summary_csv([row], Path(args.out) / "summary.csv")
+        write_summary_csv([summary_row(report)],
+                          Path(args.out) / "summary.csv")
     print(f"report at {path}: tokens {report.tokens['initial']} -> "
           f"{report.tokens['post_encoder']} -> {report.tokens['post_ifm']}, "
           f"total FLOPs {report.flops['total']}, "

@@ -73,9 +73,11 @@ def mlp_detector(seed: int, patch_size: int, feat_dim: int = 32,
     )
 
 
-def detector_features(model: DetectorModel, image: np.ndarray) -> np.ndarray:
+def detector_features(model: DetectorModel, image: np.ndarray,
+                      counter: FlopCounter | None = None) -> np.ndarray:
+    """The frozen private embedding of every patch of an image."""
     flat = flatten_patches(image, model.patch_size)
-    return flat @ model.embed.weight + model.embed.bias
+    return linear(flat, model.embed.weight, model.embed.bias, counter)
 
 
 def detect(model: DetectorModel, doc: LabeledImage | np.ndarray,
@@ -87,8 +89,7 @@ def detect(model: DetectorModel, doc: LabeledImage | np.ndarray,
         labels = doc.patch_labels(model.patch_size)
         return ProbabilityMap(labels.astype(np.float64).ravel(), binarized=True)
     image = doc.image if isinstance(doc, LabeledImage) else doc
-    flat = flatten_patches(image, model.patch_size)
-    feats = linear(flat, model.embed.weight, model.embed.bias, counter)
+    feats = detector_features(model, image, counter)
     probs, _ = mlp2_forward(feats, model.mlp, counter, sigmoid_out=True)
     return ProbabilityMap(probs.ravel(), binarized=False)
 
@@ -146,19 +147,29 @@ def train_detector(model: DetectorModel, corpus: list[LabeledImage],
     return model, fit_mlp2(model.mlp, x, y, epochs, lr, pos_weight)
 
 
+def recall_precision(kept, truth) -> dict[str, float]:
+    """Recall/precision of kept tokens against relevant ones.
+
+    kept and truth are matching sequences of boolean masks, one pair per
+    document; counts are summed over all pairs. With nothing relevant
+    (or nothing kept) recall (or precision) is 1.0.
+    """
+    tp = fp = fn = 0
+    for k, t in zip(kept, truth, strict=True):
+        tp += int(np.sum(k & t))
+        fp += int(np.sum(k & ~t))
+        fn += int(np.sum(~k & t))
+    return {"recall": tp / (tp + fn) if tp + fn else 1.0,
+            "precision": tp / (tp + fp) if tp + fp else 1.0}
+
+
 def evaluate_detector(model: DetectorModel, corpus: list[LabeledImage],
                       threshold: float) -> dict[str, float]:
     """Recall/precision of kept tokens against ground-truth patch labels."""
-    tp = fp = fn = 0
-    for doc in corpus:
-        labels = doc.patch_labels(model.patch_size).ravel()
-        kept = binarize(detect(model, doc), threshold).values.astype(bool)
-        tp += int(np.sum(kept & labels))
-        fp += int(np.sum(kept & ~labels))
-        fn += int(np.sum(~kept & labels))
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    return {"recall": recall, "precision": precision}
+    return recall_precision(
+        [binarize(detect(model, d), threshold).values.astype(bool)
+         for d in corpus],
+        [d.patch_labels(model.patch_size).ravel() for d in corpus])
 
 
 def save_detector(path, model: DetectorModel) -> None:
@@ -180,7 +191,13 @@ def load_detector(path) -> DetectorModel:
     arrays = weights_io.read_model(
         path, weights_io.KIND_DETECTOR,
         ("meta", "embed_w", "embed_b", "w1", "b1", "w2", "b2"))
-    patch_size = int(arrays["meta"][0])
+    weights_io.check_shapes(path, arrays, {"meta": (2,)})
+    patch_size, feat = weights_io.meta_dims(path, arrays["meta"], 2)
+    hidden = arrays["b1"].shape[:1]      # the one dim meta does not fix
+    weights_io.check_shapes(path, arrays, {
+        "embed_w": (patch_size * patch_size, feat), "embed_b": (feat,),
+        "b1": hidden, "w1": (feat, *hidden), "w2": (*hidden, 1),
+        "b2": (1,)})
     embed = PatchEmbed(patch_size, arrays["embed_w"], arrays["embed_b"])
     mlp = Mlp2(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
     return DetectorModel("mlp", patch_size, embed, mlp)

@@ -26,7 +26,6 @@ the gating semantics, so it is fixed rather than configurable.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,11 +33,8 @@ import numpy as np
 from .content_filter import ThresholdSchedule, binarize
 from .patching import ProbabilityMap, TokenGrid
 from .rng import Rng, init_uniform
-from .tensor import FlopCounter, attention, gelu, layernorm, linear
-
-
-def _cat(counter: FlopCounter | None, name: str):
-    return counter.category(name) if counter is not None else nullcontext()
+from .tensor import (FlopCounter, attention, flop_category, gelu, layernorm,
+                     linear)
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,6 @@ class StageConfig:
     depth: int
     window: int
     merge_after: bool
-    eps_c: float = 0.0
 
     def __post_init__(self):
         if self.depth < 1:
@@ -160,14 +155,12 @@ def block_init(rng: Rng, dim: int, ffn_ratio: int) -> BlockWeights:
 
 
 def encoder_init(seed: int, d0: int = 32, depths: tuple[int, ...] = (2, 2, 6, 2),
-                 window: int = 8, ffn_ratio: int = 2,
-                 sched: ThresholdSchedule | None = None) -> EncoderModel:
+                 window: int = 8, ffn_ratio: int = 2) -> EncoderModel:
     if len(depths) != 4:
         raise ValueError(f"expected 4 stage depths, got {depths}")
-    eps = sched.eps_c if sched is not None else (0.0,) * 4
     rng = Rng(seed).derive("encoder")
     stages = [StageConfig(depth=depths[s], window=window,
-                          merge_after=(s < 3), eps_c=eps[s])
+                          merge_after=(s < 3))
               for s in range(4)]
     blocks = []
     merges = []
@@ -182,6 +175,38 @@ def encoder_init(seed: int, d0: int = 32, depths: tuple[int, ...] = (2, 2, 6, 2)
                            rm.uniforms(2 * d, -1.0 / (4 * d) ** 0.5,
                                        1.0 / (4 * d) ** 0.5)))
     return EncoderModel(stages=stages, blocks=blocks, merges=merges, d0=d0)
+
+
+def attn_residual(x: np.ndarray, bw: BlockWeights,
+                  counter: FlopCounter | None = None,
+                  cats: tuple[str, str] = ("encoder_norm", "encoder_attention")
+                  ) -> np.ndarray:
+    """x + attention(layernorm(x)): the attention half of a pre-norm block.
+
+    cats names the FLOP categories of the norm and of the attention; the
+    instruction filter charges both to its own category.
+    """
+    with flop_category(counter, cats[0]):
+        a = layernorm(x, bw.ln1_g, bw.ln1_b, counter=counter)
+    with flop_category(counter, cats[1]):
+        q = linear(a, bw.wq, bw.bq, counter)
+        k = linear(a, bw.wk, bw.bk, counter)
+        v = linear(a, bw.wv, bw.bv, counter)
+        out = linear(attention(q, k, v, counter), bw.wo, bw.bo, counter)
+    return x + out
+
+
+def ffn_residual(x: np.ndarray, bw: BlockWeights,
+                 counter: FlopCounter | None = None,
+                 cats: tuple[str, str] = ("encoder_norm", "encoder_ffn")
+                 ) -> np.ndarray:
+    """x + FFN(layernorm(x)), GELU hidden layer: the FFN half of a block."""
+    with flop_category(counter, cats[0]):
+        a = layernorm(x, bw.ln2_g, bw.ln2_b, counter=counter)
+    with flop_category(counter, cats[1]):
+        f = linear(gelu(linear(a, bw.w1, bw.b1, counter), counter),
+                   bw.w2, bw.b2, counter)
+    return x + f
 
 
 def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -239,15 +264,9 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
             continue
         computed += 1
         tv = t[rs, cs].reshape(window * window, d)
-        with _cat(counter, "encoder_norm"):
-            a = layernorm(tv, bw.ln1_g, bw.ln1_b, counter=counter)
-        with _cat(counter, "encoder_attention"):
-            q = linear(a, bw.wq, bw.bq, counter)
-            k = linear(a, bw.wk, bw.bk, counter)
-            v = linear(a, bw.wv, bw.bv, counter)
-            att = attention(q, k, v, counter)
-            out = linear(att, bw.wo, bw.bo, counter)
-        new = tv + out if pw is None else gate_combine(pw, tv + out, tv)
+        new = attn_residual(tv, bw, counter)
+        if pw is not None:
+            new = gate_combine(pw, new, tv)
         t[rs, cs] = new.reshape(window, window, d)
 
     if shift:
@@ -255,8 +274,7 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     if padded:
         t = t[:rows, :cols]
     stats = WindowStats(total=wr_n * wc_n, computed=computed, bypassed=bypassed)
-    return TokenGrid(rows, cols, d, t.reshape(rows * cols, d),
-                     probs=grid.probs, origin=grid.origin), stats
+    return TokenGrid(rows, cols, d, t.reshape(rows * cols, d)), stats
 
 
 def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
@@ -267,24 +285,14 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     out, stats = window_pass(grid, p, bw, window, shifted, counter, bypass, order)
     t = out.tokens
     if p is None:
-        with _cat(counter, "encoder_norm"):
-            a = layernorm(t, bw.ln2_g, bw.ln2_b, counter=counter)
-        with _cat(counter, "encoder_ffn"):
-            f = linear(gelu(linear(a, bw.w1, bw.b1, counter), counter),
-                       bw.w2, bw.b2, counter)
-        t = t + f
+        t = ffn_residual(t, bw, counter)
     else:
         active = p > 0.0
         if active.any():
             h = t[active]
-            with _cat(counter, "encoder_norm"):
-                a = layernorm(h, bw.ln2_g, bw.ln2_b, counter=counter)
-            with _cat(counter, "encoder_ffn"):
-                f = linear(gelu(linear(a, bw.w1, bw.b1, counter), counter),
-                           bw.w2, bw.b2, counter)
-            t[active] = gate_combine(p[active, None], h + f, h)
-    return TokenGrid(out.rows, out.cols, out.dim, t,
-                     probs=out.probs, origin=out.origin), stats
+            t[active] = gate_combine(p[active, None],
+                                     ffn_residual(h, bw, counter), h)
+    return TokenGrid(out.rows, out.cols, out.dim, t), stats
 
 
 def _child_max(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -309,10 +317,9 @@ def merge_patches(grid: TokenGrid, p_raw: np.ndarray,
     t = grid.tokens.reshape(rows, cols, d)
     children = (t[0::2, 0::2], t[0::2, 1::2], t[1::2, 0::2], t[1::2, 1::2])
     cat = np.concatenate(children, axis=-1).reshape(-1, 4 * d)
-    with _cat(counter, "encoder_merge"):
+    with flop_category(counter, "encoder_merge"):
         merged = linear(cat, merge[0], merge[1], counter)
-    return TokenGrid(rows // 2, cols // 2, 2 * d, merged,
-                     origin=grid.origin + 1), p_new
+    return TokenGrid(rows // 2, cols // 2, 2 * d, merged), p_new
 
 
 def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
@@ -352,6 +359,8 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     the full ungated computation; that path multiplies by no gate values
     at all and serves as the reference for the equivalence tests.
 
+    Without a schedule every stage threshold is 0.
+
     `cache` belongs to one document: an encode whose per-stage binarized
     masks were seen before returns the stored stage-4 tokens and charges
     the stored FLOPs to `counter` instead of computing them again.
@@ -360,7 +369,7 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
         raise ValueError(
             f"probability map length {len(p0)} does not match "
             f"{grid.n_tokens} tokens")
-    eps = sched.eps_c if sched is not None else tuple(s.eps_c for s in model.stages)
+    eps = sched.eps_c if sched is not None else (0.0,) * len(model.stages)
     if len(eps) != len(model.stages):
         raise ValueError(
             f"{len(eps)} thresholds for {len(model.stages)} stages")
@@ -380,7 +389,7 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
             with counter.category(cat):
                 counter.add(n)
         g = entry.grid
-        cur = TokenGrid(g.rows, g.cols, g.dim, g.tokens.copy(), origin=g.origin)
+        cur = TokenGrid(g.rows, g.cols, g.dim, g.tokens.copy())
         trace = [replace(e, raw_entry=raw, binarized=binp)
                  for e, (raw, binp) in zip(entry.stages, maps)]
         return _drop_inactive(cur, trace, gated)
@@ -410,8 +419,7 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
 
     if cache is not None:
         cache[key] = EncodeCacheEntry(
-            grid=TokenGrid(cur.rows, cur.cols, cur.dim, cur.tokens.copy(),
-                           origin=cur.origin),
+            grid=TokenGrid(cur.rows, cur.cols, cur.dim, cur.tokens.copy()),
             stages=[replace(e, raw_entry=None, binarized=None) for e in trace],
             flops={k: v - before.get(k, 0)
                    for k, v in counter.by_category.items()

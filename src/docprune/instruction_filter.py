@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights_io
-from .content_filter import fit_mlp2
-from .encoder import BlockWeights, _cat, block_init
+from .content_filter import fit_mlp2, recall_precision
+from .encoder import BlockWeights, attn_residual, block_init, ffn_residual
 from .rng import Rng
-from .tensor import (FlopCounter, LossCurve, Mlp2, attention, gelu,
-                     layernorm, linear, mlp2_forward, mlp2_init)
+from .tensor import (FlopCounter, LossCurve, Mlp2, flop_category,
+                     mlp2_forward, mlp2_init)
 
 VOCAB_SIZE = 256
 MAX_INSTRUCTION_LEN = 32
@@ -133,22 +133,14 @@ def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
         raise ValueError(
             f"fusion dim mismatch: model {model.dim}, V {v.shape}, "
             f"I {instr.shape}")
-    bw = model.fusion
     nv = v.shape[0]
     x = np.vstack([v, instr])
     if model.use_positions:
         # order stamp for the instruction rows; visual tokens arrive with
         # spatial encodings already added upstream
         x[nv:] += _sinusoid(x.shape[0], model.dim)[nv:]
-    with _cat(counter, "ifm"):
-        a = layernorm(x, bw.ln1_g, bw.ln1_b, counter=counter)
-        att = attention(linear(a, bw.wq, bw.bq, counter),
-                        linear(a, bw.wk, bw.bk, counter),
-                        linear(a, bw.wv, bw.bv, counter), counter)
-        x = x + linear(att, bw.wo, bw.bo, counter)
-        a2 = layernorm(x, bw.ln2_g, bw.ln2_b, counter=counter)
-        x = x + linear(gelu(linear(a2, bw.w1, bw.b1, counter), counter),
-                       bw.w2, bw.b2, counter)
+    x = attn_residual(x, model.fusion, counter, ("ifm", "ifm"))
+    x = ffn_residual(x, model.fusion, counter, ("ifm", "ifm"))
     return x[:nv], x[nv:]
 
 
@@ -174,7 +166,7 @@ def filter_tokens(model: IfmModel, v_fused: np.ndarray,
     eps = model.eps_i if eps is None else eps
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"threshold {eps} outside [0, 1]")
-    with _cat(counter, "ifm"):
+    with flop_category(counter, "ifm"):
         scores, _ = mlp2_forward(v_fused, model.clf, counter, sigmoid_out=True)
     scores = scores.ravel()
     kept = np.flatnonzero(scores >= eps)
@@ -210,19 +202,14 @@ def evaluate_ifm(model: IfmModel,
                  samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                  eps: float | None = None) -> dict[str, float]:
     """Recall/precision of kept tokens against relevance labels."""
-    tp = fp = fn = 0
-    for v, instr, y in samples:
+    kept = []
+    for v, instr, _ in samples:
         vp, _ = fuse(model, v, instr)
-        res = filter_tokens(model, vp, eps=eps)
-        kept = np.zeros(v.shape[0], dtype=bool)
-        kept[res.kept_indices] = True
-        yb = np.asarray(y, dtype=bool).ravel()
-        tp += int(np.sum(kept & yb))
-        fp += int(np.sum(kept & ~yb))
-        fn += int(np.sum(~kept & yb))
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    return {"recall": recall, "precision": precision}
+        mask = np.zeros(v.shape[0], dtype=bool)
+        mask[filter_tokens(model, vp, eps=eps).kept_indices] = True
+        kept.append(mask)
+    return recall_precision(
+        kept, [np.asarray(y, dtype=bool).ravel() for *_, y in samples])
 
 
 _FUSION_FIELDS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
@@ -249,6 +236,17 @@ def load_ifm(path) -> IfmModel:
         path, weights_io.KIND_IFM,
         ("meta", "embed", "clf_w1", "clf_b1", "clf_w2", "clf_b2",
          *(f"fuse_{n}" for n in _FUSION_FIELDS)))
+    weights_io.check_shapes(path, arrays, {"meta": (3,)})
+    (dim,) = weights_io.meta_dims(path, arrays["meta"], 1)
+    # hidden widths come from the biases, every other dim from meta
+    hidden, ffn = arrays["clf_b1"].shape[:1], arrays["fuse_b1"].shape[:1]
+    shapes = {"embed": (VOCAB_SIZE, dim), "clf_b1": hidden,
+              "clf_w1": (dim, *hidden), "clf_w2": (*hidden, 1),
+              "clf_b2": (1,), "fuse_b1": ffn, "fuse_w1": (dim, *ffn),
+              "fuse_w2": (*ffn, dim)}
+    for n in _FUSION_FIELDS:
+        shapes.setdefault(f"fuse_{n}", (dim, dim) if n[0] == "w" else (dim,))
+    weights_io.check_shapes(path, arrays, shapes)
     fusion = BlockWeights(**{n: arrays[f"fuse_{n}"] for n in _FUSION_FIELDS})
     clf = Mlp2(arrays["clf_w1"], arrays["clf_b1"],
                arrays["clf_w2"], arrays["clf_b2"])

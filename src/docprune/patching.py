@@ -8,12 +8,11 @@ a single matmul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import Rng, init_uniform
-from .synthdoc import LabeledImage
 from .tensor import FlopCounter, linear
 
 
@@ -45,20 +44,12 @@ class TokenGrid:
     cols: int
     dim: int
     tokens: np.ndarray
-    probs: ProbabilityMap = field(default=None)  # type: ignore[assignment]
-    origin: int = 0
 
     def __post_init__(self):
         if self.tokens.shape != (self.rows * self.cols, self.dim):
             raise ValueError(
                 f"token matrix shape {self.tokens.shape} does not match "
                 f"{self.rows}x{self.cols} grid of dim {self.dim}")
-        if self.probs is None:
-            self.probs = ProbabilityMap(np.ones(self.rows * self.cols))
-        if len(self.probs) != self.rows * self.cols:
-            raise ValueError(
-                f"probability map length {len(self.probs)} does not match "
-                f"{self.rows * self.cols} tokens")
 
     @property
     def n_tokens(self) -> int:
@@ -113,9 +104,3 @@ def partition(img: np.ndarray, embed: PatchEmbed,
     tokens = linear(flat, embed.weight, embed.bias, counter)
     g = img.shape[0] // embed.patch_size
     return TokenGrid(rows=g, cols=g, dim=embed.dim, tokens=tokens)
-
-
-def labels_to_probs(img: LabeledImage, patch_size: int) -> ProbabilityMap:
-    """Ground-truth probabilities: 1.0 on labelled patches, 0.0 elsewhere."""
-    labels = img.patch_labels(patch_size)
-    return ProbabilityMap(labels.astype(np.float64).ravel(), binarized=True)

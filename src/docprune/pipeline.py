@@ -21,7 +21,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -35,12 +36,12 @@ from .encoder import EncodeResult, EncoderModel, encode, encoder_init
 from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
                                  embed_instruction, fuse, filter_tokens,
                                  grid_positions, ifm_init, load_ifm)
-from .patching import PatchEmbed, ProbabilityMap, partition, patch_embed_init
+from .patching import PatchEmbed, partition, patch_embed_init
 from .rng import Rng
 from .synthdoc import (LabeledImage, instruction_target, make_corpus,
                        max_content_fraction, mean_content_fraction,
                        patchify_any)
-from .tensor import FlopCounter, Mlp2, mlp2_forward, mlp2_init
+from .tensor import FlopCounter, Mlp2, flop_category, mlp2_forward, mlp2_init
 
 SCHEMA_VERSION = 1
 DECODER_FLOPS_PER_TOKEN_SQ = 2 * 4096 * 32
@@ -152,10 +153,6 @@ class PipelineConfig:
         return self.d0 * 8
 
     @staticmethod
-    def desk(**overrides) -> "PipelineConfig":
-        return PipelineConfig(**overrides)
-
-    @staticmethod
     def paper_scale(**overrides) -> "PipelineConfig":
         base = dict(profile="paper-scale", image_size=1536, patch_size=4,
                     depths=(2, 2, 18, 2), window=10, corpus_n=4)
@@ -164,7 +161,7 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
-        unknown = set(d) - set(PipelineConfig.KEYS)
+        unknown = set(d) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
@@ -173,7 +170,6 @@ class PipelineConfig:
             raise ConfigError(str(e)) from e
 
 
-PipelineConfig.KEYS = tuple(f.name for f in fields(PipelineConfig))
 _FIELD_TYPES = get_type_hints(PipelineConfig)
 # integer fields and depths must be >= 1 except these; None means any int
 _INT_MIN = {"seed": None, "decoder_flops_per_token_sq": 0}
@@ -253,13 +249,15 @@ def mask_from_hex(s: str, side: int) -> np.ndarray:
 
 @dataclass
 class DocArtifacts:
-    doc: LabeledImage
-    probs: ProbabilityMap
+    """One document's intermediates; `process_doc` fills all but the last."""
+
     encoded: EncodeResult
-    projected: np.ndarray
+    projected: np.ndarray          # post-encoder tokens in decoder space
+    v_in: np.ndarray               # what the IFM sees: projected + positions
     instruction: InstructionSpec
-    filter_result: FilterResult
-    final_tokens: np.ndarray
+    instr: np.ndarray              # the instruction's token embeddings
+    relevance: np.ndarray          # per-pixel instruction relevance mask
+    filter_result: FilterResult | None = None   # set by run
 
 
 @dataclass
@@ -285,13 +283,57 @@ class RunReport:
 def _round_floats(obj):
     if isinstance(obj, float):
         return round(obj, 9)
-    if isinstance(obj, bool) or isinstance(obj, int) or isinstance(obj, str):
-        return obj
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
+
+
+@contextmanager
+def _timed(timings: dict[str, float] | None, key: str):
+    """Add the block's wall ms to timings[key]; a no-op without timings."""
+    t0 = time.perf_counter()
+    yield
+    if timings is not None:
+        timings[key] += (time.perf_counter() - t0) * 1e3
+
+
+def process_doc(config: PipelineConfig, models: Models, doc: LabeledImage,
+                instr_state: int, counter: FlopCounter | None = None,
+                encode_cache: dict | None = None,
+                timings: dict[str, float] | None = None) -> DocArtifacts:
+    """The per-document chain up to the instruction filter's inputs.
+
+    partition, detect, encode, project, add grid positions, then draw the
+    document's instruction from instr_state. `run` and
+    `prepare_ifm_samples` both go through here. Every step is called
+    through this module's globals, so a wrapper installed on a name (as
+    `bench/tracer.py` does) sees each call. `encode_cache` is this
+    document's `encode` cache.
+    """
+    with flop_category(counter, "patch_embed"):
+        grid = partition(doc.image, models.embed, counter)
+    with _timed(timings, "detect"), flop_category(counter, "detector"):
+        probs = detect(models.detector, doc, counter)
+    with _timed(timings, "encode"):
+        encoded = encode(models.encoder, grid, probs, config.schedule(),
+                         gated=config.gated, bypass=config.bypass,
+                         soft=config.soft_gating, counter=counter,
+                         cache=encode_cache)
+    with _timed(timings, "project"), flop_category(counter, "projector"):
+        projected, _ = mlp2_forward(encoded.sequence, models.projector,
+                                    counter)
+    with _timed(timings, "ifm"):
+        v_in = projected
+        if models.ifm.use_positions and projected.shape[0]:
+            v_in = projected + grid_positions(
+                encoded.kept_indices, config.stage4_side, config.llm_dim)
+    spec, relevance = instruction_target(doc, instr_state)
+    return DocArtifacts(encoded=encoded, projected=projected, v_in=v_in,
+                        instruction=spec,
+                        instr=embed_instruction(models.ifm, spec),
+                        relevance=relevance)
 
 
 def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
@@ -308,74 +350,38 @@ def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
     """
     config.validate()
     models = build_models(config, detector, ifm)
+    timings = dict.fromkeys(("generate", "detect", "encode", "project",
+                             "ifm"), 0.0)
     if corpus is None:
-        t0 = time.perf_counter()
-        corpus = make_corpus(config.corpus_n, config.content_fraction,
-                             config.image_size, config.seed)
-        gen_ms = (time.perf_counter() - t0) * 1e3
-    else:
-        gen_ms = 0.0
-        if not corpus:
-            raise ConfigError("corpus is empty")
-        for doc in corpus:
-            if doc.size != config.image_size:
-                raise ConfigError(
-                    f"corpus image size {doc.size} does not match config "
-                    f"{config.image_size}")
+        with _timed(timings, "generate"):
+            corpus = make_corpus(config.corpus_n, config.content_fraction,
+                                 config.image_size, config.seed)
+    elif not corpus:
+        raise ConfigError("corpus is empty")
+    for doc in corpus:
+        if doc.size != config.image_size:
+            raise ConfigError(
+                f"corpus image size {doc.size} does not match config "
+                f"{config.image_size}")
 
-    sched = config.schedule()
     counter = FlopCounter()
-    timings = {"generate": gen_ms, "detect": 0.0, "encode": 0.0,
-               "project": 0.0, "ifm": 0.0}
     instr_rng = Rng(config.seed).derive("instructions")
-
     stage_agg: list[dict] | None = None
     per_doc = []
     artifacts = []
-    post_encoder_total = 0
-    post_ifm_total = 0
-    instr_total = 0
-    max_sequence = 0
-    s2_side = config.grid_side // 2
-    s4_side = config.stage4_side
-
     for i, doc in enumerate(corpus):
-        with counter.category("patch_embed"):
-            grid = partition(doc.image, models.embed, counter)
+        art = process_doc(config, models, doc, instr_rng.derive(i).state,
+                          counter, None if encode_cache is None
+                          else encode_cache.setdefault(i, {}), timings)
+        encoded = art.encoded
+        with _timed(timings, "ifm"):
+            fused_v, _ = fuse(models.ifm, art.v_in, art.instr, counter)
+            result = filter_tokens(models.ifm, fused_v, v_orig=art.projected,
+                                   eps=config.eps_i, counter=counter)
+        art.filter_result = result
 
-        t0 = time.perf_counter()
-        with counter.category("detector"):
-            probs = detect(models.detector, doc, counter)
-        timings["detect"] += (time.perf_counter() - t0) * 1e3
-
-        t0 = time.perf_counter()
-        encoded = encode(models.encoder, grid, probs, sched,
-                         gated=config.gated, bypass=config.bypass,
-                         soft=config.soft_gating, counter=counter,
-                         cache=(None if encode_cache is None
-                                else encode_cache.setdefault(i, {})))
-        timings["encode"] += (time.perf_counter() - t0) * 1e3
-
-        t0 = time.perf_counter()
-        with counter.category("projector"):
-            projected, _ = mlp2_forward(encoded.sequence, models.projector,
-                                        counter)
-        timings["project"] += (time.perf_counter() - t0) * 1e3
-
-        spec, rel_mask = instruction_target(doc, instr_rng.derive(i).state)
-        instr_emb = embed_instruction(models.ifm, spec)
-
-        t0 = time.perf_counter()
-        v_in = projected
-        if models.ifm.use_positions and projected.shape[0]:
-            v_in = projected + grid_positions(
-                encoded.kept_indices, s4_side, config.llm_dim)
-        fused_v, _ = fuse(models.ifm, v_in, instr_emb, counter)
-        result = filter_tokens(models.ifm, fused_v, v_orig=projected,
-                               eps=config.eps_i, counter=counter)
-        timings["ifm"] += (time.perf_counter() - t0) * 1e3
-
-        seq_len = result.kept_indices.size + len(spec)
+        n_kept = int(result.kept_indices.size)
+        seq_len = n_kept + len(art.instruction)
         with counter.category("decoder_stub"):
             counter.add(config.decoder_flops_per_token_sq * seq_len * seq_len)
 
@@ -392,41 +398,32 @@ def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
             agg["attn_flops"] += e.attn_flops
 
         ifm_mask = np.zeros(encoded.grid.n_tokens)
-        kept_global = (encoded.kept_indices[result.kept_indices]
-                       if result.kept_indices.size else
-                       np.empty(0, dtype=int))
-        ifm_mask[kept_global] = 1.0
+        ifm_mask[encoded.kept_indices[result.kept_indices]] = 1.0
         per_doc.append({
             "index": i,
             "seed": doc.seed,
             "kept_final": encoded.kept_final,
-            "kept_after_ifm": int(result.kept_indices.size),
-            "instruction_len": len(spec),
-            "sequence_len": int(seq_len),
+            "kept_after_ifm": n_kept,
+            "instruction_len": len(art.instruction),
+            "sequence_len": seq_len,
             "masks": {
                 "stage2": _mask_hex(encoded.trace[1].binarized),
                 "stage4": _mask_hex(encoded.trace[3].binarized),
                 "ifm": _mask_hex(ifm_mask),
             },
         })
-        post_encoder_total += encoded.kept_final
-        post_ifm_total += int(result.kept_indices.size)
-        instr_total += len(spec)
-        max_sequence = max(max_sequence, int(seq_len))
         if return_artifacts:
-            final_tokens = result.kept_tokens
-            artifacts.append(DocArtifacts(
-                doc=doc, probs=probs, encoded=encoded, projected=projected,
-                instruction=spec, filter_result=result,
-                final_tokens=final_tokens))
+            artifacts.append(art)
 
-    n = len(corpus)
-    initial_total = n * config.grid_side ** 2
+    post_encoder = sum(d["kept_final"] for d in per_doc)
+    post_ifm = sum(d["kept_after_ifm"] for d in per_doc)
+    instr_total = sum(d["instruction_len"] for d in per_doc)
+    max_sequence = max(d["sequence_len"] for d in per_doc)
     report = RunReport(
         schema_version=SCHEMA_VERSION,
-        config={k: getattr(config, k) for k in PipelineConfig.KEYS},
+        config=asdict(config),
         corpus={
-            "n_docs": n,
+            "n_docs": len(corpus),
             "image_size": config.image_size,
             "patch_size": config.patch_size,
             "mean_content_fraction": mean_content_fraction(corpus),
@@ -435,11 +432,11 @@ def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
         },
         stages=stage_agg,
         tokens={
-            "initial": initial_total,
-            "post_encoder": post_encoder_total,
-            "post_ifm": post_ifm_total,
+            "initial": len(corpus) * config.grid_side ** 2,
+            "post_encoder": post_encoder,
+            "post_ifm": post_ifm,
             "instruction": instr_total,
-            "final_sequence": post_ifm_total + instr_total,
+            "final_sequence": post_ifm + instr_total,
         },
         flops={
             "by_category": {k: counter.get(k) for k in FLOP_CATEGORIES},
@@ -498,23 +495,11 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
     rows = []
     encode_cache: dict[int, dict] = {}
     for c, i in settings:
-        sched = sweep_schedule(c, i)
-        cfg = PipelineConfig.from_dict({
-            **{k: getattr(config, k) for k in PipelineConfig.KEYS},
-            "eps_c": sched.eps_c, "eps_i": i,
-        })
+        cfg = replace(config, eps_c=sweep_schedule(c, i).eps_c, eps_i=i)
         rep = run(cfg, corpus=corpus, detector=detector, ifm=ifm,
                   encode_cache=encode_cache)
         reports.append(rep)
-        rows.append({
-            "eps_c": c,
-            "eps_i": i,
-            "total_flops": rep.flops["total"],
-            "encoder_attention_flops": rep.flops["by_category"]["encoder_attention"],
-            "decoder_flops": rep.flops["by_category"]["decoder_stub"],
-            "kept_final": rep.tokens["post_encoder"],
-            "post_ifm": rep.tokens["post_ifm"],
-        })
+        rows.append(summary_row(rep))
         if out_dir is not None:
             write_report(rep, Path(out_dir) / f"run_c{c:g}_i{i:g}")
     if out_dir is not None:
@@ -536,6 +521,17 @@ def _check_monotone(rows: list[dict]) -> None:
 
 SUMMARY_FIELDS = ("eps_c", "eps_i", "total_flops", "encoder_attention_flops",
                   "decoder_flops", "kept_final", "post_ifm")
+
+
+def summary_row(report: RunReport) -> dict:
+    """A report's summary.csv row; eps_c is the stage-1 threshold, which
+    is the base c of a `sweep_schedule`."""
+    return dict(zip(SUMMARY_FIELDS, (
+        report.config["eps_c"][0], report.config["eps_i"],
+        report.flops["total"],
+        report.flops["by_category"]["encoder_attention"],
+        report.flops["by_category"]["decoder_stub"],
+        report.tokens["post_encoder"], report.tokens["post_ifm"])))
 
 
 def write_summary_csv(rows: list[dict], path) -> Path:
@@ -561,25 +557,13 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
     """
     if models is None:
         models = build_models(config)
-    sched = config.schedule()
-    cell_px = config.patch_size * 8
     instr_rng = Rng(config.seed).derive("instructions")
     samples = []
     for i, doc in enumerate(corpus):
-        grid = partition(doc.image, models.embed)
-        probs = detect(models.detector, doc)
-        encoded = encode(models.encoder, grid, probs, sched,
-                         gated=config.gated, bypass=config.bypass,
-                         soft=config.soft_gating)
-        projected, _ = mlp2_forward(encoded.sequence, models.projector)
-        v_in = projected
-        if models.ifm.use_positions and projected.shape[0]:
-            v_in = projected + grid_positions(
-                encoded.kept_indices, config.stage4_side, config.llm_dim)
-        spec, rel_mask = instruction_target(doc, instr_rng.derive(i).state)
-        cells = patchify_any(rel_mask, cell_px).ravel()
-        labels = cells[encoded.kept_indices].astype(np.float64)
-        samples.append((v_in, embed_instruction(models.ifm, spec), labels))
+        art = process_doc(config, models, doc, instr_rng.derive(i).state)
+        cells = patchify_any(art.relevance, config.patch_size * 8).ravel()
+        samples.append((art.v_in, art.instr,
+                        cells[art.encoded.kept_indices].astype(np.float64)))
     return samples
 
 

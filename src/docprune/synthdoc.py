@@ -301,12 +301,15 @@ def instruction_target(img: LabeledImage, seed: int):
     geometry those bins coincide with the final-stage grid cells, so a
     cell is relevant exactly when its row token and its column token both
     appear in the instruction.
+
+    A blank page has nothing to refer to: its instruction is the single
+    token 0 (no region kind) and nothing on it is relevant.
     """
     from .instruction_filter import (COL_TOKEN_BASE, N_BINS, ROW_TOKEN_BASE,
                                      InstructionSpec)
 
     if not img.regions:
-        raise ValueError("instruction_target requires a document with regions")
+        return InstructionSpec((0,)), np.zeros((img.size,) * 2, dtype=bool)
     rng = Rng(seed).derive("instruction")
     region = rng.choice(img.regions)
     size = img.size

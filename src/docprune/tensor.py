@@ -15,7 +15,7 @@ relative comparisons between runs are meaningful.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +52,14 @@ class FlopCounter:
 
     def get(self, name: str) -> int:
         return self.by_category.get(name, 0)
+
+
+def flop_category(counter: FlopCounter | None, name: str):
+    """counter.category(name), or a no-op context when counter is None.
+
+    Categories do not nest: the innermost context wins.
+    """
+    return counter.category(name) if counter is not None else nullcontext()
 
 
 def _check_2d(name: str, a: np.ndarray) -> None:

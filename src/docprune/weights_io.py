@@ -97,3 +97,23 @@ def read_model(path, kind: int, names: tuple[str, ...]) -> dict[str, np.ndarray]
     if missing:
         raise ValueError(f"weight file {path} lacks arrays {missing}")
     return arrays
+
+
+def check_shapes(path, arrays: dict[str, np.ndarray],
+                 shapes: dict[str, tuple[int, ...]]) -> None:
+    """Require each named array to have its shape, checked in dict order."""
+    for name, want in shapes.items():
+        if arrays[name].shape != want:
+            raise ValueError(
+                f"weight file {path}: array {name!r} has shape "
+                f"{arrays[name].shape}, expected {want}")
+
+
+def meta_dims(path, meta: np.ndarray, n: int) -> list[int]:
+    """The first n entries of a (checked) meta array as positive ints."""
+    dims = meta[:n]
+    if not np.all(np.isfinite(dims) & (dims >= 1) & (dims == np.floor(dims))):
+        raise ValueError(f"weight file {path}: array 'meta' holds "
+                         f"{meta.tolist()}; its first {n} entries must be "
+                         "positive integers")
+    return [int(d) for d in dims]

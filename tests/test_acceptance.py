@@ -56,7 +56,8 @@ def test_criterion_1_zero_threshold_equivalence():
     for a, b in zip(gated, plain):
         assert a.encoded.kept_final == 64  # full stage-4 grid on the 256/4 profile
         assert b.encoded.kept_final == 64
-        np.testing.assert_allclose(a.final_tokens, b.final_tokens,
+        np.testing.assert_allclose(a.filter_result.kept_tokens,
+                                   b.filter_result.kept_tokens,
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(a.filter_result.kept_indices,
                                       b.filter_result.kept_indices)

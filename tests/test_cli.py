@@ -97,6 +97,28 @@ def test_run_csv_format(tmp_path, config_file):
     assert (out / "summary.csv").read_text().startswith("eps_c,")
 
 
+def test_run_csv_row_matches_sweep(tmp_path, config_file):
+    # the default eps_c (0.25, 0.25, 0.5, 0.5) is sweep_schedule(0.25, .)
+    assert main(["run", "--config", config_file, "--format", "csv",
+                 "--seed", "7", "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--config", config_file, "--grid", "0.25:0.5",
+                 "--seed", "7", "--out", str(tmp_path / "sweep")]) == 0
+    row = (tmp_path / "run" / "summary.csv").read_text()
+    assert row == (tmp_path / "sweep" / "summary.csv").read_text()
+    assert row.splitlines()[1].startswith("0.25,0.5,")
+
+
+def test_blank_page_runs(tmp_path, capsys):
+    path = tmp_path / "blank.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "content_fraction": 0.0}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["tokens"]["post_encoder"] == 0
+    assert report["tokens"]["post_ifm"] == 0
+    assert "-> 0 -> 0" in capsys.readouterr().out
+
+
 def test_run_missing_config_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

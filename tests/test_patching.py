@@ -4,9 +4,9 @@ no hidden padding or reordering."""
 import numpy as np
 import pytest
 
+from docprune.content_filter import detect, oracle_detector
 from docprune.patching import (PatchEmbed, ProbabilityMap, TokenGrid,
-                               flatten_patches, labels_to_probs, partition,
-                               patch_embed_init)
+                               flatten_patches, partition, patch_embed_init)
 from docprune.rng import Rng
 from docprune.synthdoc import generate, plan_layout
 from docprune.tensor import FlopCounter
@@ -95,14 +95,6 @@ def test_grid_index_round_trip():
 def test_grid_shape_validation():
     with pytest.raises(ValueError, match="does not match"):
         TokenGrid(rows=2, cols=2, dim=3, tokens=np.zeros((5, 3)))
-    with pytest.raises(ValueError, match="probability map length"):
-        TokenGrid(rows=2, cols=2, dim=3, tokens=np.zeros((4, 3)),
-                  probs=ProbabilityMap(np.ones(3)))
-
-
-def test_grid_default_probs_are_ones():
-    grid = TokenGrid(rows=2, cols=2, dim=3, tokens=np.zeros((4, 3)))
-    np.testing.assert_array_equal(grid.probs.values, np.ones(4))
 
 
 def test_probability_map_validation():
@@ -123,8 +115,9 @@ def test_probability_map_rejects_non_finite(bad):
 
 
 def test_labels_to_probs_matches_patch_labels():
+    # ground-truth probabilities come from the oracle detector
     doc = generate(plan_layout(256, 0.5, seed=7))
-    probs = labels_to_probs(doc, 4)
+    probs = detect(oracle_detector(4), doc)
     assert probs.binarized
     np.testing.assert_array_equal(
         probs.values, doc.patch_labels(4).astype(np.float64).ravel())

@@ -3,6 +3,7 @@ byte-identically for a fixed (config, seed), and show pruning actually
 cutting compute on half-blank pages."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,9 +161,7 @@ def test_sweep_single_point_matches_run():
     cfg = _small_config()
     reports, rows = sweep(cfg, [(0.25, 0.5)])
     sched = sweep_schedule(0.25, 0.5)
-    direct = run(PipelineConfig.from_dict({
-        **{k: getattr(cfg, k) for k in PipelineConfig.KEYS},
-        "eps_c": sched.eps_c, "eps_i": 0.5}))
+    direct = run(replace(cfg, eps_c=sched.eps_c, eps_i=0.5))
     assert reports[0].to_json() == direct.to_json()
     assert rows[0]["total_flops"] == direct.flops["total"]
 
@@ -206,9 +205,8 @@ def test_sweep_reuse_is_exact(monkeypatch, overrides, settings, computes):
                                                    detector=det)
     assert [n > 0 for n in calls] == computes
     for (c, i), rep in zip(settings, reports):
-        direct = run(PipelineConfig.from_dict({
-            **{k: getattr(cfg, k) for k in PipelineConfig.KEYS},
-            "eps_c": sweep_schedule(c, i).eps_c, "eps_i": i}), detector=det)
+        direct = run(replace(cfg, eps_c=sweep_schedule(c, i).eps_c, eps_i=i),
+                     detector=det)
         assert rep.to_json() == direct.to_json()
 
 
@@ -309,6 +307,28 @@ def test_paper_scale_profile_geometry():
     assert cfg2.corpus_n == 1
 
 
+def test_blank_pages_run():
+    rep, arts = run(_small_config(content_fraction=0.0, corpus_n=2),
+                    return_artifacts=True)
+    assert rep.tokens["post_encoder"] == rep.tokens["post_ifm"] == 0
+    # each blank page still sends its one-token instruction to the decoder
+    assert rep.tokens["final_sequence"] == 2
+    assert all(a.instruction.token_ids == (0,) for a in arts)
+    assert all(s["windows_computed"] == 0 for s in rep.stages)
+
+
+def test_paper_scale_blank_page_geometry():
+    # a blank page bypasses every window, so the full-size grid runs fast
+    rep = run(PipelineConfig.paper_scale(corpus_n=1, content_fraction=0.0))
+    assert rep.tokens["initial"] == 384 * 384 == 147456
+    assert [s["n_tokens_per_doc"] for s in rep.stages] == [
+        147456, 36864, 9216, 2304]
+    # windows of 10 tokens pad each grid side up: 39, 20, 10 and 5
+    # windows per side, times the stage depths (2, 2, 18, 2)
+    assert [s["windows_total"] for s in rep.stages] == [3042, 800, 1800, 50]
+    assert [s["windows_computed"] for s in rep.stages] == [0, 0, 0, 0]
+
+
 # --- training data preparation ----------------------------------------------
 
 def test_prepare_ifm_samples_shapes():
@@ -322,3 +342,11 @@ def test_prepare_ifm_samples_shapes():
         assert instr.shape == (d["instruction_len"], cfg.llm_dim)
         assert labels.shape == (d["kept_final"],)
         assert set(np.unique(labels)) <= {0.0, 1.0}
+
+
+def test_prepare_ifm_samples_blank_page():
+    cfg = _small_config(corpus_n=1, content_fraction=0.0)
+    corpus = make_corpus(1, 0.0, 128, seed=7)
+    ((v, instr, labels),) = prepare_ifm_samples(cfg, corpus)
+    assert v.shape == (0, cfg.llm_dim) and labels.shape == (0,)
+    assert instr.shape == (1, cfg.llm_dim)

@@ -223,10 +223,13 @@ def test_span_tokens_name_exactly_the_relevant_cells():
         np.testing.assert_array_equal(cells, expect)
 
 
-def test_instruction_requires_content():
+def test_blank_page_instruction_is_token_zero():
+    # nothing to refer to: the one unused id, and nothing is relevant
     doc = generate(plan_layout(256, 0.0, seed=0))
-    with pytest.raises(ValueError, match="regions"):
-        instruction_target(doc, seed=0)
+    assert not doc.regions
+    instr, mask = instruction_target(doc, seed=0)
+    assert instr.token_ids == (0,)
+    assert mask.shape == (256, 256) and not mask.any()
 
 
 # --- persistence ----------------------------------------------------------

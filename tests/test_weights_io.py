@@ -99,16 +99,25 @@ def test_damaged_file_is_value_error_naming_it(tmp_path, how, seed):
         read_weights(path)
 
 
-@pytest.mark.parametrize("kind", ["detector", "ifm"])
-@pytest.mark.parametrize("seed", range(3))
-def test_missing_array_is_value_error_naming_it(tmp_path, kind, seed):
+def _saved_model(tmp_path, kind: str, seed: int):
+    """(path, loader) of a freshly initialised detector or IFM file."""
     path = tmp_path / f"{kind}.hrvd"
     if kind == "detector":
         save_detector(path, mlp_detector(seed, patch_size=4))
-        load = load_detector
-    else:
-        save_ifm(path, ifm_init(seed, dim=8))
-        load = load_ifm
+        return path, load_detector
+    save_ifm(path, ifm_init(seed, dim=8))
+    return path, load_ifm
+
+
+def _rewrite(path, **arrays):
+    file_kind, old = read_weights(path)
+    write_weights(path, file_kind, {**old, **arrays})
+
+
+@pytest.mark.parametrize("kind", ["detector", "ifm"])
+@pytest.mark.parametrize("seed", range(3))
+def test_missing_array_is_value_error_naming_it(tmp_path, kind, seed):
+    path, load = _saved_model(tmp_path, kind, seed)
     file_kind, arrays = read_weights(path)
     gone = Rng(seed).choice(sorted(arrays))
     del arrays[gone]
@@ -116,3 +125,47 @@ def test_missing_array_is_value_error_naming_it(tmp_path, kind, seed):
     with pytest.raises(ValueError, match=re.escape(str(path))) as err:
         load(path)
     assert repr(gone) in str(err.value)
+
+
+def _misshape(a: np.ndarray, rng: Rng) -> np.ndarray:
+    """a with one seeded axis a row shorter, or doubled where it is 1."""
+    axis = rng.randint(a.ndim)
+    if a.shape[axis] == 1:
+        return np.concatenate([a, a], axis=axis)
+    return np.delete(a, -1, axis=axis)
+
+
+@pytest.mark.parametrize("kind", ["detector", "ifm"])
+@pytest.mark.parametrize("seed", range(5))
+def test_wrong_shape_is_value_error_naming_it(tmp_path, kind, seed):
+    path, load = _saved_model(tmp_path, kind, seed)
+    _, arrays = read_weights(path)
+    rng = Rng(seed).derive("shape")
+    # the first hidden biases fix their layer's width, so a wrong one is
+    # reported as a mismatch with its weight matrix instead
+    name = rng.choice(sorted(n for n in arrays
+                             if n != "meta" and not n.endswith("b1")))
+    _rewrite(path, **{name: _misshape(arrays[name], rng)})
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load(path)
+    assert f"array {name!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("kind,name,damage", [
+    ("detector", "w1", lambda a: a[:, :5]),   # once loaded, then broke detect
+    ("ifm", "clf_w2", lambda a: a[:3]),       # once loaded, then broke run
+    ("detector", "meta", lambda a: a[:1]),
+    ("ifm", "meta", lambda a: a[:2]),
+    ("detector", "meta", lambda a: np.array([4.0, np.nan])),
+    ("detector", "meta", lambda a: np.array([0.0, 32.0])),
+    ("detector", "meta", lambda a: np.array([4.5, 32.0])),
+    ("ifm", "meta", lambda a: np.array([np.inf, 0.5, 1.0])),
+], ids=["w1-cut", "clf_w2-cut", "det-meta-short", "ifm-meta-short",
+        "meta-nan", "meta-zero", "meta-fraction", "meta-inf"])
+def test_damaged_array_is_value_error_naming_it(tmp_path, kind, name, damage):
+    path, load = _saved_model(tmp_path, kind, 0)
+    _, arrays = read_weights(path)
+    _rewrite(path, **{name: damage(arrays[name])})
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load(path)
+    assert f"array {name!r}" in str(err.value)
