@@ -38,9 +38,9 @@ from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
                                  grid_positions, ifm_init, load_ifm)
 from .patching import PatchEmbed, partition, patch_embed_init
 from .rng import Rng
-from .synthdoc import (LabeledImage, instruction_target, make_corpus,
-                       max_content_fraction, mean_content_fraction,
-                       patchify_any)
+from .synthdoc import (FRACTION_TOLERANCE, LabeledImage, instruction_target,
+                       make_corpus, max_content_fraction,
+                       mean_content_fraction, packed_fraction, patchify_any)
 from .tensor import FlopCounter, Mlp2, flop_category, mlp2_forward, mlp2_init
 
 SCHEMA_VERSION = 1
@@ -132,6 +132,12 @@ class PipelineConfig:
                 f"config field 'content_fraction' {self.content_fraction!r} "
                 f"exceeds {packable:.4f}, the most a {self.image_size}-px "
                 "page can pack")
+        packed = packed_fraction(self.image_size, self.content_fraction)
+        if abs(packed - self.content_fraction) > FRACTION_TOLERANCE:
+            raise ConfigError(
+                f"config field 'content_fraction' {self.content_fraction!r} "
+                f"is more than {FRACTION_TOLERANCE} from {packed:.4f}, the "
+                f"nearest fraction a {self.image_size}-px page can pack")
         try:
             self.schedule()
         except ValueError as e:

@@ -31,6 +31,8 @@ RELEVANCE_MARGIN = 8
 
 # densest packing the row flow can sustain; sizes the content column width
 _DENSITY_PACK = 0.85
+# how far a page's content fraction may land from its target
+FRACTION_TOLERANCE = 0.05
 
 
 class LayoutError(ValueError):
@@ -124,6 +126,18 @@ def max_content_fraction(image_size: int) -> float:
     return limit
 
 
+def packed_fraction(image_size: int, fraction: float) -> float:
+    """The fraction closest to fraction that whole LAYOUT_GRID cells cover.
+
+    On a page of 16 px or more it lies within FRACTION_TOLERANCE of every
+    fraction; on an 8 px page a cell is a quarter of the page, so most
+    fractions are out of reach there.
+    """
+    cell = LAYOUT_GRID * LAYOUT_GRID
+    page_area = image_size * image_size
+    return round(fraction * page_area / cell) * cell / page_area
+
+
 def plan_layout(image_size: int, target_fraction: float, seed: int,
                 background_value: float = 0.95) -> LayoutSpec:
     """Pack regions into a content column until the target area is met.
@@ -134,7 +148,10 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
     contiguous instead of scattering it between regions. Rows flow top to
     bottom; region kinds and heights are chosen against the density still
     needed to land on the target, and the final region is trimmed so the
-    realised pixel fraction hits it.
+    realised pixel fraction hits it. Where the row flow runs out of page
+    (pages of 72 px or less), the column is filled solid instead, which
+    lands on packed_fraction: within FRACTION_TOLERANCE of the target on
+    pages of 16 px or more.
     """
     if image_size % LAYOUT_GRID != 0:
         raise ValueError(f"image size must be a multiple of {LAYOUT_GRID}")
@@ -152,8 +169,26 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
             f"{_DENSITY_PACK}", limit)
     page_area = image_size * image_size
     target_area = target_fraction * page_area
-    block_w = max(1, _column_cells(image_size, target_fraction)) * BLOCK_SNAP
+    block_w = min(max(1, _column_cells(image_size, target_fraction))
+                  * BLOCK_SNAP, image_size)
 
+    regions, placed = [], 0
+    if image_size >= BLOCK_SNAP:    # the row flow needs a whole cell across
+        regions, placed = _flow_rows(rng, image_size, block_w, target_area)
+    if abs(placed / page_area - target_fraction) > FRACTION_TOLERANCE:
+        regions, placed = _fill_column(rng, image_size, block_w, target_area)
+    achieved = placed / page_area
+    if abs(achieved - target_fraction) > FRACTION_TOLERANCE:
+        raise LayoutError(
+            f"target fraction {target_fraction} is more than "
+            f"{FRACTION_TOLERANCE} from any whole number of "
+            f"{LAYOUT_GRID}-px cells", achieved)
+    return LayoutSpec(image_size, tuple(regions), background_value,
+                      target_fraction, seed)
+
+
+def _flow_rows(rng: Rng, image_size: int, block_w: int, target_area: float):
+    """Rows of seeded regions down the column; returns (regions, area)."""
     regions: list[ContentRegion] = []
     placed = 0
     y = 0
@@ -202,13 +237,29 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
             gap = rng.choice([8, 16])
         y += h + gap
 
-    achieved = placed / page_area
-    if abs(achieved - target_fraction) > 0.05:
-        raise LayoutError(
-            f"could not reach target fraction {target_fraction} before "
-            "running out of page", achieved)
-    return LayoutSpec(image_size, tuple(regions), background_value,
-                      target_fraction, seed)
+    return regions, placed
+
+
+def _fill_column(rng: Rng, image_size: int, block_w: int, target_area: float):
+    """The column filled solid from the top in whole LAYOUT_GRID cells.
+
+    A table covers the full rows and a chart block the partial one, so
+    the area is the whole number of cells nearest to target_area.
+    """
+    cell = LAYOUT_GRID * LAYOUT_GRID
+    cells = round(target_area / cell)
+    full, part = divmod(cells, block_w // LAYOUT_GRID)
+    regions = []
+    if full:
+        regions.append(ContentRegion("table", 0, 0, block_w,
+                                     full * LAYOUT_GRID, rng.next_u64()))
+    if part:
+        regions.append(ContentRegion("chart_block", 0, full * LAYOUT_GRID,
+                                     part * LAYOUT_GRID, LAYOUT_GRID,
+                                     rng.next_u64()))
+    for region in regions:
+        region.validate(image_size)
+    return regions, cells * cell
 
 
 def generate(spec: LayoutSpec) -> LabeledImage:
@@ -228,7 +279,7 @@ def generate(spec: LayoutSpec) -> LabeledImage:
         mask[region.y:region.y + region.h, region.x:region.x + region.w] = True
 
     achieved = float(mask.mean())
-    if abs(achieved - spec.target_content_fraction) > 0.05:
+    if abs(achieved - spec.target_content_fraction) > FRACTION_TOLERANCE:
         raise LayoutError(
             f"layout misses target fraction {spec.target_content_fraction}",
             achieved)

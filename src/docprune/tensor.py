@@ -25,6 +25,9 @@ ELEMWISE_FLOPS = 5
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+# elements per block of the GELU kernels: 128 KB, so a block and its
+# temporaries stay in L2; timings are flat from 4k to 64k elements
+_BLOCK = 16384
 
 
 class FlopCounter:
@@ -80,7 +83,8 @@ def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
            counter: FlopCounter | None = None) -> np.ndarray:
     """x @ w + b with the bias add costed as one FLOP per output element."""
-    out = matmul(x, w, counter) + b
+    out = matmul(x, w, counter)
+    out += b
     if counter is not None:
         counter.add(out.size)
     return out
@@ -104,11 +108,15 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             f"gamma={gamma.shape}, beta={beta.shape}")
     if eps <= 0:
         raise ValueError("layernorm eps must be positive")
-    mean = a.mean(axis=1, keepdims=True)
-    var = a.var(axis=1, keepdims=True)
+    # ndarray.var's own steps, on the rows centred once
+    centred = a - a.mean(axis=1, keepdims=True)
+    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / a.shape[1]
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * a.size)
-    return gamma * (a - mean) / np.sqrt(var + eps) + beta
+    out = gamma * centred
+    out /= np.sqrt(var + eps)
+    out += beta
+    return out
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -127,24 +135,63 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return matmul(weights, v, counter)
 
 
-def _gelu_erf(x: np.ndarray) -> np.ndarray:
-    """erf(x / sqrt(2)), the term GELU and its derivative share."""
-    return erf(x * _INV_SQRT2)
+def _row_blocks(a: np.ndarray):
+    """Slices of a.reshape(-1) holding whole rows, about _BLOCK elements each."""
+    width = max(a.shape[-1], 1) if a.ndim > 1 else 1
+    step = max(1, _BLOCK // width) * width
+    return (slice(s, s + step) for s in range(0, a.size, step))
 
 
 def gelu(x: np.ndarray, counter: FlopCounter | None = None,
-         erf_x: np.ndarray | None = None) -> np.ndarray:
-    """Exact GELU; erf_x, when given, must equal erf(x / sqrt(2))."""
+         onep: np.ndarray | None = None) -> np.ndarray:
+    """Exact GELU, 0.5 * x * (1 + erf(x / sqrt(2))), walked in row blocks.
+
+    A whole-array pass streams every temporary through memory; a block's
+    temporaries stay in cache. When given, onep (shaped like x) receives
+    the 1 + erf term that gelu_grad can reuse.
+    """
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * x.size)
-    e = _gelu_erf(x) if erf_x is None else erf_x
-    return 0.5 * x * (1.0 + e)
+    h = np.empty(x.shape)
+    xf, hf = x.reshape(-1), h.reshape(-1)
+    of = None if onep is None else onep.reshape(-1)
+    for s in _row_blocks(x):
+        xb, hb = xf[s], hf[s]
+        np.multiply(xb, _INV_SQRT2, out=hb)
+        e = erf(hb, out=None if of is None else of[s])
+        e += 1.0
+        np.multiply(0.5, xb, out=hb)
+        hb *= e
+    return h
 
 
-def gelu_grad(x: np.ndarray, erf_x: np.ndarray | None = None) -> np.ndarray:
-    """d gelu / dx; erf_x, when given, must equal erf(x / sqrt(2))."""
-    e = _gelu_erf(x) if erf_x is None else erf_x
-    return 0.5 * (1.0 + e) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: np.ndarray, onep: np.ndarray | None = None,
+              dy: np.ndarray | None = None) -> np.ndarray:
+    """dy * gelu'(x), in row blocks and in place into dy when given.
+
+    gelu'(x) = 0.5 * (1 + erf(x / sqrt(2))) + x / sqrt(2 pi) * exp(-x^2 / 2);
+    onep, when given, must be gelu's 1 + erf term for this x. Without dy
+    the result is gelu'(x) itself.
+    """
+    g = np.ones(x.shape) if dy is None else dy
+    xf, gf = x.reshape(-1), g.reshape(-1)
+    of = None if onep is None else onep.reshape(-1)
+    for s in _row_blocks(x):
+        xb = xf[s]
+        if of is None:
+            e = erf(xb * _INV_SQRT2)
+            e += 1.0
+        else:
+            e = of[s]
+        d = 0.5 * e
+        t = -0.5 * xb
+        t *= xb
+        np.exp(t, out=t)
+        u = xb * _INV_SQRT2PI
+        u *= t
+        d += u
+        gf[s] *= d
+    return g
 
 
 def sigmoid(x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
@@ -201,13 +248,12 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
     if x.shape[1] != p.in_dim:
         raise ValueError(f"mlp2 input dim mismatch: x {x.shape}, w1 {p.w1.shape}")
     z1 = linear(x, p.w1, p.b1, counter)
-    # erf dominates training time: the backward pass reuses this term and
-    # rebuilds the hidden activation from it, so the cache stays 4 arrays
-    erf_z1 = _gelu_erf(z1)
-    h = gelu(z1, counter, erf_z1)
+    # erf dominates training time: the backward pass reuses the 1 + erf term
+    onep = np.empty(z1.shape)
+    h = gelu(z1, counter, onep)
     z2 = linear(h, p.w2, p.b2, counter)
     out = sigmoid(z2, counter) if sigmoid_out else z2
-    return out, (x, z1, erf_z1, out)
+    return out, (x, z1, onep, h, out)
 
 
 def bce_loss(pred: np.ndarray, y: np.ndarray, pos_weight: float = 1.0) -> float:
@@ -223,22 +269,20 @@ def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
 
     For sigmoid + BCE the head gradient collapses to w*(pred - y)/n, which
     is what makes these gradients finite-difference checkable to 1e-4.
-    Returns dict with dw1, db1, dw2, db2, dx.
+    Returns dict with dw1, db1, dw2, db2.
     """
-    x, z1, erf_z1, pred = cache
+    x, z1, onep, h, pred = cache
     if pred.shape != y.shape:
         raise ValueError(f"label shape mismatch: pred {pred.shape}, y {y.shape}")
     n = y.size
     w = np.where(y > 0.5, pos_weight, 1.0)
     dz2 = w * (pred - y) / n
-    dw2 = gelu(z1, erf_x=erf_z1).T @ dz2
+    dw2 = h.T @ dz2
     db2 = dz2.sum(axis=0)
-    dh = dz2 @ p.w2.T
-    dz1 = dh * gelu_grad(z1, erf_z1)
+    dz1 = gelu_grad(z1, onep, dz2 @ p.w2.T)
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
-    dx = dz1 @ p.w1.T
-    return {"dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2, "dx": dx}
+    return {"dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2}
 
 
 @dataclass

@@ -119,6 +119,26 @@ def test_blank_page_runs(tmp_path, capsys):
     assert "-> 0 -> 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", ["2", "3"])
+def test_small_page_runs_at_every_seed(tmp_path, seed):
+    # the row flow runs out of a 32-px page at 0.8; the column fills solid
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"image_size": 32, "patch_size": 4,
+                                "content_fraction": 0.8, "corpus_n": 4}))
+    assert main(["run", "--config", str(path), "--seed", seed,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_unpackable_tiny_page_is_exit_2(tmp_path, capsys):
+    # a 4-px cell is a quarter of an 8-px page: 0.1 is out of reach
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"image_size": 8, "patch_size": 1,
+                                "content_fraction": 0.1}))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "content_fraction" in capsys.readouterr().err
+
+
 def test_run_missing_config_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -102,18 +102,20 @@ def test_loss_decreases_first_five_epochs(corpus):
 
 @pytest.mark.parametrize("epochs", [1, 4])
 def test_training_evaluates_erf_once_per_epoch(corpus, monkeypatch, epochs):
-    # the backward pass must reuse the forward's erf term, not recompute it
-    calls = []
+    # the backward pass must reuse the forward's erf term, not recompute
+    # it; the kernels walk blocks, so count evaluated elements, not calls
+    evaluated = []
     real_erf = tensor.erf
 
-    def counting_erf(x):
-        calls.append(x.shape)
-        return real_erf(x)
+    def counting_erf(x, out=None):
+        evaluated.append(x.size)
+        return real_erf(x, out=out)
 
     monkeypatch.setattr(tensor, "erf", counting_erf)
-    train_detector(mlp_detector(seed=2, patch_size=4), corpus[:1],
-                   epochs=epochs, lr=1e-2)
-    assert len(calls) == epochs
+    det = mlp_detector(seed=2, patch_size=4)
+    train_detector(det, corpus[:1], epochs=epochs, lr=1e-2)
+    z1_size = corpus[0].patch_labels(4).size * det.mlp.w1.shape[1]
+    assert sum(evaluated) == epochs * z1_size
 
 
 def test_blank_corpus_drives_scores_to_zero():

@@ -1,19 +1,21 @@
 """Golden digests: the bytes a refactor must not move.
 
 Every report below is the sha256 of its canonical `to_json()`; the IFM
-training samples are hashed array by array in order. A change to any
-digest means the program computes something different, not just
-differently.
+training samples are hashed array by array in order, and trained weights
+as w1, b1, w2, b2 in little-endian float64. A change to any digest means
+the program computes something different, not just differently.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from docprune.cli import DEFAULT_GRID, _parse_grid
-from docprune.content_filter import mlp_detector
-from docprune.pipeline import (PipelineConfig, prepare_ifm_samples, run,
-                               sweep)
+from docprune.content_filter import mlp_detector, train_detector
+from docprune.instruction_filter import train_ifm
+from docprune.pipeline import (PipelineConfig, build_models,
+                               prepare_ifm_samples, run, sweep)
 from docprune.synthdoc import make_corpus
 
 SMALL = dict(image_size=128, patch_size=4, d0=16, depths=(1, 1, 2, 1),
@@ -44,9 +46,26 @@ SMALL_RUNS = {
 IFM_SAMPLES_4DOCS = (
     "ef1a7a857b41ccf0f3ce8f5070a39d271c8898c5a2db98266535580287f08ae3")
 
+# 10 epochs of each recipe; the hidden layers (1152 x 32 for the detector,
+# 160 x 256 for the IFM classifier) span several GELU row blocks. Equal
+# with one and two BLAS threads.
+TRAINED_DETECTOR = (
+    "f32a424bf16b0240dd4fa55ec0a4e859e66aa376dabba318baba710c1511196d",
+    "0.6918669662311357")
+TRAINED_IFM = (
+    "5737407f1d2d282fb0e004abfa5954204d963d0629306fdacbb0fb09ae1d9a56",
+    "1.0701517219846821")
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _weights_sha(mlp) -> str:
+    h = hashlib.sha256()
+    for a in (mlp.w1, mlp.b1, mlp.w2, mlp.b2):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def test_default_sweep_digests():
@@ -76,3 +95,20 @@ def test_ifm_samples_digest():
             h.update(repr(a.shape).encode())
             h.update(a.tobytes())
     assert h.hexdigest() == IFM_SAMPLES_4DOCS
+
+
+def test_trained_detector_digest():
+    corpus = make_corpus(2, 0.5, 96, seed=3)
+    det, curve = train_detector(mlp_detector(seed=3, patch_size=4), corpus,
+                                epochs=10, lr=0.05)
+    assert (_weights_sha(det.mlp), repr(curve[-1])) == TRAINED_DETECTOR
+
+
+def test_trained_ifm_digest():
+    cfg = PipelineConfig(seed=7, corpus_n=4)
+    corpus = make_corpus(4, cfg.content_fraction, cfg.image_size, cfg.seed)
+    models = build_models(cfg)
+    samples = prepare_ifm_samples(cfg, corpus, models)
+    ifm, curve = train_ifm(models.ifm, samples, epochs=10, lr=0.05,
+                           pos_weight="auto")
+    assert (_weights_sha(ifm.clf), repr(curve[-1])) == TRAINED_IFM

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from docprune import imageio
+from docprune.pipeline import ConfigError, PipelineConfig
 from docprune.instruction_filter import (COL_TOKEN_BASE, N_BINS,
                                          ROW_TOKEN_BASE, MAX_INSTRUCTION_LEN,
                                          VOCAB_SIZE)
@@ -266,3 +267,27 @@ def test_corpus_round_trip(tmp_path):
 def test_load_missing_corpus(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("size", range(8, 73, 8))
+def test_every_valid_small_page_config_packs(size):
+    # a config that validates must lay out at every seed; one that cannot
+    # be packed is a config error naming content_fraction
+    limit = min(1.0, max_content_fraction(size))
+    fractions = [k / 100 for k in range(int(limit * 100) + 1)] + [limit]
+    rejected = []
+    for f in fractions:
+        try:
+            PipelineConfig(image_size=size, patch_size=size // 8,
+                           content_fraction=f)
+        except ConfigError as e:
+            assert "content_fraction" in str(e)
+            with pytest.raises(LayoutError, match="whole number"):
+                plan_layout(size, f, 0)
+            rejected.append(f)
+            continue
+        for seed in range(10):
+            for doc in make_corpus(2, f, size, seed):
+                assert abs(doc.content_mask.mean() - f) <= 0.05
+    # whole 4-px cells reach every fraction from 16 px up
+    assert not rejected if size >= 16 else 0 < len(rejected) < len(fractions)

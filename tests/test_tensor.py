@@ -3,7 +3,9 @@ oracles for the MLP gradients, and exactness of the FLOP accounting."""
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from docprune import tensor
 from docprune.rng import Rng
 from docprune.tensor import (ELEMWISE_FLOPS, FlopCounter, LossCurve, Mlp2,
                              attention, bce_loss, gelu, gelu_grad, layernorm,
@@ -192,24 +194,6 @@ def test_gradients_match_finite_differences(seed):
         assert abs(analytic - numeric) / denom < 1e-4, (param, idx)
 
 
-def test_input_gradient_matches_finite_differences():
-    rng = Rng(77)
-    x = rng.uniforms(12, -1, 1).reshape(2, 6)
-    y = np.array([[1.0], [0.0]])
-    p = mlp2_init(rng, 6, 5, 1)
-    _, cache = mlp2_forward(x, p, sigmoid_out=True)
-    g = mlp2_backward(cache, p, y)
-    i, j = 1, 4
-    h = 1e-5
-    x[i, j] += h
-    up = bce_loss(mlp2_forward(x, p, sigmoid_out=True)[0], y)
-    x[i, j] -= 2 * h
-    dn = bce_loss(mlp2_forward(x, p, sigmoid_out=True)[0], y)
-    x[i, j] += h
-    numeric = (up - dn) / (2 * h)
-    assert abs(g["dx"][i, j] - numeric) / max(abs(numeric), 1e-8) < 1e-4
-
-
 def test_gelu_grad_matches_finite_differences():
     x = Rng(9).uniforms(50, -3, 3)
     h = 1e-6
@@ -231,12 +215,55 @@ def test_backward_reuses_forward_erf_exactly(rows, in_dim, hidden, pw):
     dz2 = np.where(y > 0.5, 1.0 if pw is None else pw, 1.0) * (pred - y) / y.size
     dz1 = (dz2 @ p.w2.T) * gelu_grad(z1)
     want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
-            "db2": dz2.sum(axis=0), "dx": dz1 @ p.w1.T}
+            "db2": dz2.sum(axis=0)}
     out, cache = mlp2_forward(x, p, sigmoid_out=True)
-    assert len(cache) == 4
+    assert len(cache) == 5
     assert np.array_equal(out, pred)
     g = (mlp2_backward(cache, p, y) if pw is None
          else mlp2_backward(cache, p, y, pos_weight=pw))
+    for key, ref in want.items():
+        assert np.array_equal(g[key], ref), key
+
+
+def _gelu_whole(x):
+    return 0.5 * x * (1.0 + erf(x * 0.7071067811865476))
+
+
+def _gelu_grad_whole(x):
+    return (0.5 * (1.0 + erf(x * 0.7071067811865476))
+            + x * 0.3989422804014327 * np.exp(-0.5 * x * x))
+
+
+def _boundary_cases():
+    # rows around the kernels' row block, for hidden widths 1, 32 and 256
+    for width in (1, 32, 256):
+        b = max(1, tensor._BLOCK // width)
+        for rows in (1, b - 1, b, b + 1, 3 * b + 7):
+            yield width, rows
+
+
+@pytest.mark.parametrize("width,rows", list(_boundary_cases()))
+def test_blocked_kernels_equal_whole_array_formulas(width, rows):
+    rng = Rng(rows * 7 + width)
+    z = rng.uniforms(rows * width, -4, 4).reshape(rows, width)
+    assert np.array_equal(gelu(z), _gelu_whole(z))
+    assert np.array_equal(gelu_grad(z), _gelu_grad_whole(z))
+    assert np.array_equal(gelu(z.ravel()), _gelu_whole(z.ravel()))
+
+    x = rng.uniforms(rows * 5, -2, 2).reshape(rows, 5)
+    y = (rng.uniforms(rows) > 0.7).astype(float).reshape(rows, 1)
+    p = mlp2_init(rng, 5, width, 1)
+    z1 = x @ p.w1 + p.b1
+    h = _gelu_whole(z1)
+    pred = sigmoid(h @ p.w2 + p.b2)
+    dz2 = np.where(y > 0.5, 2.0, 1.0) * (pred - y) / y.size
+    dz1 = (dz2 @ p.w2.T) * _gelu_grad_whole(z1)
+    out, cache = mlp2_forward(x, p, sigmoid_out=True)
+    assert np.array_equal(out, pred)
+    g = mlp2_backward(cache, p, y, pos_weight=2.0)
+    want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
+            "db2": dz2.sum(axis=0)}
+    assert g.keys() == want.keys()
     for key, ref in want.items():
         assert np.array_equal(g[key], ref), key
 
