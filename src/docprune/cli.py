@@ -42,6 +42,17 @@ def _resolve_seed(flag_seed: int | None, file_cfg: dict) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of --n and --epochs: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _load_config(args) -> PipelineConfig:
     file_cfg = {}
     if getattr(args, "config", None):
@@ -171,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic document corpus")
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_count, default=32)
     p.add_argument("--fraction", type=float, default=0.5)
     p.add_argument("--size", type=int, default=256)
     p.add_argument("--seed", type=int, default=None)
@@ -179,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train-detector", help="train the MLP content detector")
-    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--n", type=_count, default=16)
     p.add_argument("--fraction", type=float, default=0.5)
     p.add_argument("--size", type=int, default=256)
     p.add_argument("--patch", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=250)
+    p.add_argument("--epochs", type=_count, default=250)
     p.add_argument("--lr", type=float, default=0.08)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="detector.hrvd")
@@ -191,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-ifm", help="train the instruction filter classifier")
     _add_config_flags(p)
-    p.add_argument("--n", type=int, default=48, help="override corpus size")
-    p.add_argument("--epochs", type=int, default=3000)
+    p.add_argument("--n", type=_count, default=48, help="override corpus size")
+    p.add_argument("--epochs", type=_count, default=3000)
     p.add_argument("--lr", type=float, default=0.3)
     p.add_argument("--pos-weight", type=float, default=5.0,
                    help="loss weight on relevant tokens; biases toward recall")

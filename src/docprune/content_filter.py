@@ -41,14 +41,6 @@ class ThresholdSchedule:
             raise ValueError(
                 f"content thresholds must be non-decreasing, got {self.eps_c}")
 
-    @staticmethod
-    def default() -> "ThresholdSchedule":
-        return ThresholdSchedule(eps_c=(0.25, 0.25, 0.5, 0.5), eps_i=0.5)
-
-    @staticmethod
-    def zero(n_stages: int = 4) -> "ThresholdSchedule":
-        return ThresholdSchedule(eps_c=(0.0,) * n_stages, eps_i=0.0)
-
 
 @dataclass
 class DetectorModel:
@@ -122,8 +114,10 @@ def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
         pos = float(y.sum())
         pos_weight = (y.size - pos) / pos if pos > 0 else 1.0
     curve = LossCurve()
+    cache = None
     for _ in range(epochs):
-        pred, cache = mlp2_forward(x, mlp, sigmoid_out=True)
+        # the last epoch's cache is spent: this pass writes over it
+        pred, cache = mlp2_forward(x, mlp, sigmoid_out=True, spent=cache)
         curve.append(bce_loss(pred, y, pos_weight))
         g = mlp2_backward(cache, mlp, y, pos_weight)
         mlp.w1 -= lr * g["dw1"]

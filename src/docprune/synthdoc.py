@@ -115,7 +115,8 @@ def max_content_fraction(image_size: int) -> float:
     The content column is at most as many whole BLOCK_SNAP cells as fit
     across the page (one on a narrower page), filled at _DENSITY_PACK. The
     closed form is moved to the last float whose column still fits, so
-    this bound and plan_layout's column width agree at the boundary.
+    this bound and plan_layout's column width agree at the boundary. On
+    pages under 28 px that closed form passes 1; the bound is then 1.0.
     """
     cells = max(1, image_size // BLOCK_SNAP)
     limit = _DENSITY_PACK * cells * BLOCK_SNAP / image_size
@@ -123,7 +124,7 @@ def max_content_fraction(image_size: int) -> float:
         limit = math.nextafter(limit, 0.0)
     while _column_cells(image_size, math.nextafter(limit, math.inf)) <= cells:
         limit = math.nextafter(limit, math.inf)
-    return limit
+    return min(limit, 1.0)
 
 
 def packed_fraction(image_size: int, fraction: float) -> float:

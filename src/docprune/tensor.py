@@ -15,6 +15,7 @@ relative comparisons between runs are meaningful.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -70,24 +71,28 @@ def _check_2d(name: str, a: np.ndarray) -> None:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
 
 
-def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, into out when given."""
     _check_2d("a", a)
     _check_2d("b", b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     if counter is not None:
         counter.add(2 * a.shape[0] * a.shape[1] * b.shape[1])
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-           counter: FlopCounter | None = None) -> np.ndarray:
-    """x @ w + b with the bias add costed as one FLOP per output element."""
-    out = matmul(x, w, counter)
-    out += b
+           counter: FlopCounter | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w + b, into out when given, with the bias add costed as one FLOP
+    per output element."""
+    y = matmul(x, w, counter, out)
+    y += b
     if counter is not None:
-        counter.add(out.size)
-    return out
+        counter.add(y.size)
+    return y
 
 
 def softmax_rows(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
@@ -136,61 +141,62 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 def _row_blocks(a: np.ndarray):
-    """Slices of a.reshape(-1) holding whole rows, about _BLOCK elements each."""
-    width = max(a.shape[-1], 1) if a.ndim > 1 else 1
-    step = max(1, _BLOCK // width) * width
-    return (slice(s, s + step) for s in range(0, a.size, step))
+    """Slices of a's first axis holding whole rows, about _BLOCK elements each."""
+    step = max(1, _BLOCK // max(1, math.prod(a.shape[1:])))
+    return (slice(r, r + step) for r in range(0, len(a), step))
+
+
+def _onep(xb: np.ndarray) -> np.ndarray:
+    """1 + erf(x / sqrt(2)) of one block: the erf pass GELU and gelu' share."""
+    e = xb * _INV_SQRT2
+    erf(e, out=e)
+    e += 1.0
+    return e
+
+
+def _gelu_prime(xb: np.ndarray, e: np.ndarray, out: np.ndarray) -> None:
+    """gelu'(x) = 0.5 * (1 + erf(x / sqrt(2))) + x / sqrt(2 pi) * exp(-x^2 / 2)
+
+    for one block into out, with e the block's 1 + erf term.
+    """
+    np.multiply(0.5, e, out=out)
+    t = -0.5 * xb
+    t *= xb
+    np.exp(t, out=t)
+    u = xb * _INV_SQRT2PI
+    u *= t
+    out += u
 
 
 def gelu(x: np.ndarray, counter: FlopCounter | None = None,
-         onep: np.ndarray | None = None) -> np.ndarray:
+         grad: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Exact GELU, 0.5 * x * (1 + erf(x / sqrt(2))), walked in row blocks.
 
     A whole-array pass streams every temporary through memory; a block's
-    temporaries stay in cache. When given, onep (shaped like x) receives
-    the 1 + erf term that gelu_grad can reuse.
+    temporaries stay in cache. When given, grad (shaped like x) receives
+    gelu'(x) from the same erf block, and out (x itself allowed) receives
+    the result.
     """
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * x.size)
-    h = np.empty(x.shape)
-    xf, hf = x.reshape(-1), h.reshape(-1)
-    of = None if onep is None else onep.reshape(-1)
-    for s in _row_blocks(x):
-        xb, hb = xf[s], hf[s]
-        np.multiply(xb, _INV_SQRT2, out=hb)
-        e = erf(hb, out=None if of is None else of[s])
-        e += 1.0
+    h = np.empty(x.shape) if out is None else out
+    for r in _row_blocks(x):
+        xb = x[r]
+        e = _onep(xb)
+        if grad is not None:
+            _gelu_prime(xb, e, grad[r])
+        hb = h[r]
         np.multiply(0.5, xb, out=hb)
         hb *= e
     return h
 
 
-def gelu_grad(x: np.ndarray, onep: np.ndarray | None = None,
-              dy: np.ndarray | None = None) -> np.ndarray:
-    """dy * gelu'(x), in row blocks and in place into dy when given.
-
-    gelu'(x) = 0.5 * (1 + erf(x / sqrt(2))) + x / sqrt(2 pi) * exp(-x^2 / 2);
-    onep, when given, must be gelu's 1 + erf term for this x. Without dy
-    the result is gelu'(x) itself.
-    """
-    g = np.ones(x.shape) if dy is None else dy
-    xf, gf = x.reshape(-1), g.reshape(-1)
-    of = None if onep is None else onep.reshape(-1)
-    for s in _row_blocks(x):
-        xb = xf[s]
-        if of is None:
-            e = erf(xb * _INV_SQRT2)
-            e += 1.0
-        else:
-            e = of[s]
-        d = 0.5 * e
-        t = -0.5 * xb
-        t *= xb
-        np.exp(t, out=t)
-        u = xb * _INV_SQRT2PI
-        u *= t
-        d += u
-        gf[s] *= d
+def gelu_grad(x: np.ndarray) -> np.ndarray:
+    """gelu'(x), walked in row blocks; training takes it from gelu(grad=)."""
+    g = np.empty(x.shape)
+    for r in _row_blocks(x):
+        _gelu_prime(x[r], _onep(x[r]), g[r])
     return g
 
 
@@ -236,24 +242,29 @@ def mlp2_init(rng, in_dim: int, hidden: int, out_dim: int) -> Mlp2:
     )
 
 
-def mlp2_zeros(in_dim: int, hidden: int, out_dim: int) -> Mlp2:
-    return Mlp2(np.zeros((in_dim, hidden)), np.zeros(hidden),
-                np.zeros((hidden, out_dim)), np.zeros(out_dim))
-
-
 def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
-                 sigmoid_out: bool = False):
-    """Forward pass; returns (output, cache) where cache feeds the backward pass."""
+                 sigmoid_out: bool = False, spent: tuple | None = None):
+    """Forward pass; returns (output, cache) where cache feeds the backward pass.
+
+    The cache holds only what mlp2_backward reads: x, h and gelu'(z1).
+    spent, when given, is an earlier cache for an x of this shape that is
+    no longer needed; the pass writes over its two hidden-layer arrays
+    instead of allocating new ones, so a training loop holds two of them
+    and faults in no fresh pages each epoch.
+    """
     _check_2d("x", x)
     if x.shape[1] != p.in_dim:
         raise ValueError(f"mlp2 input dim mismatch: x {x.shape}, w1 {p.w1.shape}")
-    z1 = linear(x, p.w1, p.b1, counter)
-    # erf dominates training time: the backward pass reuses the 1 + erf term
-    onep = np.empty(z1.shape)
-    h = gelu(z1, counter, onep)
+    buf, d = (None, None) if spent is None else spent[1:3]
+    z1 = linear(x, p.w1, p.b1, counter, buf)
+    # erf dominates training time: gelu'(z1) comes from the forward's erf
+    # blocks, and h overwrites z1, which nothing reads again
+    if d is None:
+        d = np.empty(z1.shape)
+    h = gelu(z1, counter, grad=d, out=z1)
     z2 = linear(h, p.w2, p.b2, counter)
     out = sigmoid(z2, counter) if sigmoid_out else z2
-    return out, (x, z1, onep, h, out)
+    return out, (x, h, d, out)
 
 
 def bce_loss(pred: np.ndarray, y: np.ndarray, pos_weight: float = 1.0) -> float:
@@ -269,9 +280,10 @@ def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
 
     For sigmoid + BCE the head gradient collapses to w*(pred - y)/n, which
     is what makes these gradients finite-difference checkable to 1e-4.
-    Returns dict with dw1, db1, dw2, db2.
+    Returns dict with dw1, db1, dw2, db2. Consumes the cache: the cached
+    gelu'(z1) is scaled in place into dz1.
     """
-    x, z1, onep, h, pred = cache
+    x, h, dz1, pred = cache
     if pred.shape != y.shape:
         raise ValueError(f"label shape mismatch: pred {pred.shape}, y {y.shape}")
     n = y.size
@@ -279,7 +291,8 @@ def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
     dz2 = w * (pred - y) / n
     dw2 = h.T @ dz2
     db2 = dz2.sum(axis=0)
-    dz1 = gelu_grad(z1, onep, dz2 @ p.w2.T)
+    for r in _row_blocks(dz1):
+        dz1[r] *= dz2[r] @ p.w2.T
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return {"dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2}

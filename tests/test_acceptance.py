@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from docprune.cli import main
-from docprune.content_filter import (ThresholdSchedule, detector_features,
-                                     evaluate_detector, mlp_detector,
-                                     train_detector)
+from docprune.content_filter import (detector_features, evaluate_detector,
+                                     mlp_detector, train_detector)
 from docprune.encoder import encode, encoder_init, merge_patches
 from docprune.instruction_filter import (evaluate_ifm, fuse, ifm_init,
                                          train_ifm)
@@ -24,6 +23,7 @@ from docprune.pipeline import (PipelineConfig, build_models,
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
 from docprune.tensor import bce_loss, mlp2_backward, mlp2_forward
+from helpers import default_schedule
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def test_criterion_1_zero_threshold_equivalence():
 
 def test_criterion_2_bypass_exactness():
     t0 = time.perf_counter()
-    sched = ThresholdSchedule.default()
+    sched = default_schedule()
     for seed in range(20):
         model = encoder_init(seed, d0=8, depths=(2, 1, 1, 1), window=4)
         rng = Rng(1000 + seed)

@@ -255,3 +255,18 @@ def test_unknown_profile_is_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"profile": "huge"}))
     assert main(["run", "--config", str(path)]) == 2
     assert "unknown profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train-detector", "--epochs", "0"), ("train-ifm", "--epochs", "0"),
+    ("train-detector", "--n", "0"), ("train-ifm", "--n", "-1"),
+    ("gen", "--n", "0")])
+def test_count_below_one_is_exit_2_before_any_file(tmp_path, capsys,
+                                                   command, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1, got {value}" in (
+        capsys.readouterr().err)
+    assert not out.exists()

@@ -1,18 +1,23 @@
 """Detector contracts: oracle probabilities equal ground truth, thresholds
 keep the boundary, and the learned head trains by plain gradient descent."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from docprune import tensor, weights_io
 from docprune.content_filter import (DetectorModel, ThresholdSchedule,
                                      binarize, detect, evaluate_detector,
-                                     load_detector, mlp_detector,
+                                     fit_mlp2, load_detector, mlp_detector,
                                      oracle_detector, save_detector,
                                      train_detector)
 from docprune.patching import ProbabilityMap
+from docprune.pipeline import PipelineConfig
+from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
-from docprune.tensor import FlopCounter
+from docprune.tensor import FlopCounter, mlp2_init
+from helpers import default_schedule, zero_schedule
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +68,11 @@ def test_raising_threshold_never_adds_tokens():
 
 
 def test_schedule_defaults():
-    sched = ThresholdSchedule.default()
+    sched = default_schedule()
+    assert sched == PipelineConfig().schedule()
     assert sched.eps_c == (0.25, 0.25, 0.5, 0.5)
     assert sched.eps_i == 0.5
-    assert ThresholdSchedule.zero().eps_c == (0.0, 0.0, 0.0, 0.0)
+    assert zero_schedule().eps_c == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_schedule_validation():
@@ -185,3 +191,22 @@ def test_load_rejects_wrong_kind(tmp_path):
 def test_oracle_not_serialisable(tmp_path):
     with pytest.raises(ValueError, match="serialisable"):
         save_detector(tmp_path / "x.npz", oracle_detector(4))
+
+
+def test_training_peak_memory_stays_below_three_hidden_arrays():
+    # the loop holds h (written over z1) and gelu'(z1), reused each epoch;
+    # tracemalloc counts this process's allocations, so machine load does
+    # not move the figure
+    n, in_dim, hidden = 8192, 16, 64
+    rng = Rng(5)
+    x = rng.uniforms(n * in_dim, -1, 1).reshape(n, in_dim)
+    y = (rng.uniforms(n) > 0.7).astype(float).reshape(n, 1)
+    mlp = mlp2_init(rng, in_dim, hidden, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fit_mlp2(mlp, x, y, epochs=3, lr=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * n * hidden * 8

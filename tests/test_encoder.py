@@ -12,6 +12,7 @@ from docprune.encoder import (EncoderModel, StageConfig, WindowStats, encode,
 from docprune.patching import ProbabilityMap, TokenGrid
 from docprune.rng import Rng
 from docprune.tensor import FlopCounter
+from helpers import default_schedule, zero_schedule
 
 
 def _grid(side=16, dim=8, seed=0):
@@ -114,7 +115,7 @@ def test_bypass_is_a_pure_optimization():
         grid = _grid(seed=seed)
         p0 = ProbabilityMap(Rng(seed + 10).uniforms(grid.n_tokens))
         model = _model(seed)
-        sched = ThresholdSchedule.default()
+        sched = default_schedule()
         fast = encode(model, grid, p0, sched, bypass=True)
         slow = encode(model, grid, p0, sched, bypass=False)
         np.testing.assert_array_equal(fast.sequence, slow.sequence)
@@ -171,7 +172,7 @@ def test_merge_rejects_odd_grid():
 def test_stage_entry_probs_are_iterated_maxpools():
     grid = _grid(side=16)
     p0 = ProbabilityMap(Rng(9).uniforms(256))
-    result = encode(_model(), grid, p0, ThresholdSchedule.zero())
+    result = encode(_model(), grid, p0, zero_schedule())
     raw = p0.values.copy()
     for s, entry in enumerate(result.trace):
         np.testing.assert_array_equal(entry.raw_entry, raw)
@@ -186,7 +187,7 @@ def test_zero_thresholds_equal_ungated():
     grid = _grid()
     p0 = ProbabilityMap(Rng(11).uniforms(grid.n_tokens))
     model = _model()
-    gated = encode(model, grid, p0, ThresholdSchedule.zero())
+    gated = encode(model, grid, p0, zero_schedule())
     plain = encode(model, grid, p0, gated=False)
     np.testing.assert_allclose(gated.sequence, plain.sequence, atol=1e-9)
     assert gated.kept_final == plain.kept_final == gated.grid.n_tokens
@@ -195,7 +196,7 @@ def test_zero_thresholds_equal_ungated():
 def test_all_zero_probs_prune_everything():
     grid = _grid()
     p0 = ProbabilityMap(np.zeros(grid.n_tokens))
-    result = encode(_model(), grid, p0, ThresholdSchedule.default())
+    result = encode(_model(), grid, p0, default_schedule())
     assert result.kept_final == 0
     assert result.sequence.shape == (0, result.grid.dim)
     # the grid itself keeps its geometry until the final drop
@@ -219,7 +220,7 @@ def test_compute_monotone_in_threshold():
 def test_final_drop_matches_last_binarized_map():
     grid = _grid()
     p0 = ProbabilityMap((Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float))
-    result = encode(_model(), grid, p0, ThresholdSchedule.default())
+    result = encode(_model(), grid, p0, default_schedule())
     final = result.trace[-1].binarized
     np.testing.assert_array_equal(result.kept_indices, np.flatnonzero(final))
     np.testing.assert_array_equal(result.sequence,
@@ -229,7 +230,7 @@ def test_final_drop_matches_last_binarized_map():
 def test_cached_encode_replays_and_owns_its_arrays():
     grid = _grid()
     p0 = ProbabilityMap((Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float))
-    model, sched = _model(), ThresholdSchedule.default()
+    model, sched = _model(), default_schedule()
     ref_counter = FlopCounter()
     ref = encode(model, grid, p0, sched, counter=ref_counter)
     cache = {}

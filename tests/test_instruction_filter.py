@@ -14,7 +14,8 @@ from docprune.instruction_filter import (FilterResult, InstructionSpec,
                                          grid_positions, ifm_init, load_ifm,
                                          save_ifm, train_ifm)
 from docprune.rng import Rng
-from docprune.tensor import FlopCounter, mlp2_zeros
+from docprune.tensor import FlopCounter
+from helpers import mlp2_zeros
 
 DIM = 16
 

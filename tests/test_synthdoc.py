@@ -135,6 +135,11 @@ def test_max_content_fraction_is_the_packing_boundary(size):
             plan_layout(size, math.nextafter(limit, 1.0), seed)
 
 
+@pytest.mark.parametrize("size", range(8, 73, 4))
+def test_max_content_fraction_is_a_fraction(size):
+    assert 0.0 < max_content_fraction(size) <= 1.0
+
+
 def test_image_values_in_unit_range():
     doc = generate(plan_layout(256, 0.5, seed=2))
     assert doc.image.min() >= 0.0

@@ -10,7 +10,8 @@ from docprune.rng import Rng
 from docprune.tensor import (ELEMWISE_FLOPS, FlopCounter, LossCurve, Mlp2,
                              attention, bce_loss, gelu, gelu_grad, layernorm,
                              linear, matmul, mlp2_backward, mlp2_forward,
-                             mlp2_init, mlp2_zeros, sigmoid, softmax_rows)
+                             mlp2_init, sigmoid, softmax_rows)
+from helpers import mlp2_zeros
 
 
 # --- matmul ---
@@ -217,7 +218,7 @@ def test_backward_reuses_forward_erf_exactly(rows, in_dim, hidden, pw):
     want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
             "db2": dz2.sum(axis=0)}
     out, cache = mlp2_forward(x, p, sigmoid_out=True)
-    assert len(cache) == 5
+    assert len(cache) == 4
     assert np.array_equal(out, pred)
     g = (mlp2_backward(cache, p, y) if pw is None
          else mlp2_backward(cache, p, y, pos_weight=pw))
