@@ -163,6 +163,10 @@ def _cmd_render(args) -> int:
         raise ConfigError(f"report not found: {args.report}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"report is not valid JSON: {e}")
+    n_docs = len(rep["per_doc"])
+    if args.doc is not None and not 0 <= args.doc < n_docs:
+        raise ConfigError(f"--doc {args.doc} is not a document of the "
+                          f"report, which has {n_docs} (0 to {n_docs - 1})")
     written = render_masks(rep, args.out, doc_index=args.doc)
     print(f"wrote {len(written)} masks to {args.out}")
     return 0

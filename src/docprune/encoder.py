@@ -339,6 +339,15 @@ def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     return maps
 
 
+def mask_key(binarized) -> bytes:
+    """The per-stage binarized masks of an encode, packed into one key.
+
+    Two encodes of one document by one model, in one gating mode, return
+    equal results when their keys are equal.
+    """
+    return b"".join(np.packbits(b > 0.0).tobytes() for b in binarized)
+
+
 @dataclass
 class EncodeCacheEntry:
     """What a repeated encode needs; it owns its arrays and never lends them."""
@@ -382,7 +391,7 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
         # The key holds only the masks: a sweep keeps one cache per
         # document and varies only eps_c/eps_i, so the weights, the grid,
         # p0 and gated/bypass/soft are the same for every setting.
-        key = b"".join(np.packbits(b > 0.0).tobytes() for _, b in maps)
+        key = mask_key(b for _, b in maps)
         entry = cache.get(key)
     if entry is not None:
         for cat, n in entry.flops.items():

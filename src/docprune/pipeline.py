@@ -32,16 +32,20 @@ import numpy as np
 from . import imageio
 from .content_filter import (DetectorModel, ThresholdSchedule, detect,
                              load_detector, oracle_detector)
-from .encoder import EncodeResult, EncoderModel, encode, encoder_init
+from .encoder import (EncodeResult, EncoderModel, encode, encoder_init,
+                      mask_key)
 from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
                                  embed_instruction, fuse, filter_tokens,
                                  grid_positions, ifm_init, load_ifm)
 from .patching import PatchEmbed, partition, patch_embed_init
 from .rng import Rng
-from .synthdoc import (FRACTION_TOLERANCE, LabeledImage, instruction_target,
-                       make_corpus, max_content_fraction,
-                       mean_content_fraction, packed_fraction, patchify_any)
-from .tensor import FlopCounter, Mlp2, flop_category, mlp2_forward, mlp2_init
+from .synthdoc import (FRACTION_TOLERANCE, LabeledImage, content_fraction,
+                       corpus_doc, instruction_target, max_content_fraction,
+                       packed_fraction, patchify_any)
+# not called here, but bench/tracer.py wraps the name pipeline.make_corpus
+from .synthdoc import make_corpus  # noqa: F401
+from .tensor import (FlopCounter, Mlp2, SharedFlops, flop_category,
+                     mlp2_forward, mlp2_init)
 
 SCHEMA_VERSION = 1
 DECODER_FLOPS_PER_TOKEN_SQ = 2 * 4096 * 32
@@ -255,7 +259,7 @@ def mask_from_hex(s: str, side: int) -> np.ndarray:
 
 @dataclass
 class DocArtifacts:
-    """One document's intermediates; `process_doc` fills all but the last."""
+    """One document's intermediates under one setting."""
 
     encoded: EncodeResult
     projected: np.ndarray          # post-encoder tokens in decoder space
@@ -263,7 +267,7 @@ class DocArtifacts:
     instruction: InstructionSpec
     instr: np.ndarray              # the instruction's token embeddings
     relevance: np.ndarray          # per-pixel instruction relevance mask
-    filter_result: FilterResult | None = None   # set by run
+    filter_result: FilterResult
 
 
 @dataclass
@@ -296,107 +300,35 @@ def _round_floats(obj):
     return obj
 
 
-@contextmanager
-def _timed(timings: dict[str, float] | None, key: str):
-    """Add the block's wall ms to timings[key]; a no-op without timings."""
-    t0 = time.perf_counter()
-    yield
-    if timings is not None:
-        timings[key] += (time.perf_counter() - t0) * 1e3
+class _Setting:
+    """One threshold setting's share of a walk: its FLOPs, wall time and
+    per-document rows, and the artifacts when they are kept."""
 
+    def __init__(self, config: PipelineConfig, counter: FlopCounter | None,
+                 keep_artifacts: bool = False):
+        self.config = config
+        self.counter = counter
+        self.timings = dict.fromkeys(("generate", "detect", "encode",
+                                      "project", "ifm"), 0.0)
+        self.stages: list[dict] | None = None
+        self.per_doc: list[dict] = []
+        self.artifacts: list[DocArtifacts] | None = (
+            [] if keep_artifacts else None)
 
-def process_doc(config: PipelineConfig, models: Models, doc: LabeledImage,
-                instr_state: int, counter: FlopCounter | None = None,
-                encode_cache: dict | None = None,
-                timings: dict[str, float] | None = None) -> DocArtifacts:
-    """The per-document chain up to the instruction filter's inputs.
-
-    partition, detect, encode, project, add grid positions, then draw the
-    document's instruction from instr_state. `run` and
-    `prepare_ifm_samples` both go through here. Every step is called
-    through this module's globals, so a wrapper installed on a name (as
-    `bench/tracer.py` does) sees each call. `encode_cache` is this
-    document's `encode` cache.
-    """
-    with flop_category(counter, "patch_embed"):
-        grid = partition(doc.image, models.embed, counter)
-    with _timed(timings, "detect"), flop_category(counter, "detector"):
-        probs = detect(models.detector, doc, counter)
-    with _timed(timings, "encode"):
-        encoded = encode(models.encoder, grid, probs, config.schedule(),
-                         gated=config.gated, bypass=config.bypass,
-                         soft=config.soft_gating, counter=counter,
-                         cache=encode_cache)
-    with _timed(timings, "project"), flop_category(counter, "projector"):
-        projected, _ = mlp2_forward(encoded.sequence, models.projector,
-                                    counter)
-    with _timed(timings, "ifm"):
-        v_in = projected
-        if models.ifm.use_positions and projected.shape[0]:
-            v_in = projected + grid_positions(
-                encoded.kept_indices, config.stage4_side, config.llm_dim)
-    spec, relevance = instruction_target(doc, instr_state)
-    return DocArtifacts(encoded=encoded, projected=projected, v_in=v_in,
-                        instruction=spec,
-                        instr=embed_instruction(models.ifm, spec),
-                        relevance=relevance)
-
-
-def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
-        detector: DetectorModel | None = None, ifm: IfmModel | None = None,
-        return_artifacts: bool = False, *,
-        encode_cache: dict[int, dict] | None = None):
-    """Execute the pipeline over a corpus and assemble the report.
-
-    The corpus defaults to the seeded synthetic corpus described by the
-    config. With return_artifacts the per-document intermediate tensors
-    come back alongside the report for the equivalence tests.
-    `encode_cache` is how `sweep` shares encodes between its settings: it
-    maps a document index to that document's `encode` cache.
-    """
-    config.validate()
-    models = build_models(config, detector, ifm)
-    timings = dict.fromkeys(("generate", "detect", "encode", "project",
-                             "ifm"), 0.0)
-    if corpus is None:
-        with _timed(timings, "generate"):
-            corpus = make_corpus(config.corpus_n, config.content_fraction,
-                                 config.image_size, config.seed)
-    elif not corpus:
-        raise ConfigError("corpus is empty")
-    for doc in corpus:
-        if doc.size != config.image_size:
-            raise ConfigError(
-                f"corpus image size {doc.size} does not match config "
-                f"{config.image_size}")
-
-    counter = FlopCounter()
-    instr_rng = Rng(config.seed).derive("instructions")
-    stage_agg: list[dict] | None = None
-    per_doc = []
-    artifacts = []
-    for i, doc in enumerate(corpus):
-        art = process_doc(config, models, doc, instr_rng.derive(i).state,
-                          counter, None if encode_cache is None
-                          else encode_cache.setdefault(i, {}), timings)
-        encoded = art.encoded
-        with _timed(timings, "ifm"):
-            fused_v, _ = fuse(models.ifm, art.v_in, art.instr, counter)
-            result = filter_tokens(models.ifm, fused_v, v_orig=art.projected,
-                                   eps=config.eps_i, counter=counter)
-        art.filter_result = result
-
+    def add_doc(self, index: int, seed: int, art: DocArtifacts) -> None:
+        encoded, result = art.encoded, art.filter_result
         n_kept = int(result.kept_indices.size)
         seq_len = n_kept + len(art.instruction)
-        with counter.category("decoder_stub"):
-            counter.add(config.decoder_flops_per_token_sq * seq_len * seq_len)
+        with self.counter.category("decoder_stub"):
+            self.counter.add(
+                self.config.decoder_flops_per_token_sq * seq_len * seq_len)
 
-        if stage_agg is None:
-            stage_agg = [{"stage": e.stage, "n_tokens_per_doc": e.n_tokens,
-                          "active_total": 0, "windows_total": 0,
-                          "windows_computed": 0, "windows_bypassed": 0,
-                          "attn_flops": 0} for e in encoded.trace]
-        for agg, e in zip(stage_agg, encoded.trace):
+        if self.stages is None:
+            self.stages = [{"stage": e.stage, "n_tokens_per_doc": e.n_tokens,
+                            "active_total": 0, "windows_total": 0,
+                            "windows_computed": 0, "windows_bypassed": 0,
+                            "attn_flops": 0} for e in encoded.trace]
+        for agg, e in zip(self.stages, encoded.trace):
             agg["active_total"] += e.active
             agg["windows_total"] += e.windows_total
             agg["windows_computed"] += e.windows_computed
@@ -405,9 +337,9 @@ def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
 
         ifm_mask = np.zeros(encoded.grid.n_tokens)
         ifm_mask[encoded.kept_indices[result.kept_indices]] = 1.0
-        per_doc.append({
-            "index": i,
-            "seed": doc.seed,
+        self.per_doc.append({
+            "index": index,
+            "seed": seed,
             "kept_final": encoded.kept_final,
             "kept_after_ifm": n_kept,
             "instruction_len": len(art.instruction),
@@ -418,47 +350,186 @@ def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
                 "ifm": _mask_hex(ifm_mask),
             },
         })
-        if return_artifacts:
-            artifacts.append(art)
+        if self.artifacts is not None:
+            self.artifacts.append(art)
 
-    post_encoder = sum(d["kept_final"] for d in per_doc)
-    post_ifm = sum(d["kept_after_ifm"] for d in per_doc)
-    instr_total = sum(d["instruction_len"] for d in per_doc)
-    max_sequence = max(d["sequence_len"] for d in per_doc)
-    report = RunReport(
-        schema_version=SCHEMA_VERSION,
-        config=asdict(config),
-        corpus={
-            "n_docs": len(corpus),
-            "image_size": config.image_size,
-            "patch_size": config.patch_size,
-            "mean_content_fraction": mean_content_fraction(corpus),
-            "mean_patch_fraction": mean_content_fraction(
-                corpus, config.patch_size),
-        },
-        stages=stage_agg,
-        tokens={
-            "initial": len(corpus) * config.grid_side ** 2,
-            "post_encoder": post_encoder,
-            "post_ifm": post_ifm,
-            "instruction": instr_total,
-            "final_sequence": post_ifm + instr_total,
-        },
-        flops={
-            "by_category": {k: counter.get(k) for k in FLOP_CATEGORIES},
-            "total": counter.total(),
-        },
-        context={
-            "budget": config.context_budget,
-            "max_sequence": max_sequence,
-            "fit": bool(max_sequence <= config.context_budget),
-        },
-        per_doc=per_doc,
-        timings_ms={k: round(v, 3) for k, v in timings.items()},
-    )
+    def report(self, pixel_fraction: float,
+               patch_fraction: float) -> RunReport:
+        config, counter, per_doc = self.config, self.counter, self.per_doc
+        post_encoder = sum(d["kept_final"] for d in per_doc)
+        post_ifm = sum(d["kept_after_ifm"] for d in per_doc)
+        instr_total = sum(d["instruction_len"] for d in per_doc)
+        max_sequence = max(d["sequence_len"] for d in per_doc)
+        return RunReport(
+            schema_version=SCHEMA_VERSION,
+            config=asdict(config),
+            corpus={
+                "n_docs": len(per_doc),
+                "image_size": config.image_size,
+                "patch_size": config.patch_size,
+                "mean_content_fraction": pixel_fraction,
+                "mean_patch_fraction": patch_fraction,
+            },
+            stages=self.stages,
+            tokens={
+                "initial": len(per_doc) * config.grid_side ** 2,
+                "post_encoder": post_encoder,
+                "post_ifm": post_ifm,
+                "instruction": instr_total,
+                "final_sequence": post_ifm + instr_total,
+            },
+            flops={
+                "by_category": {k: counter.get(k) for k in FLOP_CATEGORIES},
+                "total": counter.total(),
+            },
+            context={
+                "budget": config.context_budget,
+                "max_sequence": max_sequence,
+                "fit": bool(max_sequence <= config.context_budget),
+            },
+            per_doc=per_doc,
+            timings_ms={k: round(v, 3) for k, v in self.timings.items()},
+        )
+
+
+@contextmanager
+def _timed(settings: list[_Setting], key: str):
+    """Add the block's wall ms to timings[key] of every setting given."""
+    t0 = time.perf_counter()
+    yield
+    ms = (time.perf_counter() - t0) * 1e3
+    for s in settings:
+        s.timings[key] += ms
+
+
+def _shared(settings) -> FlopCounter | None:
+    """The counter of one step that the given settings share."""
+    counters = [s.counter for s in settings if s.counter is not None]
+    return SharedFlops(counters) if counters else None
+
+
+def _encoded_groups(models: Models, doc: LabeledImage,
+                    settings: list[_Setting]):
+    """The per-document chain up to the instruction filter's inputs.
+
+    partition and detect run once for all settings and encode once per
+    setting, sharing one `encode` cache. Settings whose encodes binarize
+    into the same per-stage masks get equal results, so the projector and
+    the grid positions run once per distinct mask set: yields (members,
+    encoded, projected, v_in) for each. The walk and `prepare_ifm_samples`
+    both go through here. Every step is called through this module's
+    globals, so a wrapper installed on a name (as `bench/tracer.py` does)
+    sees each call; a shared step gets a `SharedFlops` over its settings'
+    counters.
+    """
+    counter = _shared(settings)
+    with flop_category(counter, "patch_embed"):
+        grid = partition(doc.image, models.embed, counter)
+    with _timed(settings, "detect"), flop_category(counter, "detector"):
+        probs = detect(models.detector, doc, counter)
+    cache = {} if len(settings) > 1 else None
+    groups: dict[bytes, tuple[EncodeResult, list[_Setting]]] = {}
+    for s in settings:
+        cfg = s.config
+        with _timed([s], "encode"):
+            encoded = encode(models.encoder, grid, probs, cfg.schedule(),
+                             gated=cfg.gated, bypass=cfg.bypass,
+                             soft=cfg.soft_gating, counter=s.counter,
+                             cache=cache)
+        key = mask_key(e.binarized for e in encoded.trace)
+        groups.setdefault(key, (encoded, []))[1].append(s)
+    for encoded, members in groups.values():
+        cfg, counter = members[0].config, _shared(members)
+        with _timed(members, "project"), flop_category(counter, "projector"):
+            projected, _ = mlp2_forward(encoded.sequence, models.projector,
+                                        counter)
+        with _timed(members, "ifm"):
+            v_in = projected
+            if models.ifm.use_positions and projected.shape[0]:
+                v_in = projected + grid_positions(
+                    encoded.kept_indices, cfg.stage4_side, cfg.llm_dim)
+        yield members, encoded, projected, v_in
+
+
+def _walk_doc(i: int, config: PipelineConfig, models: Models,
+              corpus: list[LabeledImage] | None, instr_state: int,
+              settings: list[_Setting]):
+    """Document i under every setting; returns its pixel and patch
+    content fractions. A generated page lives only as long as this call."""
+    if corpus is not None:
+        doc = corpus[i]
+    else:
+        with _timed(settings, "generate"):
+            doc = corpus_doc(i, config.content_fraction, config.image_size,
+                             config.seed)
+    spec, relevance = instruction_target(doc, instr_state)
+    instr = embed_instruction(models.ifm, spec)
+    for members, encoded, projected, v_in in _encoded_groups(models, doc,
+                                                             settings):
+        with _timed(members, "ifm"):
+            fused_v, _ = fuse(models.ifm, v_in, instr, _shared(members))
+        by_eps: dict[float, list[_Setting]] = {}
+        for s in members:
+            by_eps.setdefault(s.config.eps_i, []).append(s)
+        for eps, group in by_eps.items():
+            with _timed(group, "ifm"):
+                result = filter_tokens(models.ifm, fused_v, v_orig=projected,
+                                       eps=eps, counter=_shared(group))
+            art = DocArtifacts(encoded, projected, v_in, spec, instr,
+                               relevance, result)
+            for s in group:
+                s.add_doc(i, doc.seed, art)
+    return content_fraction(doc), content_fraction(doc, config.patch_size)
+
+
+def _walk(configs: list[PipelineConfig], corpus: list[LabeledImage] | None,
+          detector: DetectorModel | None, ifm: IfmModel | None,
+          keep_artifacts: bool = False):
+    """Every setting's report from one pass over the corpus.
+
+    The configs differ only in eps_c/eps_i, so the models are built once
+    and each document goes through every setting before the next one is
+    read; without a corpus, each page is generated when its turn comes.
+    Returns the reports and each setting's artifacts (None unless kept).
+    """
+    config = configs[0]
+    models = build_models(config, detector, ifm)
+    if corpus is not None:
+        if not corpus:
+            raise ConfigError("corpus is empty")
+        for doc in corpus:
+            if doc.size != config.image_size:
+                raise ConfigError(
+                    f"corpus image size {doc.size} does not match config "
+                    f"{config.image_size}")
+    n_docs = config.corpus_n if corpus is None else len(corpus)
+    settings = [_Setting(cfg, FlopCounter(), keep_artifacts)
+                for cfg in configs]
+    instr_rng = Rng(config.seed).derive("instructions")
+    fractions = [_walk_doc(i, config, models, corpus,
+                           instr_rng.derive(i).state, settings)
+                 for i in range(n_docs)]
+    pixel, patch = (float(np.mean(f)) for f in zip(*fractions))
+    return ([s.report(pixel, patch) for s in settings],
+            [s.artifacts for s in settings])
+
+
+def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
+        detector: DetectorModel | None = None, ifm: IfmModel | None = None,
+        return_artifacts: bool = False):
+    """Execute the pipeline over a corpus and assemble the report.
+
+    The corpus defaults to the seeded synthetic corpus described by the
+    config, generated one page at a time. With return_artifacts the
+    per-document intermediate tensors come back alongside the report for
+    the equivalence tests.
+    """
+    config.validate()
+    reports, artifacts = _walk([config], corpus, detector, ifm,
+                               return_artifacts)
     if return_artifacts:
-        return report, artifacts
-    return report
+        return reports[0], artifacts[0]
+    return reports[0]
 
 
 def write_report(report: RunReport, out_dir) -> Path:
@@ -482,36 +553,40 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
           detector: DetectorModel | None = None,
           ifm: IfmModel | None = None,
           out_dir=None) -> tuple[list[RunReport], list[dict]]:
-    """One run per (content, instruction) threshold setting, shared corpus.
+    """One report per (content, instruction) threshold setting, shared corpus.
 
-    Settings that binarize a document into the same per-stage masks share
-    one encode of it; each setting is still charged the encode's full
-    FLOPs, so every report equals that of a separate `run`.
+    Every setting's config is checked before the first document. The walk
+    then takes each document through all settings: partition and detect
+    run once per document, settings that binarize it into the same
+    per-stage masks share one encode, projection and IFM fusion, and the
+    IFM classifier runs once per distinct eps_i among them. Each setting
+    is still charged the full FLOPs of every step, so every report equals
+    that of a separate `run`.
 
     Raises RuntimeError if total compute ever increases along a single
-    threshold axis; partial per-setting reports are written before the
-    check so a violation leaves evidence behind.
+    threshold axis; the per-setting reports are written before the check
+    so a violation leaves evidence behind.
     """
     if not settings:
         raise ConfigError("sweep needs at least one (eps_c, eps_i) setting")
-    if corpus is None:
-        corpus = make_corpus(config.corpus_n, config.content_fraction,
-                             config.image_size, config.seed)
-    reports = []
-    rows = []
-    encode_cache: dict[int, dict] = {}
-    for c, i in settings:
-        cfg = replace(config, eps_c=sweep_schedule(c, i).eps_c, eps_i=i)
-        rep = run(cfg, corpus=corpus, detector=detector, ifm=ifm,
-                  encode_cache=encode_cache)
-        reports.append(rep)
-        rows.append(summary_row(rep))
-        if out_dir is not None:
-            write_report(rep, Path(out_dir) / f"run_c{c:g}_i{i:g}")
+    reports, _ = _walk([_setting_config(config, c, i) for c, i in settings],
+                       corpus, detector, ifm)
+    rows = [summary_row(rep) for rep in reports]
     if out_dir is not None:
+        for (c, i), rep in zip(settings, reports):
+            write_report(rep, Path(out_dir) / f"run_c{c:g}_i{i:g}")
         write_summary_csv(rows, Path(out_dir) / "summary.csv")
     _check_monotone(rows)
     return reports, rows
+
+
+def _setting_config(config: PipelineConfig, c: float,
+                    i: float) -> PipelineConfig:
+    """config at the sweep setting c:i, or a ConfigError naming it."""
+    try:
+        return replace(config, eps_c=sweep_schedule(c, i).eps_c, eps_i=i)
+    except ValueError as e:
+        raise ConfigError(f"sweep setting {c:g}:{i:g}: {e}") from e
 
 
 def _check_monotone(rows: list[dict]) -> None:
@@ -564,12 +639,14 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
     if models is None:
         models = build_models(config)
     instr_rng = Rng(config.seed).derive("instructions")
+    setting = [_Setting(config, None)]
     samples = []
     for i, doc in enumerate(corpus):
-        art = process_doc(config, models, doc, instr_rng.derive(i).state)
-        cells = patchify_any(art.relevance, config.patch_size * 8).ravel()
-        samples.append((art.v_in, art.instr,
-                        cells[art.encoded.kept_indices].astype(np.float64)))
+        ((_, encoded, _, v_in),) = _encoded_groups(models, doc, setting)
+        spec, relevance = instruction_target(doc, instr_rng.derive(i).state)
+        cells = patchify_any(relevance, config.patch_size * 8).ravel()
+        samples.append((v_in, embed_instruction(models.ifm, spec),
+                        cells[encoded.kept_indices].astype(np.float64)))
     return samples
 
 

@@ -325,19 +325,27 @@ def _render_region(image: np.ndarray, region: ContentRegion) -> None:
     image[region.y:region.y + region.h, region.x:region.x + region.w] = patch
 
 
+def corpus_doc(i: int, fraction: float, size: int, seed: int) -> LabeledImage:
+    """Document i of every corpus of this (fraction, size, seed)."""
+    return generate(plan_layout(size, fraction, Rng(seed).derive(i).state))
+
+
 def make_corpus(n: int, fraction: float, size: int, seed: int) -> list[LabeledImage]:
     """n independent documents, each deterministic in (seed, index)."""
     if n < 1:
         raise ValueError(f"corpus size must be >= 1, got {n}")
-    root = Rng(seed)
-    return [generate(plan_layout(size, fraction, root.derive(i).state))
-            for i in range(n)]
+    return [corpus_doc(i, fraction, size, seed) for i in range(n)]
+
+
+def content_fraction(doc: LabeledImage, patch_size: int | None = None):
+    """Share of the page's pixels, or of its patches, that are content."""
+    if patch_size is None:
+        return doc.content_mask.mean()
+    return doc.patch_labels(patch_size).mean()
 
 
 def mean_content_fraction(docs, patch_size: int | None = None) -> float:
-    if patch_size is None:
-        return float(np.mean([d.content_mask.mean() for d in docs]))
-    return float(np.mean([d.patch_labels(patch_size).mean() for d in docs]))
+    return float(np.mean([content_fraction(d, patch_size) for d in docs]))
 
 
 def instruction_target(img: LabeledImage, seed: int):

@@ -58,6 +58,25 @@ class FlopCounter:
         return self.by_category.get(name, 0)
 
 
+class SharedFlops(FlopCounter):
+    """The counter of one computation that several runs share.
+
+    Each add charges n to every run's counter, under this counter's
+    current category, so each run is charged what computing alone would
+    cost it; this counter's own tally is their sum.
+    """
+
+    def __init__(self, counters):
+        super().__init__()
+        self.counters = list(counters)
+
+    def add(self, n: int) -> None:
+        super().add(n * len(self.counters))
+        for c in self.counters:
+            with c.category(self._current):
+                c.add(n)
+
+
 def flop_category(counter: FlopCounter | None, name: str):
     """counter.category(name), or a no-op context when counter is None.
 

@@ -205,6 +205,28 @@ def test_sweep_bad_grid_is_exit_2(config_file, capsys):
     assert "bad grid entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["2:0.5", "nan:0.5", "-0.1:0.5"])
+def test_bad_sweep_setting_is_exit_2_before_any_file(tmp_path, config_file,
+                                                      capsys, bad):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config_file, f"--grid=0.25:0.5,{bad}",
+                 "--out", str(out)]) == 2
+    assert f"sweep setting {bad}: threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", ["2", "5", "-1"])
+def test_render_doc_outside_report_is_exit_2(tmp_path, config_file, capsys,
+                                             doc):
+    out, masks = tmp_path / "out", tmp_path / "masks"
+    main(["run", "--config", config_file, "--seed", "7", "--out", str(out)])
+    assert main(["render", "--report", str(out / "report.json"),
+                 "--out", str(masks), f"--doc={doc}"]) == 2
+    assert f"--doc {doc} is not a document of the report, which has 2" in (
+        capsys.readouterr().err)
+    assert not masks.exists()
+
+
 def test_render_from_report(tmp_path, config_file):
     out = tmp_path / "out"
     main(["run", "--config", config_file, "--seed", "7", "--out", str(out)])

@@ -30,6 +30,16 @@ SWEEP_SEED7 = [
     "00f285e0b72e09ac70c494f7186c1613413227dc12a49f00338e893667d6c8d9",
 ]
 
+# a small sweep with an untrained MLP detector, whose graded probabilities
+# split this grid's settings into mask sets of one, one and two settings
+GRADED_GRID = [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25), (0.75, 0.5)]
+GRADED_SWEEP = [
+    "bf72f2b8998de70078491cdf2bb7737228fcb5f7720ff5cbfbfe3a306728bfac",
+    "18d86da51621ccd98801ca8cccc21eaebef731fae504d22400e2db15749cb592",
+    "e13b298a83c2afb866136ad2e022ff41f28e66c8afb1a6be14e88d84f8778fb7",
+    "4e623e3ad823c550069589649e2b1e7ae20e6cd03473018cacd5478be6a3cf5b",
+]
+
 SMALL_RUNS = {
     "ungated":
         "cde49a6d9c3fe9cd8319749db838402db734f2d8c145b0e2133392f896d8958b",
@@ -71,6 +81,12 @@ def _weights_sha(mlp) -> str:
 def test_default_sweep_digests():
     reports, _ = sweep(PipelineConfig(seed=7), _parse_grid(DEFAULT_GRID))
     assert [_sha(r.to_json()) for r in reports] == SWEEP_SEED7
+
+
+def test_graded_sweep_digests():
+    cfg = PipelineConfig(**{**SMALL, "detector": "mlp"})
+    reports, _ = sweep(cfg, GRADED_GRID, detector=mlp_detector(2, 4))
+    assert [_sha(r.to_json()) for r in reports] == GRADED_SWEEP
 
 
 @pytest.mark.parametrize("name,overrides", [

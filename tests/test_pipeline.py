@@ -3,12 +3,14 @@ byte-identically for a fixed (config, seed), and show pruning actually
 cutting compute on half-blank pages."""
 
 import json
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from docprune import encoder, pipeline
+from docprune import encoder, pipeline, synthdoc
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex, prepare_ifm_samples,
                                render_masks, run, sweep, sweep_schedule,
@@ -167,19 +169,26 @@ def test_sweep_single_point_matches_run():
 
 
 def _sweep_counting_window_passes(monkeypatch, cfg, settings, **kwargs):
-    """Sweep reports plus the number of window_pass calls in each setting."""
-    calls = []
-    real_run, real_pass = pipeline.run, encoder.window_pass
+    """Sweep reports plus the number of window_pass calls that each
+    setting's encode calls made, summed over the documents."""
+    setting_of = {(sweep_schedule(c, i).eps_c, i): n
+                  for n, (c, i) in enumerate(settings)}
+    calls = [0] * len(settings)
+    encoding = []
+    real_encode, real_pass = pipeline.encode, encoder.window_pass
 
-    def counting_run(*args, **kw):
-        calls.append(0)
-        return real_run(*args, **kw)
+    def counting_encode(model, grid, p0, sched, **kw):
+        encoding.append(setting_of[(sched.eps_c, sched.eps_i)])
+        try:
+            return real_encode(model, grid, p0, sched, **kw)
+        finally:
+            encoding.pop()
 
     def counting_pass(*args, **kw):
-        calls[-1] += 1
+        calls[encoding[-1]] += 1
         return real_pass(*args, **kw)
 
-    monkeypatch.setattr(pipeline, "run", counting_run)
+    monkeypatch.setattr(pipeline, "encode", counting_encode)
     monkeypatch.setattr(encoder, "window_pass", counting_pass)
     reports, _ = sweep(cfg, settings, **kwargs)
     monkeypatch.undo()
@@ -208,6 +217,47 @@ def test_sweep_reuse_is_exact(monkeypatch, overrides, settings, computes):
         direct = run(replace(cfg, eps_c=sweep_schedule(c, i).eps_c, eps_i=i),
                      detector=det)
         assert rep.to_json() == direct.to_json()
+
+
+def _counting(counts, name, fn):
+    def wrapped(*args, **kw):
+        counts[name] += 1
+        return fn(*args, **kw)
+    return wrapped
+
+
+def test_sweep_runs_threshold_free_work_once_per_document(monkeypatch):
+    # the oracle binarizes alike at every threshold, so on the default
+    # grid all four settings share one mask set per document
+    cfg = _small_config()
+    counts = Counter()
+    for name in ("partition", "detect", "encode", "mlp2_forward", "fuse",
+                 "filter_tokens"):
+        monkeypatch.setattr(pipeline, name,
+                            _counting(counts, name, getattr(pipeline, name)))
+    reports, _ = sweep(cfg, DEFAULT_GRID)
+    n = cfg.corpus_n
+    assert counts == {"partition": n, "detect": n, "encode": 4 * n,
+                      "mlp2_forward": n, "fuse": n, "filter_tokens": 2 * n}
+    monkeypatch.undo()
+    for (c, i), rep in zip(DEFAULT_GRID, reports):
+        direct = run(replace(cfg, eps_c=sweep_schedule(c, i).eps_c, eps_i=i))
+        assert rep.to_json() == direct.to_json()
+
+
+def test_run_holds_one_generated_page_at_a_time(monkeypatch):
+    pages, alive = [], []
+    real = synthdoc.generate
+
+    def tracking(spec):
+        doc = real(spec)
+        pages.append(weakref.ref(doc))
+        alive.append(sum(p() is not None for p in pages))
+        return doc
+
+    monkeypatch.setattr(synthdoc, "generate", tracking)
+    run(_small_config(corpus_n=4))
+    assert alive == [1, 1, 1, 1]
 
 
 def test_sweep_writes_summary_and_reports(tmp_path):

@@ -8,9 +8,10 @@ from scipy.special import erf
 from docprune import tensor
 from docprune.rng import Rng
 from docprune.tensor import (ELEMWISE_FLOPS, FlopCounter, LossCurve, Mlp2,
-                             attention, bce_loss, gelu, gelu_grad, layernorm,
-                             linear, matmul, mlp2_backward, mlp2_forward,
-                             mlp2_init, sigmoid, softmax_rows)
+                             SharedFlops, attention, bce_loss, gelu,
+                             gelu_grad, layernorm, linear, matmul,
+                             mlp2_backward, mlp2_forward, mlp2_init, sigmoid,
+                             softmax_rows)
 from helpers import mlp2_zeros
 
 
@@ -328,6 +329,20 @@ def test_flop_counter_categories_nest():
     assert c.get("inner") == 5
     assert c.get("uncategorized") == 2
     assert c.total() == 18
+
+
+def test_shared_flops_charge_each_counter_in_full():
+    runs = [FlopCounter() for _ in range(3)]
+    with runs[0].category("encoder_ffn"):
+        shared = SharedFlops(runs)
+        with shared.category("projector"):
+            matmul(np.ones((2, 3)), np.ones((3, 4)), shared)   # 48 FLOPs
+        shared.add(5)
+        runs[0].add(1)
+    for c in runs:
+        assert c.get("projector") == 48 and c.get("uncategorized") == 5
+    assert runs[0].get("encoder_ffn") == 1
+    assert shared.by_category == {"projector": 3 * 48, "uncategorized": 15}
 
 
 def test_sigmoid_extremes_and_symmetry():
