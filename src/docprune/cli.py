@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -23,7 +24,8 @@ from .instruction_filter import evaluate_ifm, save_ifm, train_ifm
 from .pipeline import (ConfigError, PipelineConfig, build_models,
                        prepare_ifm_samples, render_masks, run, summary_row,
                        sweep, write_report, write_summary_csv)
-from .synthdoc import make_corpus, mean_content_fraction, save_corpus
+from .synthdoc import (LAYOUT_GRID, LayoutError, make_corpus,
+                       mean_content_fraction, save_corpus)
 
 DEFAULT_GRID = "0.25:0.25,0.25:0.5,0.5:0.25,0.5:0.5"
 
@@ -53,6 +55,51 @@ def _count(text: str) -> int:
     return n
 
 
+def _page_size(text: str) -> int:
+    """argparse type of --size: a count that is a multiple of LAYOUT_GRID."""
+    n = _count(text)
+    if n % LAYOUT_GRID:
+        raise argparse.ArgumentTypeError(
+            f"must be a multiple of {LAYOUT_GRID}, got {n}")
+    return n
+
+
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
+def _fraction(text: str) -> float:
+    """argparse type of --fraction: a finite float in [0, 1]."""
+    x = _finite(text)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return x
+
+
+def _positive(text: str) -> float:
+    """argparse type of --lr and --pos-weight: a finite float above 0."""
+    x = _finite(text)
+    if x <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return x
+
+
+def _corpus(args, seed: int):
+    """The corpus that --n, --fraction and --size ask for, or a ConfigError
+    naming them when no page of that size packs that fraction."""
+    try:
+        return make_corpus(args.n, args.fraction, args.size, seed)
+    except LayoutError as e:
+        raise ConfigError(f"--fraction {args.fraction:g} at --size "
+                          f"{args.size}: {e}") from e
+
+
 def _load_config(args) -> PipelineConfig:
     file_cfg = {}
     if getattr(args, "config", None):
@@ -78,8 +125,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _cmd_gen(args) -> int:
-    docs = make_corpus(args.n, args.fraction, args.size,
-                       _resolve_seed(args.seed, {}))
+    docs = _corpus(args, _resolve_seed(args.seed, {}))
     out = save_corpus(docs, args.out)
     print(f"wrote {len(docs)} documents to {out} "
           f"(mean content fraction {mean_content_fraction(docs):.3f})")
@@ -87,8 +133,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_detector(args) -> int:
+    if args.size % args.patch:
+        raise ConfigError(f"--patch {args.patch} does not divide --size "
+                          f"{args.size}")
     seed = _resolve_seed(args.seed, {})
-    corpus = make_corpus(args.n, args.fraction, args.size, seed)
+    corpus = _corpus(args, seed)
     model = mlp_detector(seed, args.patch)
     model, curve = train_detector(model, corpus, args.epochs, args.lr)
     save_detector(args.out, model)
@@ -156,6 +205,30 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _report_field(obj, key: str, where: str, path: str):
+    """obj[key] of a report, or a ConfigError naming the report and key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"report {path}: {where} is not a JSON object")
+    if key not in obj:
+        raise ConfigError(f"report {path}: {where} has no key {key!r}")
+    return obj[key]
+
+
+def _check_report(rep, path: str) -> None:
+    """Every field render_masks reads is there."""
+    docs = _report_field(rep, "per_doc", "the top level", path)
+    if not isinstance(docs, list):
+        raise ConfigError(f"report {path}: per_doc is not a list")
+    config = _report_field(rep, "config", "the top level", path)
+    for key in ("image_size", "patch_size"):
+        _report_field(config, key, "config", path)
+    for j, doc in enumerate(docs):
+        _report_field(doc, "index", f"per_doc[{j}]", path)
+        masks = _report_field(doc, "masks", f"per_doc[{j}]", path)
+        for key in ("stage2", "stage4", "ifm"):
+            _report_field(masks, key, f"per_doc[{j}].masks", path)
+
+
 def _cmd_render(args) -> int:
     try:
         rep = json.loads(Path(args.report).read_text())
@@ -163,6 +236,7 @@ def _cmd_render(args) -> int:
         raise ConfigError(f"report not found: {args.report}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"report is not valid JSON: {e}")
+    _check_report(rep, args.report)
     n_docs = len(rep["per_doc"])
     if args.doc is not None and not 0 <= args.doc < n_docs:
         raise ConfigError(f"--doc {args.doc} is not a document of the "
@@ -187,19 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic document corpus")
     p.add_argument("--n", type=_count, default=32)
-    p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--size", type=int, default=256)
+    p.add_argument("--fraction", type=_fraction, default=0.5)
+    p.add_argument("--size", type=_page_size, default=256)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="corpus")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train-detector", help="train the MLP content detector")
     p.add_argument("--n", type=_count, default=16)
-    p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--size", type=int, default=256)
-    p.add_argument("--patch", type=int, default=4)
+    p.add_argument("--fraction", type=_fraction, default=0.5)
+    p.add_argument("--size", type=_page_size, default=256)
+    p.add_argument("--patch", type=_count, default=4)
     p.add_argument("--epochs", type=_count, default=250)
-    p.add_argument("--lr", type=float, default=0.08)
+    p.add_argument("--lr", type=_positive, default=0.08)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="detector.hrvd")
     p.set_defaults(func=_cmd_train_detector)
@@ -208,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--n", type=_count, default=48, help="override corpus size")
     p.add_argument("--epochs", type=_count, default=3000)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--pos-weight", type=float, default=5.0,
+    p.add_argument("--lr", type=_positive, default=0.3)
+    p.add_argument("--pos-weight", type=_positive, default=5.0,
                    help="loss weight on relevant tokens; biases toward recall")
     p.add_argument("--out", default="ifm.hrvd")
     p.set_defaults(func=_cmd_train_ifm)

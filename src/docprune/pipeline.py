@@ -563,18 +563,22 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
     is still charged the full FLOPs of every step, so every report equals
     that of a separate `run`.
 
+    With out_dir, each setting's report goes to its own directory; two
+    settings that name one directory are a ConfigError.
+
     Raises RuntimeError if total compute ever increases along a single
     threshold axis; the per-setting reports are written before the check
     so a violation leaves evidence behind.
     """
     if not settings:
         raise ConfigError("sweep needs at least one (eps_c, eps_i) setting")
-    reports, _ = _walk([_setting_config(config, c, i) for c, i in settings],
-                       corpus, detector, ifm)
+    configs = [_setting_config(config, c, i) for c, i in settings]
+    dirs = None if out_dir is None else _report_dirs(settings)
+    reports, _ = _walk(configs, corpus, detector, ifm)
     rows = [summary_row(rep) for rep in reports]
     if out_dir is not None:
-        for (c, i), rep in zip(settings, reports):
-            write_report(rep, Path(out_dir) / f"run_c{c:g}_i{i:g}")
+        for name, rep in zip(dirs, reports):
+            write_report(rep, Path(out_dir) / name)
         write_summary_csv(rows, Path(out_dir) / "summary.csv")
     _check_monotone(rows)
     return reports, rows
@@ -587,6 +591,18 @@ def _setting_config(config: PipelineConfig, c: float,
         return replace(config, eps_c=sweep_schedule(c, i).eps_c, eps_i=i)
     except ValueError as e:
         raise ConfigError(f"sweep setting {c:g}:{i:g}: {e}") from e
+
+
+def _report_dirs(settings: list[tuple[float, float]]) -> list[str]:
+    """The report directory name of each setting, all distinct."""
+    seen = {}
+    for c, i in settings:
+        name = f"run_c{c:g}_i{i:g}"
+        if name in seen:
+            raise ConfigError(f"sweep settings {seen[name]} and {c!r}:{i!r} "
+                              f"both write their report to {name}")
+        seen[name] = f"{c!r}:{i!r}"
+    return list(seen)
 
 
 def _check_monotone(rows: list[dict]) -> None:

@@ -292,3 +292,71 @@ def test_count_below_one_is_exit_2_before_any_file(tmp_path, capsys,
     assert f"argument {flag}: must be >= 1, got {value}" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("gen", "--fraction", "1.5", "must lie in [0, 1], got 1.5"),
+    ("gen", "--fraction", "nan", "must be finite, got nan"),
+    ("gen", "--size", "7", "must be a multiple of 4, got 7"),
+    ("gen", "--size", "0", "must be >= 1, got 0"),
+    ("train-detector", "--fraction", "-0.5", "must lie in [0, 1], got -0.5"),
+    ("train-detector", "--size", "130", "must be a multiple of 4, got 130"),
+    ("train-detector", "--patch", "0", "must be >= 1, got 0"),
+    ("train-detector", "--lr", "nan", "must be finite, got nan"),
+    ("train-detector", "--lr", "0", "must be > 0, got 0"),
+    ("train-ifm", "--lr", "-0.3", "must be > 0, got -0.3"),
+    ("train-ifm", "--lr", "inf", "must be finite, got inf"),
+    ("train-ifm", "--pos-weight", "0", "must be > 0, got 0"),
+    ("train-ifm", "--pos-weight", "x", "invalid float value: 'x'")])
+def test_bad_numeric_flag_is_exit_2_before_any_file(tmp_path, capsys, command,
+                                                    flag, value, message):
+    out = tmp_path / "out"
+    argv = [command, "--n", "1", f"{flag}={value}", "--out", str(out)]
+    if command != "gen":
+        argv += ["--epochs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--fraction", "0.95"], "--fraction 0.95 at --size 256: target"),
+    (["gen", "--size", "4"], "--fraction 0.5 at --size 4: target"),
+    (["train-detector", "--patch", "3", "--epochs", "1"],
+     "--patch 3 does not divide --size 256")])
+def test_unmakeable_corpus_is_exit_2_before_any_file(tmp_path, capsys, argv,
+                                                     message):
+    out = tmp_path / "out"
+    assert main(argv + ["--n", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid,first,second,name", [
+    ("0.25:0.5,0.25:0.5,0.5:0.25", "0.25:0.5", "0.25:0.5", "run_c0.25_i0.5"),
+    ("0.1234561:0.5,0.1234562:0.5", "0.1234561:0.5", "0.1234562:0.5",
+     "run_c0.123456_i0.5")])
+def test_sweep_settings_sharing_a_directory_are_exit_2(tmp_path, config_file,
+                                                       capsys, grid, first,
+                                                       second, name):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config_file, "--grid", grid,
+                 "--out", str(out)]) == 2
+    assert (f"sweep settings {first} and {second} both write their report "
+            f"to {name}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content,message", [
+    ({}, "the top level has no key 'per_doc'"),
+    ([1], "the top level is not a JSON object"),
+    ({"per_doc": [{"index": 0}], "config": {"image_size": 8, "patch_size": 4}},
+     "per_doc[0] has no key 'masks'")])
+def test_render_of_a_non_report_is_exit_2(tmp_path, capsys, content, message):
+    path, masks = tmp_path / "r.json", tmp_path / "masks"
+    path.write_text(json.dumps(content))
+    assert main(["render", "--report", str(path), "--out", str(masks)]) == 2
+    assert f"report {path}: {message}" in capsys.readouterr().err
+    assert not masks.exists()

@@ -1,6 +1,13 @@
 """Kernel-level checks: hand oracles for the dense ops, finite-difference
 oracles for the MLP gradients, and exactness of the FLOP accounting."""
 
+import importlib.machinery
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -365,3 +372,89 @@ def test_mlp2_copy_is_deep():
     q = p.copy()
     q.w1[0, 0] += 1.0
     assert p.w1[0, 0] != q.w1[0, 0]
+
+
+# --- erf, loaded from scipy's extension module ---
+
+def _erf_inputs():
+    branch = [np.nextafter(v, t) for v in (-8.0, -1.0, 1.0, 8.0)
+              for t in (-np.inf, np.inf)]
+    special = [0.0, -0.0, -1.0, 1.0, -8.0, 8.0, np.inf, -np.inf, np.nan,
+               5e-324, -5e-324, 1e-300, -1e-300, 27.0, -27.0]
+    normals = np.random.default_rng(0).standard_normal(10**6) * 4.0
+    return np.concatenate([special, branch, np.linspace(-10, 10, 20001),
+                           normals])
+
+
+def _assert_bit_equal(f):
+    x = _erf_inputs()
+    got, want = f(x), erf(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    inplace = x.copy()
+    f(inplace, out=inplace)
+    assert np.array_equal(inplace, want, equal_nan=True)
+
+
+def test_erf_is_scipys_ufunc_bit_for_bit():
+    assert isinstance(tensor.erf, np.ufunc)
+    _assert_bit_equal(tensor.erf)
+
+
+@pytest.mark.parametrize("layout", ["no scipy", "no module", "unloadable"])
+def test_erf_loader_falls_back_to_scipy_special(tmp_path, layout):
+    scipy_dir = None if layout == "no scipy" else str(tmp_path)
+    if layout == "unloadable":
+        (tmp_path / "special").mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "special" / f"_special_ufuncs{suffix}").write_bytes(
+            b"not a shared object")
+    loaded = tensor._load_erf(scipy_dir)
+    assert loaded is erf
+    _assert_bit_equal(loaded)
+
+
+def test_erf_loader_reads_the_extension_module():
+    loaded = tensor._load_erf(tensor._scipy_dir())
+    assert isinstance(loaded, np.ufunc) and loaded.__name__ == "erf"
+    _assert_bit_equal(loaded)
+
+
+_FRESH_RUN = """
+import json, sys
+import numpy
+
+
+def openblas():
+    if not sys.platform.startswith("linux"):
+        return []
+    with open("/proc/self/maps") as f:
+        return sorted({line.rsplit("/", 1)[-1] for line in f
+                       if "openblas" in line.lower()})
+
+
+with_numpy = openblas()
+from docprune.cli import main
+assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps({"special": "scipy.special" in sys.modules,
+                  "with_numpy": with_numpy, "after_run": openblas()}))
+"""
+
+
+def test_cli_run_does_not_import_scipy_special(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"image_size": 64, "corpus_n": 1}))
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout.strip().splitlines()[-1])
+    assert seen["special"] is False
+    assert (tmp_path / "out" / "report.json").is_file()
+    # numpy's own OpenBLAS, and not scipy's second one
+    assert seen["after_run"] == seen["with_numpy"]
+    if sys.platform.startswith("linux"):
+        assert len(seen["after_run"]) == 1, seen
