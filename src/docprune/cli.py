@@ -214,16 +214,24 @@ def _report_field(obj, key: str, where: str, path: str):
     return obj[key]
 
 
+def _report_int(obj, key: str, where: str, path: str, low: int) -> None:
+    """A report's integer field is there and at least low."""
+    value = _report_field(obj, key, where, path)
+    if type(value) is not int or value < low:
+        raise ConfigError(f"report {path}: {where}.{key} must be an integer "
+                          f">= {low}, got {value!r}")
+
+
 def _check_report(rep, path: str) -> None:
-    """Every field render_masks reads is there."""
+    """Every field render_masks reads is there; integer fields hold ints."""
     docs = _report_field(rep, "per_doc", "the top level", path)
     if not isinstance(docs, list):
         raise ConfigError(f"report {path}: per_doc is not a list")
     config = _report_field(rep, "config", "the top level", path)
     for key in ("image_size", "patch_size"):
-        _report_field(config, key, "config", path)
+        _report_int(config, key, "config", path, 1)
     for j, doc in enumerate(docs):
-        _report_field(doc, "index", f"per_doc[{j}]", path)
+        _report_int(doc, "index", f"per_doc[{j}]", path, 0)
         masks = _report_field(doc, "masks", f"per_doc[{j}]", path)
         for key in ("stage2", "stage4", "ifm"):
             _report_field(masks, key, f"per_doc[{j}].masks", path)
@@ -241,7 +249,10 @@ def _cmd_render(args) -> int:
     if args.doc is not None and not 0 <= args.doc < n_docs:
         raise ConfigError(f"--doc {args.doc} is not a document of the "
                           f"report, which has {n_docs} (0 to {n_docs - 1})")
-    written = render_masks(rep, args.out, doc_index=args.doc)
+    try:
+        written = render_masks(rep, args.out, doc_index=args.doc)
+    except ValueError as e:     # a mask that does not decode
+        raise ConfigError(f"report {args.report}: {e}") from e
     print(f"wrote {len(written)} masks to {args.out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Content detector: per-token content probabilities and threshold machinery.
+"""Content detector: per-token content probabilities and their binarization.
 
 Two detector variants share one interface. The oracle reads ground-truth
 patch labels from a synthetic document and returns exact {0, 1}
@@ -24,22 +24,6 @@ from .rng import Rng
 from .synthdoc import LabeledImage
 from .tensor import (FlopCounter, LossCurve, Mlp2, bce_loss, linear,
                      mlp2_backward, mlp2_forward, mlp2_init)
-
-
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    """Per-stage content thresholds plus the instruction threshold."""
-
-    eps_c: tuple[float, ...]
-    eps_i: float
-
-    def __post_init__(self):
-        for e in (*self.eps_c, self.eps_i):
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"threshold {e} outside [0, 1]")
-        if any(a > b for a, b in zip(self.eps_c, self.eps_c[1:])):
-            raise ValueError(
-                f"content thresholds must be non-decreasing, got {self.eps_c}")
 
 
 @dataclass

@@ -30,24 +30,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .content_filter import ThresholdSchedule, binarize
+from .content_filter import binarize
 from .patching import ProbabilityMap, TokenGrid
 from .rng import Rng, init_uniform
 from .tensor import (FlopCounter, attention, flop_category, gelu, layernorm,
                      linear)
-
-
-@dataclass(frozen=True)
-class StageConfig:
-    depth: int
-    window: int
-    merge_after: bool
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"stage depth must be >= 1, got {self.depth}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -72,21 +59,20 @@ class BlockWeights:
 
 @dataclass
 class EncoderModel:
-    stages: list[StageConfig]
+    """Four stages; stage s has depth len(blocks[s]), merges[s] follows it."""
+
     blocks: list[list[BlockWeights]]       # blocks[stage][block]
     merges: list[tuple[np.ndarray, np.ndarray]]  # (weight 4d x 2d, bias 2d)
-    d0: int
+    window: int
 
     def __post_init__(self):
-        if len(self.stages) != 4:
-            raise ValueError(f"encoder needs exactly 4 stages, got {len(self.stages)}")
-        n_merges = sum(1 for s in self.stages if s.merge_after)
-        if n_merges != 3 or self.stages[-1].merge_after:
-            raise ValueError("merge_after must be set for stages 1-3 only")
-
-    @property
-    def dims(self) -> list[int]:
-        return [self.d0 * 2 ** s for s in range(len(self.stages))]
+        if len(self.blocks) != 4 or len(self.merges) != 3:
+            raise ValueError(f"encoder needs exactly 4 stages and 3 merges, "
+                             f"got {len(self.blocks)} and {len(self.merges)}")
+        if not all(self.blocks):
+            raise ValueError("every stage depth must be >= 1")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -156,25 +142,20 @@ def block_init(rng: Rng, dim: int, ffn_ratio: int) -> BlockWeights:
 
 def encoder_init(seed: int, d0: int = 32, depths: tuple[int, ...] = (2, 2, 6, 2),
                  window: int = 8, ffn_ratio: int = 2) -> EncoderModel:
-    if len(depths) != 4:
-        raise ValueError(f"expected 4 stage depths, got {depths}")
     rng = Rng(seed).derive("encoder")
-    stages = [StageConfig(depth=depths[s], window=window,
-                          merge_after=(s < 3))
-              for s in range(4)]
     blocks = []
     merges = []
-    for s in range(4):
+    for s, depth in enumerate(depths):
         d = d0 * 2 ** s
         rs = rng.derive(f"stage{s}")
         blocks.append([block_init(rs.derive(f"block{j}"), d, ffn_ratio)
-                       for j in range(depths[s])])
+                       for j in range(depth)])
         if s < 3:
             rm = rs.derive("merge")
             merges.append((init_uniform(rm, 4 * d, 2 * d, 4 * d),
                            rm.uniforms(2 * d, -1.0 / (4 * d) ** 0.5,
                                        1.0 / (4 * d) ** 0.5)))
-    return EncoderModel(stages=stages, blocks=blocks, merges=merges, d0=d0)
+    return EncoderModel(blocks=blocks, merges=merges, window=window)
 
 
 def attn_residual(x: np.ndarray, bw: BlockWeights,
@@ -216,16 +197,13 @@ def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
                 window: int, shifted: bool, counter: FlopCounter | None = None,
-                bypass: bool = True,
-                order: list[int] | None = None) -> tuple[TokenGrid, WindowStats]:
+                bypass: bool = True) -> tuple[TokenGrid, WindowStats]:
     """One gated window-attention sublayer over the whole grid.
 
     p holds per-token gate values (None disables gating entirely). Windows
     whose gate values are all zero are bypassed when `bypass` is set. The
     grid is zero-padded up to a window multiple with gate-0 pad tokens,
-    which are stripped again after the pass. `order` overrides the
-    row-major window visit order; outputs must not depend on it since
-    windows touch disjoint token slices.
+    which are stripped again after the pass.
     """
     if p is not None and p.size != grid.n_tokens:
         raise ValueError(
@@ -252,9 +230,8 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
             pv = np.roll(pv, (-shift, -shift), axis=(0, 1))
 
     wr_n, wc_n = R // window, C // window
-    indices = list(range(wr_n * wc_n)) if order is None else list(order)
     computed = bypassed = 0
-    for widx in indices:
+    for widx in range(wr_n * wc_n):
         wr, wc = divmod(widx, wc_n)
         rs = slice(wr * window, (wr + 1) * window)
         cs = slice(wc * window, (wc + 1) * window)
@@ -279,10 +256,9 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
 
 def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
                 window: int, shifted: bool, counter: FlopCounter | None = None,
-                bypass: bool = True,
-                order: list[int] | None = None) -> tuple[TokenGrid, WindowStats]:
+                bypass: bool = True) -> tuple[TokenGrid, WindowStats]:
     """Window attention sublayer followed by the FFN sublayer, both gated."""
-    out, stats = window_pass(grid, p, bw, window, shifted, counter, bypass, order)
+    out, stats = window_pass(grid, p, bw, window, shifted, counter, bypass)
     t = out.tokens
     if p is None:
         t = ffn_residual(t, bw, counter)
@@ -331,9 +307,9 @@ def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     """
     raw, rows, cols = p0.values.copy(), grid.rows, grid.cols
     maps = []
-    for s, st in enumerate(model.stages):
+    for s in range(len(model.blocks)):
         maps.append((raw, binarize(ProbabilityMap(raw), eps[s]).values))
-        if st.merge_after:
+        if s < len(model.merges):
             raw = _child_max(raw, rows, cols)
             rows, cols = rows // 2, cols // 2
     return maps
@@ -358,7 +334,7 @@ class EncodeCacheEntry:
 
 
 def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
-           sched: ThresholdSchedule | None = None, gated: bool = True,
+           eps_c: tuple[float, ...] = (0.0,) * 4, gated: bool = True,
            bypass: bool = True, soft: bool = False,
            counter: FlopCounter | None = None,
            cache: dict[bytes, EncodeCacheEntry] | None = None) -> EncodeResult:
@@ -368,7 +344,7 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     the full ungated computation; that path multiplies by no gate values
     at all and serves as the reference for the equivalence tests.
 
-    Without a schedule every stage threshold is 0.
+    eps_c holds one content threshold per stage, 0 by default.
 
     `cache` belongs to one document: an encode whose per-stage binarized
     masks were seen before returns the stored stage-4 tokens and charges
@@ -378,14 +354,13 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
         raise ValueError(
             f"probability map length {len(p0)} does not match "
             f"{grid.n_tokens} tokens")
-    eps = sched.eps_c if sched is not None else (0.0,) * len(model.stages)
-    if len(eps) != len(model.stages):
+    if len(eps_c) != len(model.blocks):
         raise ValueError(
-            f"{len(eps)} thresholds for {len(model.stages)} stages")
+            f"{len(eps_c)} thresholds for {len(model.blocks)} stages")
     if cache is not None and counter is None:
         raise ValueError("an encode cache needs a FlopCounter to replay")
 
-    maps = _stage_maps(model, grid, p0, eps)
+    maps = _stage_maps(model, grid, p0, eps_c)
     key = entry = None
     if cache is not None:
         # The key holds only the masks: a sweep keeps one cache per
@@ -406,13 +381,13 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     before = dict(counter.by_category) if cache is not None else {}
     cur = grid
     trace: list[StageTraceEntry] = []
-    for s, st in enumerate(model.stages):
+    for s, blocks in enumerate(model.blocks):
         raw, binp = maps[s]
         gate = (raw if soft else binp) if gated else None
         attn0 = counter.get("encoder_attention") if counter is not None else 0
         stats = WindowStats()
-        for j in range(st.depth):
-            cur, ws = gated_block(cur, gate, model.blocks[s][j], st.window,
+        for j, bw in enumerate(blocks):
+            cur, ws = gated_block(cur, gate, bw, model.window,
                                   shifted=(j % 2 == 1), counter=counter,
                                   bypass=bypass and gated)
             stats = stats + ws
@@ -423,7 +398,7 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
             windows_total=stats.total, windows_computed=stats.computed,
             windows_bypassed=stats.bypassed, attn_flops=attn_flops,
             raw_entry=raw, binarized=binp))
-        if st.merge_after:
+        if s < len(model.merges):
             cur, _ = merge_patches(cur, raw, model.merges[s], counter)
 
     if cache is not None:

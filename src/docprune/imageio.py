@@ -1,4 +1,4 @@
-"""Minimal PGM (P5) and PBM (P4) readers and writers for inspection output.
+"""Minimal PGM (P5) and PBM (P4) writers for inspection output.
 
 Images are float arrays in [0, 1] and masks are boolean arrays. In PBM a
 set bit is black; callers that want "white = kept" must invert before
@@ -22,16 +22,6 @@ def write_pgm(path, img: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    magic, w, h, maxval, data = _parse_header(raw, 4)
-    if magic != b"P5":
-        raise ValueError(f"not a P5 PGM: {path}")
-    arr = np.frombuffer(data[: w * h], dtype=np.uint8).reshape(h, w)
-    return arr.astype(np.float64) / float(maxval)
-
-
 def write_pbm(path, mask: np.ndarray) -> None:
     if mask.ndim != 2:
         raise ValueError(f"PBM expects a 2-D mask, got shape {mask.shape}")
@@ -40,41 +30,6 @@ def write_pbm(path, mask: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P4\n{w} {h}\n".encode("ascii"))
         f.write(packed.tobytes())
-
-
-def read_pbm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    magic, w, h, _, data = _parse_header(raw, 3)
-    if magic != b"P4":
-        raise ValueError(f"not a P4 PBM: {path}")
-    row_bytes = (w + 7) // 8
-    rows = np.frombuffer(data[: row_bytes * h], dtype=np.uint8).reshape(h, row_bytes)
-    bits = np.unpackbits(rows, axis=1)[:, :w]
-    return bits.astype(bool)
-
-
-def _parse_header(raw: bytes, ntokens: int):
-    """Whitespace-separated header tokens, then binary payload."""
-    tokens = []
-    i = 0
-    while len(tokens) < ntokens:
-        while i < len(raw) and raw[i : i + 1].isspace():
-            i += 1
-        if raw[i : i + 1] == b"#":
-            while i < len(raw) and raw[i] != 0x0A:
-                i += 1
-            continue
-        start = i
-        while i < len(raw) and not raw[i : i + 1].isspace():
-            i += 1
-        tokens.append(raw[start:i])
-    i += 1
-    magic = tokens[0]
-    w = int(tokens[1])
-    h = int(tokens[2])
-    maxval = int(tokens[3]) if ntokens == 4 else 1
-    return magic, w, h, maxval, raw[i:]
 
 
 def ensure_dir(path) -> Path:

@@ -61,7 +61,6 @@ class IfmModel:
     embed: np.ndarray            # VOCAB_SIZE x dim lookup table, frozen
     fusion: BlockWeights         # one SA + FFN layer, frozen
     clf: Mlp2                    # relevance classifier, trainable
-    eps_i: float = 0.5
     use_positions: bool = True   # sinusoidal encodings over [V; I]
 
     @property
@@ -69,10 +68,8 @@ class IfmModel:
         return self.embed.shape[1]
 
 
-def ifm_init(seed: int, dim: int, ffn_ratio: int = 2, eps_i: float = 0.5,
+def ifm_init(seed: int, dim: int, ffn_ratio: int = 2,
              use_positions: bool = True) -> IfmModel:
-    if not 0.0 <= eps_i <= 1.0:
-        raise ValueError(f"eps_i {eps_i} outside [0, 1]")
     rng = Rng(seed).derive("ifm")
     # unit-range embeddings keep instruction content comparable in
     # magnitude to the position encodings it competes with after fusion
@@ -93,7 +90,6 @@ def ifm_init(seed: int, dim: int, ffn_ratio: int = 2, eps_i: float = 0.5,
         embed=embed,
         fusion=block_init(rng.derive("fusion"), dim, ffn_ratio),
         clf=mlp2_init(rng.derive("clf"), dim, 4 * dim, 1),
-        eps_i=eps_i,
         use_positions=use_positions,
     )
 
@@ -155,15 +151,14 @@ class FilterResult:
             raise ValueError("kept_indices must be strictly increasing")
 
 
-def filter_tokens(model: IfmModel, v_fused: np.ndarray,
-                  v_orig: np.ndarray | None = None, eps: float | None = None,
+def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
+                  v_orig: np.ndarray | None = None,
                   counter: FlopCounter | None = None) -> FilterResult:
     """Score fused visual tokens and keep those at or above the threshold.
 
     kept_tokens are rows of v_orig when provided (the decoder consumes the
     original projected tokens, not the fused features), else of v_fused.
     """
-    eps = model.eps_i if eps is None else eps
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"threshold {eps} outside [0, 1]")
     with flop_category(counter, "ifm"):
@@ -200,7 +195,7 @@ def train_ifm(model: IfmModel, samples: list[tuple[np.ndarray, np.ndarray, np.nd
 
 def evaluate_ifm(model: IfmModel,
                  samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 eps: float | None = None) -> dict[str, float]:
+                 eps: float) -> dict[str, float]:
     """Recall/precision of kept tokens against relevance labels."""
     kept = []
     for v, instr, _ in samples:
@@ -218,8 +213,7 @@ _FUSION_FIELDS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
 
 def save_ifm(path, model: IfmModel) -> None:
     arrays = {
-        "meta": np.array([model.dim, model.eps_i,
-                          1.0 if model.use_positions else 0.0]),
+        "meta": np.array([model.dim, 1.0 if model.use_positions else 0.0]),
         "embed": model.embed,
         "clf_w1": model.clf.w1,
         "clf_b1": model.clf.b1,
@@ -236,7 +230,7 @@ def load_ifm(path) -> IfmModel:
         path, weights_io.KIND_IFM,
         ("meta", "embed", "clf_w1", "clf_b1", "clf_w2", "clf_b2",
          *(f"fuse_{n}" for n in _FUSION_FIELDS)))
-    weights_io.check_shapes(path, arrays, {"meta": (3,)})
+    weights_io.check_shapes(path, arrays, {"meta": (2,)})
     (dim,) = weights_io.meta_dims(path, arrays["meta"], 1)
     # hidden widths come from the biases, every other dim from meta
     hidden, ffn = arrays["clf_b1"].shape[:1], arrays["fuse_b1"].shape[:1]
@@ -250,6 +244,5 @@ def load_ifm(path) -> IfmModel:
     fusion = BlockWeights(**{n: arrays[f"fuse_{n}"] for n in _FUSION_FIELDS})
     clf = Mlp2(arrays["clf_w1"], arrays["clf_b1"],
                arrays["clf_w2"], arrays["clf_b2"])
-    meta = arrays["meta"]
     return IfmModel(embed=arrays["embed"], fusion=fusion, clf=clf,
-                    eps_i=float(meta[1]), use_positions=bool(meta[2] > 0.5))
+                    use_positions=bool(arrays["meta"][1] > 0.5))

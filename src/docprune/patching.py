@@ -55,12 +55,6 @@ class TokenGrid:
     def n_tokens(self) -> int:
         return self.rows * self.cols
 
-    def index(self, r: int, c: int) -> int:
-        return r * self.cols + c
-
-    def position(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.cols)
-
 
 @dataclass
 class PatchEmbed:

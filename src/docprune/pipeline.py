@@ -30,8 +30,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import imageio
-from .content_filter import (DetectorModel, ThresholdSchedule, detect,
-                             load_detector, oracle_detector)
+from .content_filter import (DetectorModel, detect, load_detector,
+                             oracle_detector)
 from .encoder import (EncodeResult, EncoderModel, encode, encoder_init,
                       mask_key)
 from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
@@ -142,13 +142,14 @@ class PipelineConfig:
                 f"config field 'content_fraction' {self.content_fraction!r} "
                 f"is more than {FRACTION_TOLERANCE} from {packed:.4f}, the "
                 f"nearest fraction a {self.image_size}-px page can pack")
-        try:
-            self.schedule()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-
-    def schedule(self) -> ThresholdSchedule:
-        return ThresholdSchedule(eps_c=self.eps_c, eps_i=self.eps_i)
+        for name, values in (("eps_c", self.eps_c), ("eps_i", (self.eps_i,))):
+            for e in values:
+                if not 0.0 <= e <= 1.0:
+                    raise ConfigError(f"threshold {e} outside [0, 1] in "
+                                      f"config field {name!r}")
+        if any(a > b for a, b in zip(self.eps_c, self.eps_c[1:])):
+            raise ConfigError("config field 'eps_c' must be non-decreasing, "
+                              f"got {self.eps_c}")
 
     @property
     def grid_side(self) -> int:
@@ -232,7 +233,7 @@ def build_models(config: PipelineConfig, detector: DetectorModel | None = None,
             ifm = load_ifm(config.ifm_weights)
         else:
             ifm = ifm_init(config.seed, config.llm_dim, config.ffn_ratio,
-                           config.eps_i, config.use_positions)
+                           config.use_positions)
     if ifm.dim != config.llm_dim:
         raise ConfigError(
             f"IFM dim {ifm.dim} does not match llm_dim {config.llm_dim}")
@@ -253,7 +254,12 @@ def _mask_hex(bits: np.ndarray) -> str:
 
 
 def mask_from_hex(s: str, side: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(s), dtype=np.uint8))
+    """A side x side mask from the hex of exactly ceil(side**2 / 8) bytes."""
+    data, want = bytes.fromhex(s), -(-side * side // 8)
+    if len(data) != want:
+        raise ValueError(f"{len(data)} bytes of mask for a {side}x{side} "
+                         f"grid, which takes {want}")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     return bits[: side * side].reshape(side, side).astype(bool)
 
 
@@ -262,11 +268,7 @@ class DocArtifacts:
     """One document's intermediates under one setting."""
 
     encoded: EncodeResult
-    projected: np.ndarray          # post-encoder tokens in decoder space
-    v_in: np.ndarray               # what the IFM sees: projected + positions
     instruction: InstructionSpec
-    instr: np.ndarray              # the instruction's token embeddings
-    relevance: np.ndarray          # per-pixel instruction relevance mask
     filter_result: FilterResult
 
 
@@ -432,7 +434,7 @@ def _encoded_groups(models: Models, doc: LabeledImage,
     for s in settings:
         cfg = s.config
         with _timed([s], "encode"):
-            encoded = encode(models.encoder, grid, probs, cfg.schedule(),
+            encoded = encode(models.encoder, grid, probs, cfg.eps_c,
                              gated=cfg.gated, bypass=cfg.bypass,
                              soft=cfg.soft_gating, counter=s.counter,
                              cache=cache)
@@ -452,17 +454,13 @@ def _encoded_groups(models: Models, doc: LabeledImage,
 
 
 def _walk_doc(i: int, config: PipelineConfig, models: Models,
-              corpus: list[LabeledImage] | None, instr_state: int,
-              settings: list[_Setting]):
+              instr_state: int, settings: list[_Setting]):
     """Document i under every setting; returns its pixel and patch
-    content fractions. A generated page lives only as long as this call."""
-    if corpus is not None:
-        doc = corpus[i]
-    else:
-        with _timed(settings, "generate"):
-            doc = corpus_doc(i, config.content_fraction, config.image_size,
-                             config.seed)
-    spec, relevance = instruction_target(doc, instr_state)
+    content fractions. The page lives only as long as this call."""
+    with _timed(settings, "generate"):
+        doc = corpus_doc(i, config.content_fraction, config.image_size,
+                         config.seed)
+    spec, _ = instruction_target(doc, instr_state)
     instr = embed_instruction(models.ifm, spec)
     for members, encoded, projected, v_in in _encoded_groups(models, doc,
                                                              settings):
@@ -473,60 +471,47 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
             by_eps.setdefault(s.config.eps_i, []).append(s)
         for eps, group in by_eps.items():
             with _timed(group, "ifm"):
-                result = filter_tokens(models.ifm, fused_v, v_orig=projected,
-                                       eps=eps, counter=_shared(group))
-            art = DocArtifacts(encoded, projected, v_in, spec, instr,
-                               relevance, result)
+                result = filter_tokens(models.ifm, fused_v, eps,
+                                       v_orig=projected,
+                                       counter=_shared(group))
+            art = DocArtifacts(encoded, spec, result)
             for s in group:
                 s.add_doc(i, doc.seed, art)
     return content_fraction(doc), content_fraction(doc, config.patch_size)
 
 
-def _walk(configs: list[PipelineConfig], corpus: list[LabeledImage] | None,
-          detector: DetectorModel | None, ifm: IfmModel | None,
-          keep_artifacts: bool = False):
-    """Every setting's report from one pass over the corpus.
+def _walk(configs: list[PipelineConfig], detector: DetectorModel | None,
+          ifm: IfmModel | None, keep_artifacts: bool = False):
+    """Every setting's report from one pass over the config's corpus.
 
     The configs differ only in eps_c/eps_i, so the models are built once
-    and each document goes through every setting before the next one is
-    read; without a corpus, each page is generated when its turn comes.
-    Returns the reports and each setting's artifacts (None unless kept).
+    and each page is generated when its turn comes and goes through every
+    setting before the next one is made. Returns the reports and each
+    setting's artifacts (None unless kept).
     """
     config = configs[0]
     models = build_models(config, detector, ifm)
-    if corpus is not None:
-        if not corpus:
-            raise ConfigError("corpus is empty")
-        for doc in corpus:
-            if doc.size != config.image_size:
-                raise ConfigError(
-                    f"corpus image size {doc.size} does not match config "
-                    f"{config.image_size}")
-    n_docs = config.corpus_n if corpus is None else len(corpus)
     settings = [_Setting(cfg, FlopCounter(), keep_artifacts)
                 for cfg in configs]
     instr_rng = Rng(config.seed).derive("instructions")
-    fractions = [_walk_doc(i, config, models, corpus,
-                           instr_rng.derive(i).state, settings)
-                 for i in range(n_docs)]
+    fractions = [_walk_doc(i, config, models, instr_rng.derive(i).state,
+                           settings)
+                 for i in range(config.corpus_n)]
     pixel, patch = (float(np.mean(f)) for f in zip(*fractions))
     return ([s.report(pixel, patch) for s in settings],
             [s.artifacts for s in settings])
 
 
-def run(config: PipelineConfig, corpus: list[LabeledImage] | None = None,
-        detector: DetectorModel | None = None, ifm: IfmModel | None = None,
-        return_artifacts: bool = False):
-    """Execute the pipeline over a corpus and assemble the report.
+def run(config: PipelineConfig, detector: DetectorModel | None = None,
+        ifm: IfmModel | None = None, return_artifacts: bool = False):
+    """Execute the pipeline over the config's corpus and assemble the report.
 
-    The corpus defaults to the seeded synthetic corpus described by the
-    config, generated one page at a time. With return_artifacts the
-    per-document intermediate tensors come back alongside the report for
-    the equivalence tests.
+    The corpus is the seeded synthetic corpus the config describes,
+    generated one page at a time. With return_artifacts the per-document
+    intermediates come back alongside the report for the equivalence tests.
     """
     config.validate()
-    reports, artifacts = _walk([config], corpus, detector, ifm,
-                               return_artifacts)
+    reports, artifacts = _walk([config], detector, ifm, return_artifacts)
     if return_artifacts:
         return reports[0], artifacts[0]
     return reports[0]
@@ -542,18 +527,16 @@ def write_report(report: RunReport, out_dir) -> Path:
     return path
 
 
-def sweep_schedule(c: float, i: float) -> ThresholdSchedule:
-    """Scale the default two-tier schedule by a base threshold c."""
-    return ThresholdSchedule(eps_c=(c, c, min(2 * c, 1.0), min(2 * c, 1.0)),
-                             eps_i=i)
+def sweep_schedule(c: float) -> tuple[float, ...]:
+    """The per-stage eps_c of the default two-tier schedule scaled by c."""
+    return (c, c, min(2 * c, 1.0), min(2 * c, 1.0))
 
 
 def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
-          corpus: list[LabeledImage] | None = None,
           detector: DetectorModel | None = None,
           ifm: IfmModel | None = None,
           out_dir=None) -> tuple[list[RunReport], list[dict]]:
-    """One report per (content, instruction) threshold setting, shared corpus.
+    """One report per (content, instruction) threshold setting, one corpus.
 
     Every setting's config is checked before the first document. The walk
     then takes each document through all settings: partition and detect
@@ -574,7 +557,7 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
         raise ConfigError("sweep needs at least one (eps_c, eps_i) setting")
     configs = [_setting_config(config, c, i) for c, i in settings]
     dirs = None if out_dir is None else _report_dirs(settings)
-    reports, _ = _walk(configs, corpus, detector, ifm)
+    reports, _ = _walk(configs, detector, ifm)
     rows = [summary_row(rep) for rep in reports]
     if out_dir is not None:
         for name, rep in zip(dirs, reports):
@@ -588,7 +571,7 @@ def _setting_config(config: PipelineConfig, c: float,
                     i: float) -> PipelineConfig:
     """config at the sweep setting c:i, or a ConfigError naming it."""
     try:
-        return replace(config, eps_c=sweep_schedule(c, i).eps_c, eps_i=i)
+        return replace(config, eps_c=sweep_schedule(c), eps_i=i)
     except ValueError as e:
         raise ConfigError(f"sweep setting {c:g}:{i:g}: {e}") from e
 
@@ -668,17 +651,25 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
 
 def render_masks(report: RunReport | dict, out_dir,
                  doc_index: int | None = None) -> list[Path]:
-    """PBM mask per pruning stage (white = kept) at native grid resolution."""
+    """PBM mask per pruning stage (white = kept) at native grid resolution.
+
+    Every mask is decoded before out_dir is made; a bad one is a
+    ValueError naming its field.
+    """
     rep = report.to_canonical() if isinstance(report, RunReport) else report
     grid = rep["config"]["image_size"] // rep["config"]["patch_size"]
     sides = {"stage2": grid // 2, "stage4": grid // 8, "ifm": grid // 8}
-    out = imageio.ensure_dir(out_dir)
-    docs = rep["per_doc"] if doc_index is None else [rep["per_doc"][doc_index]]
-    written = []
-    for doc in docs:
+    picked = range(len(rep["per_doc"])) if doc_index is None else [doc_index]
+    kept = {}
+    for j in picked:
+        doc = rep["per_doc"][j]
         for name, side in sides.items():
-            kept = mask_from_hex(doc["masks"][name], side)
-            path = out / f"doc_{doc['index']:04d}_{name}.pbm"
-            imageio.write_pbm(path, ~kept)
-            written.append(path)
-    return written
+            try:
+                mask = mask_from_hex(doc["masks"][name], side)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"per_doc[{j}].masks.{name}: {e}") from e
+            kept[f"doc_{doc['index']:04d}_{name}.pbm"] = mask
+    out = imageio.ensure_dir(out_dir)
+    for name, mask in kept.items():
+        imageio.write_pbm(out / name, ~mask)
+    return [out / name for name in kept]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -391,33 +391,14 @@ def instruction_target(img: LabeledImage, seed: int):
 
 
 def save_corpus(docs, out_dir) -> Path:
+    """Pages, content masks and layouts for inspection; nothing reads them."""
     out = imageio.ensure_dir(out_dir)
     for i, doc in enumerate(docs):
         stem = f"doc_{i:04d}"
         imageio.write_pgm(out / f"{stem}.pgm", doc.image)
         imageio.write_pbm(out / f"{stem}.mask.pbm", doc.content_mask)
-        meta = {
-            "seed": doc.seed,
-            "regions": [{"kind": r.kind, "x": r.x, "y": r.y, "w": r.w,
-                         "h": r.h, "texture_seed": r.texture_seed}
-                        for r in doc.regions],
-        }
+        meta = {"seed": doc.seed,
+                "regions": [asdict(r) for r in doc.regions]}
         with open(out / f"{stem}.json", "w") as f:
             json.dump(meta, f, indent=2, sort_keys=True)
     return out
-
-
-def load_corpus(in_dir) -> list[LabeledImage]:
-    root = Path(in_dir)
-    docs = []
-    for meta_path in sorted(root.glob("doc_*.json")):
-        stem = meta_path.stem
-        with open(meta_path) as f:
-            meta = json.load(f)
-        image = imageio.read_pgm(root / f"{stem}.pgm")
-        mask = imageio.read_pbm(root / f"{stem}.mask.pbm")
-        regions = tuple(ContentRegion(**r) for r in meta["regions"])
-        docs.append(LabeledImage(image, mask, regions, meta["seed"]))
-    if not docs:
-        raise FileNotFoundError(f"no corpus documents found under {root}")
-    return docs

@@ -286,10 +286,6 @@ class Mlp2:
     def in_dim(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.w2.shape[1]
-
     def copy(self) -> "Mlp2":
         return Mlp2(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 

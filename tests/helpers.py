@@ -1,20 +1,38 @@
-"""Builders the tests share and the program does not use: the default and
-all-zero threshold schedules, and an all-zero two-layer MLP."""
+"""What the tests share and the program does not use: the default and
+all-zero per-stage content thresholds, an all-zero two-layer MLP, and
+decoders of the PGM and PBM files the program writes."""
+
+from pathlib import Path
 
 import numpy as np
 
-from docprune.content_filter import ThresholdSchedule
 from docprune.tensor import Mlp2
 
-
-def default_schedule() -> ThresholdSchedule:
-    return ThresholdSchedule(eps_c=(0.25, 0.25, 0.5, 0.5), eps_i=0.5)
-
-
-def zero_schedule(n_stages: int = 4) -> ThresholdSchedule:
-    return ThresholdSchedule(eps_c=(0.0,) * n_stages, eps_i=0.0)
+DEFAULT_EPS_C = (0.25, 0.25, 0.5, 0.5)
+ZERO_EPS_C = (0.0, 0.0, 0.0, 0.0)
 
 
 def mlp2_zeros(in_dim: int, hidden: int, out_dim: int) -> Mlp2:
     return Mlp2(np.zeros((in_dim, hidden)), np.zeros(hidden),
                 np.zeros((hidden, out_dim)), np.zeros(out_dim))
+
+
+def _payload(path, header: str) -> np.ndarray:
+    """The bytes after a file's header, which must be exactly `header`."""
+    raw = Path(path).read_bytes()
+    assert raw[:len(header)] == header.encode("ascii"), raw[:len(header)]
+    return np.frombuffer(raw[len(header):], dtype=np.uint8)
+
+
+def pgm_pixels(path, shape: tuple[int, int]) -> np.ndarray:
+    """The 8-bit pixels of a binary PGM of this (h, w) shape."""
+    h, w = shape
+    return _payload(path, f"P5\n{w} {h}\n255\n").reshape(h, w)
+
+
+def pbm_bits(path, shape: tuple[int, int]) -> np.ndarray:
+    """The bits of a binary PBM of this (h, w) shape, True = black; each
+    row is padded to whole bytes."""
+    h, w = shape
+    rows = _payload(path, f"P4\n{w} {h}\n").reshape(h, -(-w // 8))
+    return np.unpackbits(rows, axis=1)[:, :w].astype(bool)

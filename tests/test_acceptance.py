@@ -23,7 +23,7 @@ from docprune.pipeline import (PipelineConfig, build_models,
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
 from docprune.tensor import bce_loss, mlp2_backward, mlp2_forward
-from helpers import default_schedule
+from helpers import DEFAULT_EPS_C
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,6 @@ def test_criterion_1_zero_threshold_equivalence():
 
 def test_criterion_2_bypass_exactness():
     t0 = time.perf_counter()
-    sched = default_schedule()
     for seed in range(20):
         model = encoder_init(seed, d0=8, depths=(2, 1, 1, 1), window=4)
         rng = Rng(1000 + seed)
@@ -75,8 +74,8 @@ def test_criterion_2_bypass_exactness():
         p = rng.uniforms(256)
         p[p < 0.3] = 0.0  # guarantee some fully blank windows
         p0 = ProbabilityMap(p)
-        fast = encode(model, grid, p0, sched, bypass=True)
-        slow = encode(model, grid, p0, sched, bypass=False)
+        fast = encode(model, grid, p0, DEFAULT_EPS_C, bypass=True)
+        slow = encode(model, grid, p0, DEFAULT_EPS_C, bypass=False)
         np.testing.assert_array_equal(fast.sequence, slow.sequence)
         np.testing.assert_array_equal(fast.grid.tokens, slow.grid.tokens)
         np.testing.assert_array_equal(fast.kept_indices, slow.kept_indices)
@@ -85,14 +84,15 @@ def test_criterion_2_bypass_exactness():
 
 @pytest.fixture(scope="module")
 def half_blank_runs():
-    """Default-schedule and zero-threshold runs over one 32-document corpus."""
+    """Default-schedule and zero-threshold runs over one 32-document corpus,
+    the one both configs generate."""
     corpus = make_corpus(32, 0.5, 256, seed=0)
     cfg = PipelineConfig(corpus_n=32, seed=0)
     zero_cfg = PipelineConfig(corpus_n=32, seed=0,
                               eps_c=(0.0, 0.0, 0.0, 0.0), eps_i=0.0)
     t0 = time.perf_counter()
-    default_rep = run(cfg, corpus=corpus)
-    zero_rep = run(zero_cfg, corpus=corpus)
+    default_rep = run(cfg)
+    zero_rep = run(zero_cfg)
     return corpus, default_rep, zero_rep, time.perf_counter() - t0
 
 
@@ -124,10 +124,9 @@ def test_criterion_5_threshold_dominance(trained_detector):
     det, det_secs = trained_detector
     t0 = time.perf_counter()
     cfg = PipelineConfig(corpus_n=8, seed=3, detector="mlp")
-    corpus = make_corpus(8, 0.5, 256, seed=3)
     settings = [(0.25, 0.25), (0.25, 0.5), (0.5, 0.25), (0.5, 0.5)]
     # sweep() itself raises if compute ever increases along a threshold axis
-    _, rows = sweep(cfg, settings, corpus=corpus, detector=det)
+    _, rows = sweep(cfg, settings, detector=det)
     flops = {(r["eps_c"], r["eps_i"]): r["total_flops"] for r in rows}
     # near-binary probability maps produce exact ties along one axis, so
     # maximal/minimal are membership claims; the extremes stay strict

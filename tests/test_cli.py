@@ -6,9 +6,8 @@ import json
 import pytest
 
 from docprune.cli import main
-from docprune.imageio import read_pbm
-from docprune.pipeline import ConfigError, PipelineConfig
-from docprune.pipeline import mask_from_hex  # noqa: F401 (import sanity)
+from docprune.pipeline import ConfigError, PipelineConfig, mask_from_hex
+from helpers import pbm_bits
 
 SMALL_CONFIG = {
     "image_size": 128,
@@ -179,6 +178,10 @@ def test_missing_weights_is_exit_3(tmp_path, capsys):
     ("ifm_weights", 3),
     ("seed", 4.7),
     ("seed", "abc"),
+    ("eps_i", 1.5),
+    ("eps_i", -0.1),
+    ("eps_i", float("nan")),
+    ("eps_c", [0.5, 0.25, 0.5, 0.5]),
 ])
 def test_bad_field_value_is_exit_2(tmp_path, capsys, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -233,10 +236,12 @@ def test_render_from_report(tmp_path, config_file):
     masks = tmp_path / "masks"
     assert main(["render", "--report", str(out / "report.json"),
                  "--out", str(masks), "--doc", "0"]) == 0
-    files = sorted(masks.glob("*.pbm"))
-    assert len(files) == 3
-    for f in files:
-        assert read_pbm(f).ndim == 2
+    assert len(list(masks.iterdir())) == 3
+    kept = json.loads((out / "report.json").read_text())["per_doc"][0]["masks"]
+    for name, side in (("stage2", 16), ("stage4", 4), ("ifm", 4)):
+        # white = kept: a set (black) bit is a pruned token
+        bits = pbm_bits(masks / f"doc_0000_{name}.pbm", (side, side))
+        assert (bits == ~mask_from_hex(kept[name], side)).all()
 
 
 def test_render_missing_report_is_exit_2(tmp_path, capsys):
@@ -349,11 +354,29 @@ def test_sweep_settings_sharing_a_directory_are_exit_2(tmp_path, config_file,
     assert not out.exists()
 
 
+def _report_64px(stage2="00" * 8, image_size=64):
+    """A one-document report of a 64-px page: grid 16, stage-2 side 8."""
+    return {"per_doc": [{"index": 0, "masks": {
+                "stage2": stage2, "stage4": "00", "ifm": "00"}}],
+            "config": {"image_size": image_size, "patch_size": 4}}
+
+
 @pytest.mark.parametrize("content,message", [
     ({}, "the top level has no key 'per_doc'"),
     ([1], "the top level is not a JSON object"),
     ({"per_doc": [{"index": 0}], "config": {"image_size": 8, "patch_size": 4}},
-     "per_doc[0] has no key 'masks'")])
+     "per_doc[0] has no key 'masks'"),
+    (_report_64px(stage2="00"), "per_doc[0].masks.stage2: 1 bytes of mask "
+     "for a 8x8 grid, which takes 8"),
+    (_report_64px(stage2="zz" * 8), "per_doc[0].masks.stage2: non-hexadecimal"),
+    (_report_64px(image_size="64"),
+     "config.image_size must be an integer >= 1, got '64'"),
+    (_report_64px(stage2="00" * 24), "per_doc[0].masks.stage2: 24 bytes of "
+     "mask for a 8x8 grid, which takes 8"),
+    (_report_64px(stage2=0), "per_doc[0].masks.stage2: fromhex() argument "
+     "must be str"),
+    ({**_report_64px(), "per_doc": [{"index": "0", "masks": {}}]},
+     "per_doc[0].index must be an integer >= 0, got '0'")])
 def test_render_of_a_non_report_is_exit_2(tmp_path, capsys, content, message):
     path, masks = tmp_path / "r.json", tmp_path / "masks"
     path.write_text(json.dumps(content))

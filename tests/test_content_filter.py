@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from docprune import tensor, weights_io
-from docprune.content_filter import (DetectorModel, ThresholdSchedule,
-                                     binarize, detect, evaluate_detector,
-                                     fit_mlp2, load_detector, mlp_detector,
+from docprune.content_filter import (DetectorModel, binarize, detect,
+                                     evaluate_detector, fit_mlp2,
+                                     load_detector, mlp_detector,
                                      oracle_detector, save_detector,
                                      train_detector)
 from docprune.patching import ProbabilityMap
-from docprune.pipeline import PipelineConfig
+from docprune.pipeline import PipelineConfig, sweep_schedule
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
 from docprune.tensor import FlopCounter, mlp2_init
-from helpers import default_schedule, zero_schedule
+from helpers import DEFAULT_EPS_C
 
 
 @pytest.fixture(scope="module")
@@ -68,20 +68,9 @@ def test_raising_threshold_never_adds_tokens():
 
 
 def test_schedule_defaults():
-    sched = default_schedule()
-    assert sched == PipelineConfig().schedule()
-    assert sched.eps_c == (0.25, 0.25, 0.5, 0.5)
-    assert sched.eps_i == 0.5
-    assert zero_schedule().eps_c == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError, match="non-decreasing"):
-        ThresholdSchedule(eps_c=(0.5, 0.25), eps_i=0.5)
-    with pytest.raises(ValueError, match="outside"):
-        ThresholdSchedule(eps_c=(0.25, 1.25), eps_i=0.5)
-    with pytest.raises(ValueError, match="outside"):
-        ThresholdSchedule(eps_c=(0.25,), eps_i=-0.1)
+    config = PipelineConfig()
+    assert config.eps_c == DEFAULT_EPS_C == sweep_schedule(0.25)
+    assert config.eps_i == 0.5
 
 
 def test_mlp_detector_deterministic(corpus):

@@ -5,14 +5,13 @@ bypass is a pure optimization."""
 import numpy as np
 import pytest
 
-from docprune.content_filter import ThresholdSchedule
-from docprune.encoder import (EncoderModel, StageConfig, WindowStats, encode,
-                              encoder_init, gate_combine, gated_block,
+from docprune.encoder import (EncoderModel, WindowStats, attn_residual,
+                              encode, encoder_init, gate_combine, gated_block,
                               merge_patches, window_pass)
 from docprune.patching import ProbabilityMap, TokenGrid
 from docprune.rng import Rng
 from docprune.tensor import FlopCounter
-from helpers import default_schedule, zero_schedule
+from helpers import DEFAULT_EPS_C, ZERO_EPS_C
 
 
 def _grid(side=16, dim=8, seed=0):
@@ -100,14 +99,24 @@ def test_window_stats_must_close():
 
 
 def test_window_order_does_not_matter():
+    # windows touch disjoint tokens: attending them one at a time in
+    # reverse order, each from the pass's input, gives the pass's output
     grid = _grid(side=16)
     p = (Rng(4).uniforms(256) > 0.5).astype(np.float64)
     bw = _block()
-    default, _ = window_pass(grid, p, bw, window=4, shifted=True)
-    shuffled_order = list(np.random.default_rng(0).permutation(16))
-    shuffled, _ = window_pass(grid, p, bw, window=4, shifted=True,
-                              order=shuffled_order)
-    np.testing.assert_array_equal(default.tokens, shuffled.tokens)
+    out, _ = window_pass(grid, p, bw, window=4, shifted=True)
+    t = np.roll(grid.tokens.reshape(16, 16, -1), (-2, -2), axis=(0, 1))
+    pm = np.roll(p.reshape(16, 16), (-2, -2), axis=(0, 1))
+    expect = t.copy()
+    for w in reversed(range(16)):
+        r, c = divmod(w, 4)
+        rs, cs = slice(4 * r, 4 * r + 4), slice(4 * c, 4 * c + 4)
+        tv, pw = t[rs, cs].reshape(16, -1), pm[rs, cs].reshape(16, 1)
+        if pw.any():
+            new = gate_combine(pw, attn_residual(tv, bw), tv)
+            expect[rs, cs] = new.reshape(4, 4, -1)
+    expect = np.roll(expect, (2, 2), axis=(0, 1)).reshape(256, -1)
+    np.testing.assert_array_equal(out.tokens, expect)
 
 
 def test_bypass_is_a_pure_optimization():
@@ -115,9 +124,8 @@ def test_bypass_is_a_pure_optimization():
         grid = _grid(seed=seed)
         p0 = ProbabilityMap(Rng(seed + 10).uniforms(grid.n_tokens))
         model = _model(seed)
-        sched = default_schedule()
-        fast = encode(model, grid, p0, sched, bypass=True)
-        slow = encode(model, grid, p0, sched, bypass=False)
+        fast = encode(model, grid, p0, DEFAULT_EPS_C, bypass=True)
+        slow = encode(model, grid, p0, DEFAULT_EPS_C, bypass=False)
         np.testing.assert_array_equal(fast.sequence, slow.sequence)
         np.testing.assert_array_equal(fast.kept_indices, slow.kept_indices)
         np.testing.assert_array_equal(fast.grid.tokens, slow.grid.tokens)
@@ -172,7 +180,7 @@ def test_merge_rejects_odd_grid():
 def test_stage_entry_probs_are_iterated_maxpools():
     grid = _grid(side=16)
     p0 = ProbabilityMap(Rng(9).uniforms(256))
-    result = encode(_model(), grid, p0, zero_schedule())
+    result = encode(_model(), grid, p0, ZERO_EPS_C)
     raw = p0.values.copy()
     for s, entry in enumerate(result.trace):
         np.testing.assert_array_equal(entry.raw_entry, raw)
@@ -187,7 +195,7 @@ def test_zero_thresholds_equal_ungated():
     grid = _grid()
     p0 = ProbabilityMap(Rng(11).uniforms(grid.n_tokens))
     model = _model()
-    gated = encode(model, grid, p0, zero_schedule())
+    gated = encode(model, grid, p0, ZERO_EPS_C)
     plain = encode(model, grid, p0, gated=False)
     np.testing.assert_allclose(gated.sequence, plain.sequence, atol=1e-9)
     assert gated.kept_final == plain.kept_final == gated.grid.n_tokens
@@ -196,7 +204,7 @@ def test_zero_thresholds_equal_ungated():
 def test_all_zero_probs_prune_everything():
     grid = _grid()
     p0 = ProbabilityMap(np.zeros(grid.n_tokens))
-    result = encode(_model(), grid, p0, default_schedule())
+    result = encode(_model(), grid, p0, DEFAULT_EPS_C)
     assert result.kept_final == 0
     assert result.sequence.shape == (0, result.grid.dim)
     # the grid itself keeps its geometry until the final drop
@@ -210,8 +218,7 @@ def test_compute_monotone_in_threshold():
     totals = []
     for e in (0.0, 0.3, 0.6, 0.9):
         counter = FlopCounter()
-        sched = ThresholdSchedule(eps_c=(e,) * 4, eps_i=0.5)
-        encode(model, grid, p0, sched, counter=counter)
+        encode(model, grid, p0, (e,) * 4, counter=counter)
         totals.append(counter.total())
     assert all(a >= b for a, b in zip(totals, totals[1:]))
     assert totals[0] > totals[-1]
@@ -220,7 +227,7 @@ def test_compute_monotone_in_threshold():
 def test_final_drop_matches_last_binarized_map():
     grid = _grid()
     p0 = ProbabilityMap((Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float))
-    result = encode(_model(), grid, p0, default_schedule())
+    result = encode(_model(), grid, p0, DEFAULT_EPS_C)
     final = result.trace[-1].binarized
     np.testing.assert_array_equal(result.kept_indices, np.flatnonzero(final))
     np.testing.assert_array_equal(result.sequence,
@@ -230,13 +237,14 @@ def test_final_drop_matches_last_binarized_map():
 def test_cached_encode_replays_and_owns_its_arrays():
     grid = _grid()
     p0 = ProbabilityMap((Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float))
-    model, sched = _model(), default_schedule()
+    model = _model()
     ref_counter = FlopCounter()
-    ref = encode(model, grid, p0, sched, counter=ref_counter)
+    ref = encode(model, grid, p0, DEFAULT_EPS_C, counter=ref_counter)
     cache = {}
     for _ in range(3):
         counter = FlopCounter()
-        out = encode(model, grid, p0, sched, counter=counter, cache=cache)
+        out = encode(model, grid, p0, DEFAULT_EPS_C, counter=counter,
+                     cache=cache)
         assert counter.by_category == ref_counter.by_category
         np.testing.assert_array_equal(out.grid.tokens, ref.grid.tokens)
         np.testing.assert_array_equal(out.kept_indices, ref.kept_indices)
@@ -260,7 +268,7 @@ def test_encode_validates_inputs():
         encode(model, grid, ProbabilityMap(np.ones(7)))
     with pytest.raises(ValueError, match="thresholds"):
         encode(model, grid, ProbabilityMap(np.ones(grid.n_tokens)),
-               ThresholdSchedule(eps_c=(0.1, 0.2), eps_i=0.5))
+               (0.1, 0.2))
     with pytest.raises(ValueError, match="FlopCounter"):
         encode(model, grid, ProbabilityMap(np.ones(grid.n_tokens)), cache={})
 
@@ -269,7 +277,7 @@ def test_encode_validates_inputs():
 
 def test_encoder_dims_double_per_stage():
     model = encoder_init(0, d0=32, depths=(2, 2, 6, 2), window=8)
-    assert model.dims == [32, 64, 128, 256]
+    assert [b[0].wq.shape[0] for b in model.blocks] == [32, 64, 128, 256]
     assert [len(b) for b in model.blocks] == [2, 2, 6, 2]
     assert len(model.merges) == 3
     for s, (w, b) in enumerate(model.merges):
@@ -287,15 +295,19 @@ def test_encoder_init_deterministic():
 
 
 def test_encoder_requires_four_stages():
-    with pytest.raises(ValueError, match="4 stage"):
+    with pytest.raises(ValueError, match="4 stages and 3 merges, got 2 and 2"):
         encoder_init(0, depths=(2, 2))
-    with pytest.raises(ValueError, match="4 stages"):
-        EncoderModel(stages=[StageConfig(1, 4, False)], blocks=[[]],
-                     merges=[], d0=8)
+    with pytest.raises(ValueError, match="4 stages and 3 merges, got 1 and 0"):
+        EncoderModel(blocks=[[_block()]], merges=[], window=4)
+    # a merge follows stages 1-3 and no other
+    model = _model()
+    with pytest.raises(ValueError, match="4 stages and 3 merges, got 4 and 4"):
+        EncoderModel(model.blocks, model.merges + model.merges[:1],
+                     model.window)
 
 
 def test_stage_config_validation():
     with pytest.raises(ValueError, match="depth"):
-        StageConfig(depth=0, window=4, merge_after=False)
+        encoder_init(0, d0=8, depths=(1, 0, 1, 1), window=4)
     with pytest.raises(ValueError, match="window"):
-        StageConfig(depth=1, window=0, merge_after=False)
+        encoder_init(0, d0=8, depths=(1, 1, 1, 1), window=0)

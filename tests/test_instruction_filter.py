@@ -209,7 +209,7 @@ def test_all_relevant_labels_learned(model):
     model, curve = train_ifm(model, samples, epochs=50, lr=0.5, pos_weight=1.0)
     assert curve[-1] < curve[0]
     vp, _ = fuse(model, samples[0][0], samples[0][1])
-    assert filter_tokens(model, vp).relevance_scores.mean() > 0.9
+    assert filter_tokens(model, vp, eps=0.0).relevance_scores.mean() > 0.9
 
 
 def test_label_length_checked(model):
@@ -258,15 +258,16 @@ def test_save_load_round_trip(tmp_path, model):
     save_ifm(path, model)
     back = load_ifm(path)
     assert back.dim == model.dim
-    assert back.eps_i == model.eps_i
     assert back.use_positions == model.use_positions
     v, instr = _visual(), _instr(model)
     a, _ = fuse(model, v, instr)
     b, _ = fuse(back, v, instr)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
-        filter_tokens(model, a).relevance_scores,
-        filter_tokens(back, b).relevance_scores)
+        filter_tokens(model, a, eps=0.0).relevance_scores,
+        filter_tokens(back, b, eps=0.0).relevance_scores)
+    save_ifm(path, ifm_init(seed=3, dim=DIM, use_positions=False))
+    assert load_ifm(path).use_positions is False
 
 
 def test_load_rejects_wrong_kind(tmp_path):
@@ -275,8 +276,3 @@ def test_load_rejects_wrong_kind(tmp_path):
                              {"meta": np.zeros(2)})
     with pytest.raises(ValueError, match="not an IFM"):
         load_ifm(path)
-
-
-def test_init_validates_eps():
-    with pytest.raises(ValueError, match="eps_i"):
-        ifm_init(seed=0, dim=DIM, eps_i=1.5)

@@ -85,11 +85,16 @@ def test_partition_flop_cost_is_one_linear():
 
 
 def test_grid_index_round_trip():
-    grid = partition(np.zeros((64, 64)), _embed())
+    # token r * cols + c embeds patch (r, c), and divmod(i, cols) goes back
+    img = Rng(5).uniforms(32 * 32).reshape(32, 32)
+    embed = _embed()
+    grid = partition(img, embed)
     for i in range(grid.n_tokens):
-        r, c = grid.position(i)
-        assert grid.index(r, c) == i
-    assert grid.position(grid.cols + 3) == (1, 3)
+        r, c = divmod(i, grid.cols)
+        patch = img[4 * r:4 * r + 4, 4 * c:4 * c + 4].ravel()
+        np.testing.assert_allclose(grid.tokens[r * grid.cols + c],
+                                   patch @ embed.weight + embed.bias,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_grid_shape_validation():

@@ -2,6 +2,7 @@
 byte-identically for a fixed (config, seed), and show pruning actually
 cutting compute on half-blank pages."""
 
+import itertools
 import json
 import weakref
 from collections import Counter
@@ -16,8 +17,8 @@ from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                render_masks, run, sweep, sweep_schedule,
                                write_report)
 from docprune.content_filter import mlp_detector, oracle_detector
-from docprune.imageio import read_pbm
 from docprune.synthdoc import make_corpus, patchify_any
+from helpers import pbm_bits
 
 
 def _small_config(**overrides):
@@ -144,11 +145,13 @@ def test_mask_containment_chain(report):
 
 def test_render_masks_writes_readable_pbms(tmp_path, report):
     written = render_masks(report, tmp_path, doc_index=0)
-    assert len(written) == 3
-    for path in written:
-        assert path.exists()
-        mask = read_pbm(path)
-        assert mask.ndim == 2
+    masks = report.per_doc[0]["masks"]
+    sides = {"stage2": 16, "stage4": 4, "ifm": 4}
+    assert [p.name for p in written] == [f"doc_0000_{n}.pbm" for n in sides]
+    for path, (name, side) in zip(written, sides.items()):
+        # white = kept: a set (black) bit is a pruned token
+        np.testing.assert_array_equal(pbm_bits(path, (side, side)),
+                                      ~mask_from_hex(masks[name], side))
 
 
 # --- pruning economics ----------------------------------------------------
@@ -162,25 +165,25 @@ def test_half_blank_corpus_prunes_compute():
 def test_sweep_single_point_matches_run():
     cfg = _small_config()
     reports, rows = sweep(cfg, [(0.25, 0.5)])
-    sched = sweep_schedule(0.25, 0.5)
-    direct = run(replace(cfg, eps_c=sched.eps_c, eps_i=0.5))
+    direct = run(replace(cfg, eps_c=sweep_schedule(0.25), eps_i=0.5))
     assert reports[0].to_json() == direct.to_json()
     assert rows[0]["total_flops"] == direct.flops["total"]
 
 
 def _sweep_counting_window_passes(monkeypatch, cfg, settings, **kwargs):
     """Sweep reports plus the number of window_pass calls that each
-    setting's encode calls made, summed over the documents."""
-    setting_of = {(sweep_schedule(c, i).eps_c, i): n
-                  for n, (c, i) in enumerate(settings)}
+    setting's encode calls made, summed over the documents. Each document
+    is encoded once per setting, in the order of the settings."""
     calls = [0] * len(settings)
-    encoding = []
+    encoding, order = [], itertools.count()
     real_encode, real_pass = pipeline.encode, encoder.window_pass
 
-    def counting_encode(model, grid, p0, sched, **kw):
-        encoding.append(setting_of[(sched.eps_c, sched.eps_i)])
+    def counting_encode(model, grid, p0, eps_c, **kw):
+        n = next(order) % len(settings)
+        assert eps_c == sweep_schedule(settings[n][0])
+        encoding.append(n)
         try:
-            return real_encode(model, grid, p0, sched, **kw)
+            return real_encode(model, grid, p0, eps_c, **kw)
         finally:
             encoding.pop()
 
@@ -214,7 +217,7 @@ def test_sweep_reuse_is_exact(monkeypatch, overrides, settings, computes):
                                                    detector=det)
     assert [n > 0 for n in calls] == computes
     for (c, i), rep in zip(settings, reports):
-        direct = run(replace(cfg, eps_c=sweep_schedule(c, i).eps_c, eps_i=i),
+        direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i),
                      detector=det)
         assert rep.to_json() == direct.to_json()
 
@@ -241,7 +244,7 @@ def test_sweep_runs_threshold_free_work_once_per_document(monkeypatch):
                       "mlp2_forward": n, "fuse": n, "filter_tokens": 2 * n}
     monkeypatch.undo()
     for (c, i), rep in zip(DEFAULT_GRID, reports):
-        direct = run(replace(cfg, eps_c=sweep_schedule(c, i).eps_c, eps_i=i))
+        direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i))
         assert rep.to_json() == direct.to_json()
 
 
@@ -273,10 +276,8 @@ def test_sweep_writes_summary_and_reports(tmp_path):
 
 
 def test_sweep_schedule_two_tier():
-    sched = sweep_schedule(0.25, 0.5)
-    assert sched.eps_c == (0.25, 0.25, 0.5, 0.5)
-    sched = sweep_schedule(0.7, 0.1)
-    assert sched.eps_c == (0.7, 0.7, 1.0, 1.0)
+    assert sweep_schedule(0.25) == (0.25, 0.25, 0.5, 0.5)
+    assert sweep_schedule(0.7) == (0.7, 0.7, 1.0, 1.0)
 
 
 def test_sweep_rejects_empty_grid():
@@ -340,14 +341,6 @@ def test_passed_detector_is_used():
         rep.flops["total"] != oracle.flops["total"]
 
 
-def test_corpus_shape_checked():
-    corpus = make_corpus(2, 0.5, 256, seed=0)
-    with pytest.raises(ConfigError, match="image size"):
-        run(_small_config(), corpus=corpus)
-    with pytest.raises(ConfigError, match="empty"):
-        run(_small_config(), corpus=[])
-
-
 def test_paper_scale_profile_geometry():
     cfg = PipelineConfig.paper_scale()
     assert cfg.image_size == 1536
@@ -383,9 +376,10 @@ def test_paper_scale_blank_page_geometry():
 
 def test_prepare_ifm_samples_shapes():
     cfg = _small_config(corpus_n=2)
+    # the corpus the config generates
     corpus = make_corpus(2, 0.5, 128, seed=7)
     samples = prepare_ifm_samples(cfg, corpus)
-    rep = run(cfg, corpus=corpus)
+    rep = run(cfg)
     assert len(samples) == 2
     for (v, instr, labels), d in zip(samples, rep.per_doc):
         assert v.shape == (d["kept_final"], cfg.llm_dim)

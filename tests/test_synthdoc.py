@@ -2,22 +2,26 @@
 precisely on region boxes, patch labels follow by any-pooling, and every
 document is a pure function of its layout seed."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from docprune import imageio
 from docprune.pipeline import ConfigError, PipelineConfig
+from docprune.rng import Rng
 from docprune.instruction_filter import (COL_TOKEN_BASE, N_BINS,
                                          ROW_TOKEN_BASE, MAX_INSTRUCTION_LEN,
                                          VOCAB_SIZE)
 from docprune.synthdoc import (ContentRegion, LabeledImage, LayoutError,
                                LayoutSpec, RELEVANCE_MARGIN, generate,
-                               instruction_target, load_corpus, make_corpus,
+                               instruction_target, make_corpus,
                                max_content_fraction, mean_content_fraction,
                                patchify_any,
                                plan_layout, save_corpus)
+from helpers import pbm_bits, pgm_pixels
 
 
 def _full_page_spec(size=64):
@@ -244,34 +248,42 @@ def test_pgm_round_trip(tmp_path):
     img = generate(plan_layout(64, 0.4, seed=2)).image
     path = tmp_path / "page.pgm"
     imageio.write_pgm(path, img)
-    back = imageio.read_pgm(path)
-    assert back.shape == img.shape
+    back = pgm_pixels(path, (64, 64)) / 255.0
     # 8-bit quantization is the only loss
     assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
+    imageio.write_pgm(path, np.array([[0.0, 0.5, 1.0], [-1.0, 0.2, 2.0]]))
+    np.testing.assert_array_equal(pgm_pixels(path, (2, 3)),
+                                  [[0, 128, 255], [0, 51, 255]])
 
 
 def test_pbm_round_trip(tmp_path):
-    mask = generate(plan_layout(256, 0.5, seed=4)).content_mask
     path = tmp_path / "mask.pbm"
+    mask = generate(plan_layout(256, 0.5, seed=4)).content_mask
     imageio.write_pbm(path, mask)
-    np.testing.assert_array_equal(imageio.read_pbm(path), mask)
+    np.testing.assert_array_equal(pbm_bits(path, (256, 256)), mask)
+    # rows that do not fill their last byte
+    mask = Rng(4).uniforms(39).reshape(3, 13) > 0.5
+    imageio.write_pbm(path, mask)
+    np.testing.assert_array_equal(pbm_bits(path, (3, 13)), mask)
 
 
 def test_corpus_round_trip(tmp_path):
+    # save_corpus writes an inspection corpus; decode it here
     docs = make_corpus(3, 0.5, 256, seed=6)
-    save_corpus(docs, tmp_path / "corpus")
-    loaded = load_corpus(tmp_path / "corpus")
-    assert len(loaded) == len(docs)
-    for orig, back in zip(docs, loaded):
-        np.testing.assert_array_equal(back.content_mask, orig.content_mask)
-        assert back.regions == orig.regions
-        assert back.seed == orig.seed
-        assert np.abs(back.image - orig.image).max() <= 0.5 / 255.0 + 1e-12
-
-
-def test_load_missing_corpus(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_corpus(tmp_path / "nowhere")
+    out = save_corpus(docs, tmp_path / "corpus")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"doc_{i:04d}{ext}" for i in range(3)
+        for ext in (".pgm", ".mask.pbm", ".json"))
+    for i, orig in enumerate(docs):
+        stem = out / f"doc_{i:04d}"
+        np.testing.assert_array_equal(
+            pbm_bits(f"{stem}.mask.pbm", (256, 256)), orig.content_mask)
+        pixels = pgm_pixels(f"{stem}.pgm", (256, 256)) / 255.0
+        assert np.abs(pixels - orig.image).max() <= 0.5 / 255.0 + 1e-12
+        meta = json.loads(Path(f"{stem}.json").read_text())
+        assert meta["seed"] == orig.seed
+        assert tuple(ContentRegion(**r) for r in meta["regions"]) == (
+            orig.regions)
 
 
 @pytest.mark.parametrize("size", range(8, 73, 8))

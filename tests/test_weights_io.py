@@ -155,13 +155,15 @@ def test_wrong_shape_is_value_error_naming_it(tmp_path, kind, seed):
     ("detector", "w1", lambda a: a[:, :5]),   # once loaded, then broke detect
     ("ifm", "clf_w2", lambda a: a[:3]),       # once loaded, then broke run
     ("detector", "meta", lambda a: a[:1]),
-    ("ifm", "meta", lambda a: a[:2]),
+    ("ifm", "meta", lambda a: a[:1]),
     ("detector", "meta", lambda a: np.array([4.0, np.nan])),
     ("detector", "meta", lambda a: np.array([0.0, 32.0])),
     ("detector", "meta", lambda a: np.array([4.5, 32.0])),
-    ("ifm", "meta", lambda a: np.array([np.inf, 0.5, 1.0])),
+    ("ifm", "meta", lambda a: np.array([np.inf, 1.0])),
+    # the meta of IFM files that also stored eps_i: [dim, eps_i, positions]
+    ("ifm", "meta", lambda a: np.array([a[0], 0.5, a[1]])),
 ], ids=["w1-cut", "clf_w2-cut", "det-meta-short", "ifm-meta-short",
-        "meta-nan", "meta-zero", "meta-fraction", "meta-inf"])
+        "meta-nan", "meta-zero", "meta-fraction", "meta-inf", "ifm-meta-old"])
 def test_damaged_array_is_value_error_naming_it(tmp_path, kind, name, damage):
     path, load = _saved_model(tmp_path, kind, 0)
     _, arrays = read_weights(path)
