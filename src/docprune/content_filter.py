@@ -56,16 +56,13 @@ def detector_features(model: DetectorModel, image: np.ndarray,
     return linear(flat, model.embed.weight, model.embed.bias, counter)
 
 
-def detect(model: DetectorModel, doc: LabeledImage | np.ndarray,
+def detect(model: DetectorModel, doc: LabeledImage,
            counter: FlopCounter | None = None) -> ProbabilityMap:
     """One content probability per patch token."""
     if model.variant == "oracle":
-        if not isinstance(doc, LabeledImage):
-            raise ValueError("oracle detector requires a labelled document")
         labels = doc.patch_labels(model.patch_size)
         return ProbabilityMap(labels.astype(np.float64).ravel(), binarized=True)
-    image = doc.image if isinstance(doc, LabeledImage) else doc
-    feats = detector_features(model, image, counter)
+    feats = detector_features(model, doc.image, counter)
     probs, _ = mlp2_forward(feats, model.mlp, counter, sigmoid_out=True)
     return ProbabilityMap(probs.ravel(), binarized=False)
 

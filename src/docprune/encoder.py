@@ -26,7 +26,7 @@ the gating semantics, so it is fixed rather than configurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,24 +73,6 @@ class EncoderModel:
             raise ValueError("every stage depth must be >= 1")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-
-
-@dataclass
-class WindowStats:
-    total: int = 0
-    computed: int = 0
-    bypassed: int = 0
-
-    def __post_init__(self):
-        if self.computed + self.bypassed != self.total:
-            raise ValueError(
-                f"window stats do not close: {self.computed} + "
-                f"{self.bypassed} != {self.total}")
-
-    def __add__(self, other: "WindowStats") -> "WindowStats":
-        return WindowStats(self.total + other.total,
-                           self.computed + other.computed,
-                           self.bypassed + other.bypassed)
 
 
 @dataclass
@@ -197,13 +179,14 @@ def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
                 window: int, shifted: bool, counter: FlopCounter | None = None,
-                bypass: bool = True) -> tuple[TokenGrid, WindowStats]:
+                bypass: bool = True) -> tuple[TokenGrid, int, int]:
     """One gated window-attention sublayer over the whole grid.
 
     p holds per-token gate values (None disables gating entirely). Windows
     whose gate values are all zero are bypassed when `bypass` is set. The
     grid is zero-padded up to a window multiple with gate-0 pad tokens,
-    which are stripped again after the pass.
+    which are stripped again after the pass. Returns the new grid and the
+    number of windows computed and in total.
     """
     if p is not None and p.size != grid.n_tokens:
         raise ValueError(
@@ -230,14 +213,13 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
             pv = np.roll(pv, (-shift, -shift), axis=(0, 1))
 
     wr_n, wc_n = R // window, C // window
-    computed = bypassed = 0
+    computed = 0
     for widx in range(wr_n * wc_n):
         wr, wc = divmod(widx, wc_n)
         rs = slice(wr * window, (wr + 1) * window)
         cs = slice(wc * window, (wc + 1) * window)
         pw = None if pv is None else pv[rs, cs].reshape(-1, 1)
         if bypass and pw is not None and not pw.any():
-            bypassed += 1
             continue
         computed += 1
         tv = t[rs, cs].reshape(window * window, d)
@@ -250,15 +232,17 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
         t = np.roll(t, (shift, shift), axis=(0, 1))
     if padded:
         t = t[:rows, :cols]
-    stats = WindowStats(total=wr_n * wc_n, computed=computed, bypassed=bypassed)
-    return TokenGrid(rows, cols, d, t.reshape(rows * cols, d)), stats
+    return (TokenGrid(rows, cols, d, t.reshape(rows * cols, d)), computed,
+            wr_n * wc_n)
 
 
 def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
                 window: int, shifted: bool, counter: FlopCounter | None = None,
-                bypass: bool = True) -> tuple[TokenGrid, WindowStats]:
-    """Window attention sublayer followed by the FFN sublayer, both gated."""
-    out, stats = window_pass(grid, p, bw, window, shifted, counter, bypass)
+                bypass: bool = True) -> tuple[TokenGrid, int, int]:
+    """Window attention sublayer followed by the FFN sublayer, both gated;
+    the counts are window_pass's."""
+    out, computed, total = window_pass(grid, p, bw, window, shifted, counter,
+                                       bypass)
     t = out.tokens
     if p is None:
         t = ffn_residual(t, bw, counter)
@@ -268,7 +252,7 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
             h = t[active]
             t[active] = gate_combine(p[active, None],
                                      ffn_residual(h, bw, counter), h)
-    return TokenGrid(out.rows, out.cols, out.dim, t), stats
+    return TokenGrid(out.rows, out.cols, out.dim, t), computed, total
 
 
 def _child_max(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -315,29 +299,12 @@ def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     return maps
 
 
-def mask_key(binarized) -> bytes:
-    """The per-stage binarized masks of an encode, packed into one key.
-
-    Two encodes of one document by one model, in one gating mode, return
-    equal results when their keys are equal.
-    """
-    return b"".join(np.packbits(b > 0.0).tobytes() for b in binarized)
-
-
-@dataclass
-class EncodeCacheEntry:
-    """What a repeated encode needs; it owns its arrays and never lends them."""
-
-    grid: TokenGrid                 # stage-4 grid before the drop
-    stages: list[StageTraceEntry]   # trace without raw_entry/binarized
-    flops: dict[str, int]           # counter delta per FLOP category
-
-
 def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
            eps_c: tuple[float, ...] = (0.0,) * 4, gated: bool = True,
            bypass: bool = True, soft: bool = False,
            counter: FlopCounter | None = None,
-           cache: dict[bytes, EncodeCacheEntry] | None = None) -> EncodeResult:
+           cache: dict[bytes, tuple[EncodeResult, dict[str, int]]] | None = None
+           ) -> EncodeResult:
     """Run all four stages and drop inactive tokens from the final grid.
 
     With gated=False the probability map is ignored and every token gets
@@ -347,8 +314,9 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     eps_c holds one content threshold per stage, 0 by default.
 
     `cache` belongs to one document: an encode whose per-stage binarized
-    masks were seen before returns the stored stage-4 tokens and charges
-    the stored FLOPs to `counter` instead of computing them again.
+    masks were seen before charges the stored FLOPs to `counter` and
+    returns the stored result itself, so callers share it and must not
+    write into it.
     """
     if len(p0) != grid.n_tokens:
         raise ValueError(
@@ -361,22 +329,18 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
         raise ValueError("an encode cache needs a FlopCounter to replay")
 
     maps = _stage_maps(model, grid, p0, eps_c)
-    key = entry = None
+    key = None
     if cache is not None:
         # The key holds only the masks: a sweep keeps one cache per
         # document and varies only eps_c/eps_i, so the weights, the grid,
         # p0 and gated/bypass/soft are the same for every setting.
-        key = mask_key(b for _, b in maps)
-        entry = cache.get(key)
-    if entry is not None:
-        for cat, n in entry.flops.items():
-            with counter.category(cat):
-                counter.add(n)
-        g = entry.grid
-        cur = TokenGrid(g.rows, g.cols, g.dim, g.tokens.copy())
-        trace = [replace(e, raw_entry=raw, binarized=binp)
-                 for e, (raw, binp) in zip(entry.stages, maps)]
-        return _drop_inactive(cur, trace, gated)
+        key = b"".join(np.packbits(b > 0.0).tobytes() for _, b in maps)
+        if key in cache:
+            result, flops = cache[key]
+            for cat, n in flops.items():
+                with counter.category(cat):
+                    counter.add(n)
+            return result
 
     before = dict(counter.by_category) if cache is not None else {}
     cur = grid
@@ -385,35 +349,28 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
         raw, binp = maps[s]
         gate = (raw if soft else binp) if gated else None
         attn0 = counter.get("encoder_attention") if counter is not None else 0
-        stats = WindowStats()
+        computed = total = 0
         for j, bw in enumerate(blocks):
-            cur, ws = gated_block(cur, gate, bw, model.window,
-                                  shifted=(j % 2 == 1), counter=counter,
-                                  bypass=bypass and gated)
-            stats = stats + ws
+            cur, c, n = gated_block(cur, gate, bw, model.window,
+                                    shifted=(j % 2 == 1), counter=counter,
+                                    bypass=bypass and gated)
+            computed, total = computed + c, total + n
         attn_flops = (counter.get("encoder_attention") - attn0
                       if counter is not None else 0)
         trace.append(StageTraceEntry(
             stage=s + 1, n_tokens=cur.n_tokens, active=int(binp.sum()),
-            windows_total=stats.total, windows_computed=stats.computed,
-            windows_bypassed=stats.bypassed, attn_flops=attn_flops,
+            windows_total=total, windows_computed=computed,
+            windows_bypassed=total - computed, attn_flops=attn_flops,
             raw_entry=raw, binarized=binp))
         if s < len(model.merges):
             cur, _ = merge_patches(cur, raw, model.merges[s], counter)
 
-    if cache is not None:
-        cache[key] = EncodeCacheEntry(
-            grid=TokenGrid(cur.rows, cur.cols, cur.dim, cur.tokens.copy()),
-            stages=[replace(e, raw_entry=None, binarized=None) for e in trace],
-            flops={k: v - before.get(k, 0)
-                   for k, v in counter.by_category.items()
-                   if v != before.get(k, 0)})
-    return _drop_inactive(cur, trace, gated)
-
-
-def _drop_inactive(cur: TokenGrid, trace: list[StageTraceEntry],
-                   gated: bool) -> EncodeResult:
-    kept = (np.flatnonzero(trace[-1].binarized > 0.0) if gated
+    kept = (np.flatnonzero(maps[-1][1] > 0.0) if gated
             else np.arange(cur.n_tokens))
-    return EncodeResult(sequence=cur.tokens[kept], kept_indices=kept,
-                        grid=cur, trace=trace)
+    result = EncodeResult(sequence=cur.tokens[kept], kept_indices=kept,
+                          grid=cur, trace=trace)
+    if cache is not None:
+        cache[key] = result, {k: v - before.get(k, 0)
+                              for k, v in counter.by_category.items()
+                              if v != before.get(k, 0)}
+    return result

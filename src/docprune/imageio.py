@@ -1,8 +1,8 @@
 """Minimal PGM (P5) and PBM (P4) writers for inspection output.
 
-Images are float arrays in [0, 1] and masks are boolean arrays. In PBM a
-set bit is black; callers that want "white = kept" must invert before
-writing, and `write_pbm` takes the boolean mask with True meaning black.
+Images are float arrays in [0, 1] and masks are boolean arrays. A mask
+is written True = white (content, kept), so `gen` and `render` draw the
+same polarity; PBM sets a bit for black, so `write_pbm` inverts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def write_pbm(path, mask: np.ndarray) -> None:
     if mask.ndim != 2:
         raise ValueError(f"PBM expects a 2-D mask, got shape {mask.shape}")
     h, w = mask.shape
-    packed = np.packbits(mask.astype(np.uint8), axis=1)
+    packed = np.packbits(np.logical_not(mask), axis=1)
     with open(path, "wb") as f:
         f.write(f"P4\n{w} {h}\n".encode("ascii"))
         f.write(packed.tobytes())

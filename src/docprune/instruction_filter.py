@@ -16,7 +16,7 @@ every gradient is covered by the finite-difference checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -207,10 +207,6 @@ def evaluate_ifm(model: IfmModel,
         kept, [np.asarray(y, dtype=bool).ravel() for *_, y in samples])
 
 
-_FUSION_FIELDS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv",
-                  "wo", "bo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
-
-
 def save_ifm(path, model: IfmModel) -> None:
     arrays = {
         "meta": np.array([model.dim, 1.0 if model.use_positions else 0.0]),
@@ -220,16 +216,17 @@ def save_ifm(path, model: IfmModel) -> None:
         "clf_w2": model.clf.w2,
         "clf_b2": model.clf.b2,
     }
-    for name in _FUSION_FIELDS:
-        arrays[f"fuse_{name}"] = getattr(model.fusion, name)
+    for f in fields(BlockWeights):
+        arrays[f"fuse_{f.name}"] = getattr(model.fusion, f.name)
     weights_io.write_weights(path, weights_io.KIND_IFM, arrays)
 
 
 def load_ifm(path) -> IfmModel:
+    fusion_names = [f.name for f in fields(BlockWeights)]
     arrays = weights_io.read_model(
         path, weights_io.KIND_IFM,
         ("meta", "embed", "clf_w1", "clf_b1", "clf_w2", "clf_b2",
-         *(f"fuse_{n}" for n in _FUSION_FIELDS)))
+         *(f"fuse_{n}" for n in fusion_names)))
     weights_io.check_shapes(path, arrays, {"meta": (2,)})
     (dim,) = weights_io.meta_dims(path, arrays["meta"], 1)
     # hidden widths come from the biases, every other dim from meta
@@ -238,10 +235,10 @@ def load_ifm(path) -> IfmModel:
               "clf_w1": (dim, *hidden), "clf_w2": (*hidden, 1),
               "clf_b2": (1,), "fuse_b1": ffn, "fuse_w1": (dim, *ffn),
               "fuse_w2": (*ffn, dim)}
-    for n in _FUSION_FIELDS:
+    for n in fusion_names:
         shapes.setdefault(f"fuse_{n}", (dim, dim) if n[0] == "w" else (dim,))
     weights_io.check_shapes(path, arrays, shapes)
-    fusion = BlockWeights(**{n: arrays[f"fuse_{n}"] for n in _FUSION_FIELDS})
+    fusion = BlockWeights(**{n: arrays[f"fuse_{n}"] for n in fusion_names})
     clf = Mlp2(arrays["clf_w1"], arrays["clf_b1"],
                arrays["clf_w2"], arrays["clf_b2"])
     return IfmModel(embed=arrays["embed"], fusion=fusion, clf=clf,

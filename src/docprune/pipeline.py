@@ -32,8 +32,7 @@ import numpy as np
 from . import imageio
 from .content_filter import (DetectorModel, detect, load_detector,
                              oracle_detector)
-from .encoder import (EncodeResult, EncoderModel, encode, encoder_init,
-                      mask_key)
+from .encoder import EncodeResult, EncoderModel, encode, encoder_init
 from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
                                  embed_instruction, fuse, filter_tokens,
                                  grid_positions, ifm_init, load_ifm)
@@ -211,8 +210,8 @@ class Models:
     ifm: IfmModel
 
 
-def build_models(config: PipelineConfig, detector: DetectorModel | None = None,
-                 ifm: IfmModel | None = None) -> Models:
+def build_models(config: PipelineConfig,
+                 detector: DetectorModel | None = None) -> Models:
     """Instantiate every model the pipeline needs, all seeded from config."""
     rng = Rng(config.seed)
     if detector is None:
@@ -228,12 +227,11 @@ def build_models(config: PipelineConfig, detector: DetectorModel | None = None,
         raise ConfigError(
             f"detector patch size {detector.patch_size} does not match "
             f"config {config.patch_size}")
-    if ifm is None:
-        if config.ifm_weights:
-            ifm = load_ifm(config.ifm_weights)
-        else:
-            ifm = ifm_init(config.seed, config.llm_dim, config.ffn_ratio,
-                           config.use_positions)
+    if config.ifm_weights:
+        ifm = load_ifm(config.ifm_weights)
+    else:
+        ifm = ifm_init(config.seed, config.llm_dim, config.ffn_ratio,
+                       config.use_positions)
     if ifm.dim != config.llm_dim:
         raise ConfigError(
             f"IFM dim {ifm.dim} does not match llm_dim {config.llm_dim}")
@@ -416,8 +414,8 @@ def _encoded_groups(models: Models, doc: LabeledImage,
 
     partition and detect run once for all settings and encode once per
     setting, sharing one `encode` cache. Settings whose encodes binarize
-    into the same per-stage masks get equal results, so the projector and
-    the grid positions run once per distinct mask set: yields (members,
+    into the same per-stage masks get one result back, so the projector
+    and the grid positions run once per distinct result: yields (members,
     encoded, projected, v_in) for each. The walk and `prepare_ifm_samples`
     both go through here. Every step is called through this module's
     globals, so a wrapper installed on a name (as `bench/tracer.py` does)
@@ -430,7 +428,7 @@ def _encoded_groups(models: Models, doc: LabeledImage,
     with _timed(settings, "detect"), flop_category(counter, "detector"):
         probs = detect(models.detector, doc, counter)
     cache = {} if len(settings) > 1 else None
-    groups: dict[bytes, tuple[EncodeResult, list[_Setting]]] = {}
+    groups: dict[int, tuple[EncodeResult, list[_Setting]]] = {}
     for s in settings:
         cfg = s.config
         with _timed([s], "encode"):
@@ -438,8 +436,7 @@ def _encoded_groups(models: Models, doc: LabeledImage,
                              gated=cfg.gated, bypass=cfg.bypass,
                              soft=cfg.soft_gating, counter=s.counter,
                              cache=cache)
-        key = mask_key(e.binarized for e in encoded.trace)
-        groups.setdefault(key, (encoded, []))[1].append(s)
+        groups.setdefault(id(encoded), (encoded, []))[1].append(s)
     for encoded, members in groups.values():
         cfg, counter = members[0].config, _shared(members)
         with _timed(members, "project"), flop_category(counter, "projector"):
@@ -481,7 +478,7 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
 
 
 def _walk(configs: list[PipelineConfig], detector: DetectorModel | None,
-          ifm: IfmModel | None, keep_artifacts: bool = False):
+          keep_artifacts: bool = False):
     """Every setting's report from one pass over the config's corpus.
 
     The configs differ only in eps_c/eps_i, so the models are built once
@@ -490,7 +487,7 @@ def _walk(configs: list[PipelineConfig], detector: DetectorModel | None,
     setting's artifacts (None unless kept).
     """
     config = configs[0]
-    models = build_models(config, detector, ifm)
+    models = build_models(config, detector)
     settings = [_Setting(cfg, FlopCounter(), keep_artifacts)
                 for cfg in configs]
     instr_rng = Rng(config.seed).derive("instructions")
@@ -503,7 +500,7 @@ def _walk(configs: list[PipelineConfig], detector: DetectorModel | None,
 
 
 def run(config: PipelineConfig, detector: DetectorModel | None = None,
-        ifm: IfmModel | None = None, return_artifacts: bool = False):
+        return_artifacts: bool = False):
     """Execute the pipeline over the config's corpus and assemble the report.
 
     The corpus is the seeded synthetic corpus the config describes,
@@ -511,7 +508,7 @@ def run(config: PipelineConfig, detector: DetectorModel | None = None,
     intermediates come back alongside the report for the equivalence tests.
     """
     config.validate()
-    reports, artifacts = _walk([config], detector, ifm, return_artifacts)
+    reports, artifacts = _walk([config], detector, return_artifacts)
     if return_artifacts:
         return reports[0], artifacts[0]
     return reports[0]
@@ -534,7 +531,6 @@ def sweep_schedule(c: float) -> tuple[float, ...]:
 
 def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
           detector: DetectorModel | None = None,
-          ifm: IfmModel | None = None,
           out_dir=None) -> tuple[list[RunReport], list[dict]]:
     """One report per (content, instruction) threshold setting, one corpus.
 
@@ -557,7 +553,7 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
         raise ConfigError("sweep needs at least one (eps_c, eps_i) setting")
     configs = [_setting_config(config, c, i) for c, i in settings]
     dirs = None if out_dir is None else _report_dirs(settings)
-    reports, _ = _walk(configs, detector, ifm)
+    reports, _ = _walk(configs, detector)
     rows = [summary_row(rep) for rep in reports]
     if out_dir is not None:
         for name, rep in zip(dirs, reports):
@@ -671,5 +667,5 @@ def render_masks(report: RunReport | dict, out_dir,
             kept[f"doc_{doc['index']:04d}_{name}.pbm"] = mask
     out = imageio.ensure_dir(out_dir)
     for name, mask in kept.items():
-        imageio.write_pbm(out / name, ~mask)
+        imageio.write_pbm(out / name, mask)
     return [out / name for name in kept]

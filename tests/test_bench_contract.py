@@ -5,6 +5,8 @@ attributes such as `pipeline.make_corpus` and `tensor.gelu_grad` and reads
 `EncoderModel.blocks`/`.merges` and the positional `grid`, `bw` and
 `merge` arguments of the encoder's layers. A name deleted from the package
 because nothing in it calls the name must fail here, not in the benchmark.
+So must a sweep that stops calling `encode` once per setting: the
+benchmark's `sweep.distinct_encode_share` counts the calls.
 """
 
 import importlib.util
@@ -57,3 +59,7 @@ def test_traced_toy_workload_passes_its_checks(bench, name):
                 for kind in ("attn", "ffn")} <= set(t.spans)
         assert {f"encoder.m{n}.merge" for n in range(1, 4)} <= set(t.spans)
         assert t.encode_calls > 0
+    if name == "sweep-desk":
+        # one encode per setting of the default 4-setting grid per document,
+        # even though the settings share one result
+        assert t.encode_calls == 4 * toy.docs

@@ -3,6 +3,7 @@ and artifacts landing where the flags say."""
 
 import json
 
+import numpy as np
 import pytest
 
 from docprune.cli import main
@@ -242,6 +243,24 @@ def test_render_from_report(tmp_path, config_file):
         # white = kept: a set (black) bit is a pruned token
         bits = pbm_bits(masks / f"doc_0000_{name}.pbm", (side, side))
         assert (bits == ~mask_from_hex(kept[name], side)).all()
+
+
+def test_gen_and_render_draw_content_in_one_colour(tmp_path, config_file):
+    # gen, run and render of one 128-px page at seed 7: a stage-2 cell is
+    # kept exactly when its 8x8 pixels hold content, so a cell is white in
+    # the render exactly when the page mask has a white pixel in it
+    corpus, out, masks = tmp_path / "corpus", tmp_path / "out", tmp_path / "m"
+    assert main(["gen", "--n", "1", "--size", "128", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["run", "--config", config_file, "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert main(["render", "--report", str(out / "report.json"),
+                 "--out", str(masks), "--doc", "0"]) == 0
+    page_white = ~pbm_bits(corpus / "doc_0000.mask.pbm", (128, 128))
+    cell_white = ~pbm_bits(masks / "doc_0000_stage2.pbm", (16, 16))
+    assert 0 < cell_white.sum() < cell_white.size
+    np.testing.assert_array_equal(
+        page_white.reshape(16, 8, 16, 8).any(axis=(1, 3)), cell_white)
 
 
 def test_render_missing_report_is_exit_2(tmp_path, capsys):

@@ -34,11 +34,6 @@ def test_oracle_matches_patch_labels(corpus):
             probs.values, doc.patch_labels(4).astype(np.float64).ravel())
 
 
-def test_oracle_needs_labels():
-    with pytest.raises(ValueError, match="labelled"):
-        detect(oracle_detector(4), np.zeros((64, 64)))
-
-
 def test_binarize_keeps_boundary_value():
     p = ProbabilityMap(np.array([0.1, 0.5, 0.9]))
     out = binarize(p, 0.5)
@@ -79,13 +74,6 @@ def test_mlp_detector_deterministic(corpus):
     np.testing.assert_array_equal(a.values, b.values)
     c = detect(mlp_detector(seed=2, patch_size=4), corpus[0])
     assert not np.array_equal(a.values, c.values)
-
-
-def test_detect_accepts_raw_image(corpus):
-    det = mlp_detector(seed=1, patch_size=4)
-    from_doc = detect(det, corpus[0])
-    from_img = detect(det, corpus[0].image)
-    np.testing.assert_array_equal(from_doc.values, from_img.values)
 
 
 def test_loss_decreases_first_five_epochs(corpus):

@@ -234,14 +234,27 @@ def test_sweep_runs_threshold_free_work_once_per_document(monkeypatch):
     # grid all four settings share one mask set per document
     cfg = _small_config()
     counts = Counter()
-    for name in ("partition", "detect", "encode", "mlp2_forward", "fuse",
+    for name in ("partition", "detect", "mlp2_forward", "fuse",
                  "filter_tokens"):
         monkeypatch.setattr(pipeline, name,
                             _counting(counts, name, getattr(pipeline, name)))
+    encoded, real_encode = [], pipeline.encode
+
+    def recording_encode(*args, **kw):
+        encoded.append(real_encode(*args, **kw))
+        return encoded[-1]
+
+    monkeypatch.setattr(pipeline, "encode", recording_encode)
     reports, _ = sweep(cfg, DEFAULT_GRID)
     n = cfg.corpus_n
-    assert counts == {"partition": n, "detect": n, "encode": 4 * n,
-                      "mlp2_forward": n, "fuse": n, "filter_tokens": 2 * n}
+    assert counts == {"partition": n, "detect": n, "mlp2_forward": n,
+                      "fuse": n, "filter_tokens": 2 * n}
+    # each document is encoded once per setting, and the four settings
+    # get back one and the same result
+    assert len(encoded) == 4 * n
+    for d in range(n):
+        assert all(e is encoded[4 * d] for e in encoded[4 * d:4 * d + 4])
+    assert len({id(e) for e in encoded}) == n
     monkeypatch.undo()
     for (c, i), rep in zip(DEFAULT_GRID, reports):
         direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i))

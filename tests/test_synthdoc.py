@@ -260,11 +260,12 @@ def test_pbm_round_trip(tmp_path):
     path = tmp_path / "mask.pbm"
     mask = generate(plan_layout(256, 0.5, seed=4)).content_mask
     imageio.write_pbm(path, mask)
-    np.testing.assert_array_equal(pbm_bits(path, (256, 256)), mask)
+    # True is white, and PBM sets a bit for black
+    np.testing.assert_array_equal(pbm_bits(path, (256, 256)), ~mask)
     # rows that do not fill their last byte
     mask = Rng(4).uniforms(39).reshape(3, 13) > 0.5
     imageio.write_pbm(path, mask)
-    np.testing.assert_array_equal(pbm_bits(path, (3, 13)), mask)
+    np.testing.assert_array_equal(pbm_bits(path, (3, 13)), ~mask)
 
 
 def test_corpus_round_trip(tmp_path):
@@ -276,8 +277,9 @@ def test_corpus_round_trip(tmp_path):
         for ext in (".pgm", ".mask.pbm", ".json"))
     for i, orig in enumerate(docs):
         stem = out / f"doc_{i:04d}"
+        # content is white, as kept tokens are in `render`
         np.testing.assert_array_equal(
-            pbm_bits(f"{stem}.mask.pbm", (256, 256)), orig.content_mask)
+            pbm_bits(f"{stem}.mask.pbm", (256, 256)), ~orig.content_mask)
         pixels = pgm_pixels(f"{stem}.pgm", (256, 256)) / 255.0
         assert np.abs(pixels - orig.image).max() <= 0.5 / 255.0 + 1e-12
         meta = json.loads(Path(f"{stem}.json").read_text())
