@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights_io
-from .patching import PatchEmbed, ProbabilityMap, flatten_patches, patch_embed_init
+from .patching import PatchEmbed, flatten_patches, patch_embed_init
 from .rng import Rng
 from .synthdoc import LabeledImage
 from .tensor import (FlopCounter, LossCurve, Mlp2, bce_loss, linear,
@@ -57,21 +57,18 @@ def detector_features(model: DetectorModel, image: np.ndarray,
 
 
 def detect(model: DetectorModel, doc: LabeledImage,
-           counter: FlopCounter | None = None) -> ProbabilityMap:
-    """One content probability per patch token."""
+           counter: FlopCounter | None = None) -> np.ndarray:
+    """One content probability per patch token, as a 1-D float64 array."""
     if model.variant == "oracle":
-        labels = doc.patch_labels(model.patch_size)
-        return ProbabilityMap(labels.astype(np.float64).ravel(), binarized=True)
+        return doc.patch_labels(model.patch_size).astype(np.float64).ravel()
     feats = detector_features(model, doc.image, counter)
     probs, _ = mlp2_forward(feats, model.mlp, counter, sigmoid_out=True)
-    return ProbabilityMap(probs.ravel(), binarized=False)
+    return probs.ravel()
 
 
-def binarize(p: ProbabilityMap, eps: float) -> ProbabilityMap:
-    """p_i -> 1 if p_i >= eps else 0; the boundary value is kept."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"threshold {eps} outside [0, 1]")
-    return ProbabilityMap((p.values >= eps).astype(np.float64), binarized=True)
+def binarize(p: np.ndarray, eps: float) -> np.ndarray:
+    """p_i -> 1.0 if p_i >= eps else 0.0; the boundary value is kept."""
+    return (p >= eps).astype(np.float64)
 
 
 def _training_set(model: DetectorModel, corpus: list[LabeledImage]):
@@ -142,7 +139,7 @@ def evaluate_detector(model: DetectorModel, corpus: list[LabeledImage],
                       threshold: float) -> dict[str, float]:
     """Recall/precision of kept tokens against ground-truth patch labels."""
     return recall_precision(
-        [binarize(detect(model, d), threshold).values.astype(bool)
+        [binarize(detect(model, d), threshold).astype(bool)
          for d in corpus],
         [d.patch_labels(model.patch_size).ravel() for d in corpus])
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .content_filter import binarize
-from .patching import ProbabilityMap, TokenGrid
+from .patching import TokenGrid
 from .rng import Rng, init_uniform
 from .tensor import (FlopCounter, attention, flop_category, gelu, layernorm,
                      linear)
@@ -264,42 +264,41 @@ def _child_max(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
                               pm[1::2, 0::2], pm[1::2, 1::2]]).ravel()
 
 
-def merge_patches(grid: TokenGrid, p_raw: np.ndarray,
-                  merge: tuple[np.ndarray, np.ndarray],
-                  counter: FlopCounter | None = None) -> tuple[TokenGrid, np.ndarray]:
-    """2x2 consolidation: grid halves, dim doubles, probability = child max.
+def merge_patches(grid: TokenGrid, merge: tuple[np.ndarray, np.ndarray],
+                  counter: FlopCounter | None = None) -> TokenGrid:
+    """2x2 consolidation: the grid halves and the dim doubles.
 
-    The max runs on the RAW probabilities; callers re-binarize at the next
-    stage's threshold.
+    Merges carry tokens only; _stage_maps derives every stage's probability
+    map, and with it checks that each merged grid is even.
     """
     rows, cols, d = grid.rows, grid.cols, grid.dim
-    p_new = _child_max(p_raw, rows, cols)
     t = grid.tokens.reshape(rows, cols, d)
     children = (t[0::2, 0::2], t[0::2, 1::2], t[1::2, 0::2], t[1::2, 1::2])
     cat = np.concatenate(children, axis=-1).reshape(-1, 4 * d)
     with flop_category(counter, "encoder_merge"):
         merged = linear(cat, merge[0], merge[1], counter)
-    return TokenGrid(rows // 2, cols // 2, 2 * d, merged), p_new
+    return TokenGrid(rows // 2, cols // 2, 2 * d, merged)
 
 
-def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
+def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
                 eps: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(raw, binarized) probability map on entry to each stage.
 
     A merge takes the max over its four children, so every stage's raw
-    map is a function of p0 alone and never of the tokens.
+    map is a function of p0 alone and never of the tokens. This is the
+    one place the maps are made.
     """
-    raw, rows, cols = p0.values.copy(), grid.rows, grid.cols
+    raw, rows, cols = p0.copy(), grid.rows, grid.cols
     maps = []
     for s in range(len(model.blocks)):
-        maps.append((raw, binarize(ProbabilityMap(raw), eps[s]).values))
+        maps.append((raw, binarize(raw, eps[s])))
         if s < len(model.merges):
             raw = _child_max(raw, rows, cols)
             rows, cols = rows // 2, cols // 2
     return maps
 
 
-def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
+def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
            eps_c: tuple[float, ...] = (0.0,) * 4, gated: bool = True,
            bypass: bool = True, soft: bool = False,
            counter: FlopCounter | None = None,
@@ -311,17 +310,21 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
     the full ungated computation; that path multiplies by no gate values
     at all and serves as the reference for the equivalence tests.
 
-    eps_c holds one content threshold per stage, 0 by default.
+    p0 holds one content probability per token of `grid`, each finite and
+    in [0, 1]; this is the one check of the content map. eps_c holds one
+    content threshold per stage, 0 by default.
 
     `cache` belongs to one document: an encode whose per-stage binarized
     masks were seen before charges the stored FLOPs to `counter` and
     returns the stored result itself, so callers share it and must not
     write into it.
     """
-    if len(p0) != grid.n_tokens:
+    if p0.shape != (grid.n_tokens,):
         raise ValueError(
-            f"probability map length {len(p0)} does not match "
+            f"probability map shape {p0.shape} does not match "
             f"{grid.n_tokens} tokens")
+    if not np.all((p0 >= 0.0) & (p0 <= 1.0)):     # NaN fails both
+        raise ValueError("probabilities must be finite and lie in [0, 1]")
     if len(eps_c) != len(model.blocks):
         raise ValueError(
             f"{len(eps_c)} thresholds for {len(model.blocks)} stages")
@@ -363,7 +366,8 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: ProbabilityMap,
             windows_bypassed=total - computed, attn_flops=attn_flops,
             raw_entry=raw, binarized=binp))
         if s < len(model.merges):
-            cur, _ = merge_patches(cur, raw, model.merges[s], counter)
+            # merge= by keyword: the benchmark's tracer reads that argument
+            cur = merge_patches(cur, merge=model.merges[s], counter=counter)
 
     kept = (np.flatnonzero(maps[-1][1] > 0.0) if gated
             else np.arange(cur.n_tokens))

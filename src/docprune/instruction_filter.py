@@ -159,8 +159,6 @@ def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
     kept_tokens are rows of v_orig when provided (the decoder consumes the
     original projected tokens, not the fused features), else of v_fused.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"threshold {eps} outside [0, 1]")
     with flop_category(counter, "ifm"):
         scores, _ = mlp2_forward(v_fused, model.clf, counter, sigmoid_out=True)
     scores = scores.ravel()

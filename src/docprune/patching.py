@@ -17,28 +17,6 @@ from .tensor import FlopCounter, linear
 
 
 @dataclass
-class ProbabilityMap:
-    """Per-token content probabilities aligned to a TokenGrid."""
-
-    values: np.ndarray
-    binarized: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError(f"probability map must be 1-D, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("probabilities must be finite, got NaN or inf")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if self.binarized and not np.all(np.isin(self.values, (0.0, 1.0))):
-            raise ValueError("binarized map contains values outside {0, 1}")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass
 class TokenGrid:
     rows: int
     cols: int

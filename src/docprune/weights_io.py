@@ -80,7 +80,11 @@ def read_weights(path) -> tuple[int, dict[str, np.ndarray]]:
         (ndim,) = struct.unpack("<B", take(1, f"array {name!r} rank"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"array {name!r} dims"))
         data = take(8 * math.prod(dims), f"array {name!r} data")
-        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+        arr = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"weight file {path}: array {name!r} holds NaN "
+                             "or inf")
+        arrays[name] = arr
     if offset != len(raw):
         raise ValueError(f"weight file {path} has {len(raw) - offset} "
                          f"trailing bytes after {count} arrays")
@@ -112,7 +116,7 @@ def check_shapes(path, arrays: dict[str, np.ndarray],
 def meta_dims(path, meta: np.ndarray, n: int) -> list[int]:
     """The first n entries of a (checked) meta array as positive ints."""
     dims = meta[:n]
-    if not np.all(np.isfinite(dims) & (dims >= 1) & (dims == np.floor(dims))):
+    if not np.all((dims >= 1) & (dims == np.floor(dims))):
         raise ValueError(f"weight file {path}: array 'meta' holds "
                          f"{meta.tolist()}; its first {n} entries must be "
                          "positive integers")

@@ -14,10 +14,10 @@ import pytest
 from docprune.cli import main
 from docprune.content_filter import (detector_features, evaluate_detector,
                                      mlp_detector, train_detector)
-from docprune.encoder import encode, encoder_init, merge_patches
+from docprune.encoder import encode, encoder_init
 from docprune.instruction_filter import (evaluate_ifm, fuse, ifm_init,
                                          train_ifm)
-from docprune.patching import ProbabilityMap, TokenGrid
+from docprune.patching import TokenGrid
 from docprune.pipeline import (PipelineConfig, build_models,
                                prepare_ifm_samples, run, sweep)
 from docprune.rng import Rng
@@ -73,9 +73,8 @@ def test_criterion_2_bypass_exactness():
         grid = TokenGrid(16, 16, 8, tokens)
         p = rng.uniforms(256)
         p[p < 0.3] = 0.0  # guarantee some fully blank windows
-        p0 = ProbabilityMap(p)
-        fast = encode(model, grid, p0, DEFAULT_EPS_C, bypass=True)
-        slow = encode(model, grid, p0, DEFAULT_EPS_C, bypass=False)
+        fast = encode(model, grid, p, DEFAULT_EPS_C, bypass=True)
+        slow = encode(model, grid, p, DEFAULT_EPS_C, bypass=False)
         np.testing.assert_array_equal(fast.sequence, slow.sequence)
         np.testing.assert_array_equal(fast.grid.tokens, slow.grid.tokens)
         np.testing.assert_array_equal(fast.kept_indices, slow.kept_indices)
@@ -148,9 +147,7 @@ def test_criterion_6_max_merge_oracle():
             g = int(np.sqrt(expected.size))
             expected = (expected.reshape(g // 2, 2, g // 2, 2)
                         .transpose(0, 2, 1, 3).reshape(-1, 4).max(axis=1))
-        merged = p
-        for s in range(3):
-            grid, merged = merge_patches(grid, merged, model.merges[s])
+        merged = encode(model, grid, p).trace[3].raw_entry
         np.testing.assert_array_equal(merged, expected)
     assert time.perf_counter() - t0 < 5.0
 

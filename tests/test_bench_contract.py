@@ -2,8 +2,9 @@
 workloads import `cli.DEFAULT_GRID`, `cli._parse_grid` and
 `synthdoc.make_corpus`, copy `Mlp2` heads, and its tracer wraps module
 attributes such as `pipeline.make_corpus` and `tensor.gelu_grad` and reads
-`EncoderModel.blocks`/`.merges` and the positional `grid`, `bw` and
-`merge` arguments of the encoder's layers. A name deleted from the package
+`EncoderModel.blocks`/`.merges`, the positional `grid` and `bw` arguments
+of the encoder's blocks and the `merge` argument of `merge_patches`, which
+`encode` passes by keyword. A name deleted from the package
 because nothing in it calls the name must fail here, not in the benchmark.
 So must a sweep that stops calling `encode` once per setting: the
 benchmark's `sweep.distinct_encode_share` counts the calls.

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from docprune.cli import main
-from docprune.pipeline import ConfigError, PipelineConfig, mask_from_hex
+from docprune.instruction_filter import save_ifm
+from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
+                               mask_from_hex)
+from docprune.weights_io import KIND_IFM, read_weights, write_weights
 from helpers import pbm_bits
 
 SMALL_CONFIG = {
@@ -168,6 +171,21 @@ def test_missing_weights_is_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_ifm_weights_are_exit_3(tmp_path, capsys):
+    # a NaN classifier scores no token relevant: the run must not report that
+    weights = tmp_path / "ifm.hrvd"
+    save_ifm(weights, build_models(PipelineConfig.from_dict(SMALL_CONFIG)).ifm)
+    _, arrays = read_weights(weights)
+    arrays["clf_w2"][0, 0] = np.nan
+    write_weights(weights, KIND_IFM, arrays)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, ifm_weights=str(weights))))
+    assert main(["run", "--config", str(path), "--seed", "3",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(weights) in err and "'clf_w2' holds NaN or inf" in err
+
+
 @pytest.mark.parametrize("key,value", [
     ("gated", "false"),
     ("patch_size", 4.0),
@@ -183,6 +201,8 @@ def test_missing_weights_is_exit_3(tmp_path, capsys):
     ("eps_i", -0.1),
     ("eps_i", float("nan")),
     ("eps_c", [0.5, 0.25, 0.5, 0.5]),
+    ("eps_c", [-0.1, 0.25, 0.5, 0.5]),
+    ("eps_c", [0.25, 0.25, 0.5, 1.5]),
 ])
 def test_bad_field_value_is_exit_2(tmp_path, capsys, key, value):
     with pytest.raises(ConfigError, match=key):

@@ -12,7 +12,6 @@ from docprune.content_filter import (DetectorModel, binarize, detect,
                                      load_detector, mlp_detector,
                                      oracle_detector, save_detector,
                                      train_detector)
-from docprune.patching import ProbabilityMap
 from docprune.pipeline import PipelineConfig, sweep_schedule
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
@@ -29,35 +28,28 @@ def test_oracle_matches_patch_labels(corpus):
     det = oracle_detector(patch_size=4)
     for doc in corpus:
         probs = detect(det, doc)
-        assert probs.binarized
+        assert probs.dtype == np.float64
         np.testing.assert_array_equal(
-            probs.values, doc.patch_labels(4).astype(np.float64).ravel())
+            probs, doc.patch_labels(4).astype(np.float64).ravel())
 
 
 def test_binarize_keeps_boundary_value():
-    p = ProbabilityMap(np.array([0.1, 0.5, 0.9]))
-    out = binarize(p, 0.5)
-    np.testing.assert_array_equal(out.values, [0.0, 1.0, 1.0])
-    assert out.binarized
+    out = binarize(np.array([0.1, 0.5, 0.9]), 0.5)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, [0.0, 1.0, 1.0])
 
 
 def test_binarize_idempotent():
-    p = ProbabilityMap(np.array([0.2, 0.6, 1.0]))
-    once = binarize(p, 0.5)
+    once = binarize(np.array([0.2, 0.6, 1.0]), 0.5)
     twice = binarize(once, 0.5)
-    np.testing.assert_array_equal(once.values, twice.values)
-
-
-def test_binarize_rejects_bad_threshold():
-    with pytest.raises(ValueError, match="outside"):
-        binarize(ProbabilityMap(np.array([0.5])), 1.5)
+    np.testing.assert_array_equal(once, twice)
 
 
 def test_raising_threshold_never_adds_tokens():
-    probs = ProbabilityMap(np.linspace(0.0, 1.0, 101))
-    previous = binarize(probs, 0.0).values.astype(bool)
+    probs = np.linspace(0.0, 1.0, 101)
+    previous = binarize(probs, 0.0).astype(bool)
     for eps in np.linspace(0.0, 1.0, 11):
-        kept = binarize(probs, float(eps)).values.astype(bool)
+        kept = binarize(probs, float(eps)).astype(bool)
         assert not (kept & ~previous).any()
         previous = kept
 
@@ -71,9 +63,9 @@ def test_schedule_defaults():
 def test_mlp_detector_deterministic(corpus):
     a = detect(mlp_detector(seed=1, patch_size=4), corpus[0])
     b = detect(mlp_detector(seed=1, patch_size=4), corpus[0])
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
     c = detect(mlp_detector(seed=2, patch_size=4), corpus[0])
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_loss_decreases_first_five_epochs(corpus):
@@ -105,7 +97,7 @@ def test_blank_corpus_drives_scores_to_zero():
     blank = make_corpus(3, 0.0, 256, seed=5)
     det, _ = train_detector(mlp_detector(seed=3, patch_size=4), blank,
                             epochs=20, lr=0.5)
-    scores = np.concatenate([detect(det, d).values for d in blank])
+    scores = np.concatenate([detect(det, d) for d in blank])
     assert scores.mean() < 0.1
 
 
@@ -154,7 +146,7 @@ def test_save_load_round_trip(tmp_path, corpus):
     assert back.variant == "mlp"
     assert back.patch_size == det.patch_size
     np.testing.assert_array_equal(
-        detect(back, corpus[0]).values, detect(det, corpus[0]).values)
+        detect(back, corpus[0]), detect(det, corpus[0]))
 
 
 def test_load_rejects_wrong_kind(tmp_path):

@@ -5,10 +5,11 @@ bypass is a pure optimization."""
 import numpy as np
 import pytest
 
+from docprune import encoder
 from docprune.encoder import (EncoderModel, attn_residual, encode,
                               encoder_init, gate_combine, gated_block,
                               merge_patches, window_pass)
-from docprune.patching import ProbabilityMap, TokenGrid
+from docprune.patching import TokenGrid
 from docprune.rng import Rng
 from docprune.tensor import FlopCounter
 from helpers import DEFAULT_EPS_C, ZERO_EPS_C
@@ -116,7 +117,7 @@ def test_window_order_does_not_matter():
 def test_bypass_is_a_pure_optimization():
     for seed in range(3):
         grid = _grid(seed=seed)
-        p0 = ProbabilityMap(Rng(seed + 10).uniforms(grid.n_tokens))
+        p0 = Rng(seed + 10).uniforms(grid.n_tokens)
         model = _model(seed)
         fast = encode(model, grid, p0, DEFAULT_EPS_C, bypass=True)
         slow = encode(model, grid, p0, DEFAULT_EPS_C, bypass=False)
@@ -149,33 +150,48 @@ def test_shifted_blocks_differ_from_unshifted():
 # --- merges and probability propagation -----------------------------------
 
 def test_merge_probability_is_child_max():
-    grid = _grid(side=2, dim=8)
-    model = _model()
-    raw = np.array([0.2, 0.6, 0.1, 0.3])
-    merged, p_new = merge_patches(grid, raw, model.merges[0])
+    p0 = np.zeros(64)
+    p0[[0, 1, 8, 9]] = [0.2, 0.6, 0.1, 0.3]    # the top-left 2x2 block
+    trace = encode(_model(), _grid(side=8), p0).trace
+    assert trace[1].raw_entry[0] == 0.6
+    # the merge itself carries tokens only: the grid halves, the dim doubles
+    merged = merge_patches(_grid(side=2, dim=8), merge=_model().merges[0])
     assert (merged.rows, merged.cols, merged.dim) == (1, 1, 16)
-    np.testing.assert_array_equal(p_new, [0.6])
 
 
 def test_merge_probabilities_match_maxpool_oracle():
-    grid = _grid(side=8, dim=8, seed=6)
     raw = Rng(7).uniforms(64)
-    _, p_new = merge_patches(grid, raw, _model().merges[0])
+    merged = encode(_model(), _grid(side=8, seed=6), raw).trace[1].raw_entry
     oracle = raw.reshape(4, 2, 4, 2).transpose(0, 2, 1, 3).reshape(16, 4).max(axis=1)
-    np.testing.assert_array_equal(p_new, oracle)
+    np.testing.assert_array_equal(merged, oracle)
 
 
 def test_merge_rejects_odd_grid():
-    grid = TokenGrid(3, 3, 8, np.zeros((9, 8)))
+    # a 6x6 grid merges to 3x3, which the second merge cannot halve
+    grid = TokenGrid(6, 6, 8, np.zeros((36, 8)))
     with pytest.raises(ValueError, match="odd grid"):
-        merge_patches(grid, np.zeros(9), _model().merges[0])
+        encode(_model(), grid, np.zeros(36))
+
+
+def test_encode_takes_one_child_max_per_merge(monkeypatch):
+    # _stage_maps makes every stage's map; the merges take no child max
+    calls = []
+    real = encoder._child_max
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(encoder, "_child_max", counted)
+    encode(_model(), _grid(), Rng(8).uniforms(256), DEFAULT_EPS_C)
+    assert calls == [(16, 16), (8, 8), (4, 4)]
 
 
 def test_stage_entry_probs_are_iterated_maxpools():
     grid = _grid(side=16)
-    p0 = ProbabilityMap(Rng(9).uniforms(256))
+    p0 = Rng(9).uniforms(256)
     result = encode(_model(), grid, p0, ZERO_EPS_C)
-    raw = p0.values.copy()
+    raw = p0.copy()
     for s, entry in enumerate(result.trace):
         np.testing.assert_array_equal(entry.raw_entry, raw)
         g = 16 >> s
@@ -187,7 +203,7 @@ def test_stage_entry_probs_are_iterated_maxpools():
 
 def test_zero_thresholds_equal_ungated():
     grid = _grid()
-    p0 = ProbabilityMap(Rng(11).uniforms(grid.n_tokens))
+    p0 = Rng(11).uniforms(grid.n_tokens)
     model = _model()
     gated = encode(model, grid, p0, ZERO_EPS_C)
     plain = encode(model, grid, p0, gated=False)
@@ -197,7 +213,7 @@ def test_zero_thresholds_equal_ungated():
 
 def test_all_zero_probs_prune_everything():
     grid = _grid()
-    p0 = ProbabilityMap(np.zeros(grid.n_tokens))
+    p0 = np.zeros(grid.n_tokens)
     result = encode(_model(), grid, p0, DEFAULT_EPS_C)
     assert result.kept_final == 0
     assert result.sequence.shape == (0, result.grid.dim)
@@ -207,7 +223,7 @@ def test_all_zero_probs_prune_everything():
 
 def test_compute_monotone_in_threshold():
     grid = _grid()
-    p0 = ProbabilityMap(Rng(13).uniforms(grid.n_tokens))
+    p0 = Rng(13).uniforms(grid.n_tokens)
     model = _model()
     totals = []
     for e in (0.0, 0.3, 0.6, 0.9):
@@ -220,7 +236,7 @@ def test_compute_monotone_in_threshold():
 
 def test_final_drop_matches_last_binarized_map():
     grid = _grid()
-    p0 = ProbabilityMap((Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float))
+    p0 = (Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float)
     result = encode(_model(), grid, p0, DEFAULT_EPS_C)
     final = result.trace[-1].binarized
     np.testing.assert_array_equal(result.kept_indices, np.flatnonzero(final))
@@ -230,7 +246,7 @@ def test_final_drop_matches_last_binarized_map():
 
 def test_cached_encode_returns_the_stored_result():
     grid = _grid()
-    p0 = ProbabilityMap((Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float))
+    p0 = (Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float)
     model = _model()
     ref_counter = FlopCounter()
     ref = encode(model, grid, p0, DEFAULT_EPS_C, counter=ref_counter)
@@ -251,13 +267,20 @@ def test_cached_encode_returns_the_stored_result():
 def test_encode_validates_inputs():
     grid = _grid()
     model = _model()
+    ones = np.ones(grid.n_tokens)
     with pytest.raises(ValueError, match="does not match"):
-        encode(model, grid, ProbabilityMap(np.ones(7)))
+        encode(model, grid, np.ones(7))
+    with pytest.raises(ValueError, match="does not match"):
+        encode(model, grid, ones.reshape(16, 16))
+    for bad in (np.nan, np.inf, -np.inf, -0.1, 1.5):
+        p0 = ones.copy()
+        p0[5] = bad
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            encode(model, grid, p0)
     with pytest.raises(ValueError, match="thresholds"):
-        encode(model, grid, ProbabilityMap(np.ones(grid.n_tokens)),
-               (0.1, 0.2))
+        encode(model, grid, ones, (0.1, 0.2))
     with pytest.raises(ValueError, match="FlopCounter"):
-        encode(model, grid, ProbabilityMap(np.ones(grid.n_tokens)), cache={})
+        encode(model, grid, ones, cache={})
 
 
 # --- construction ----------------------------------------------------------

@@ -148,12 +148,6 @@ def test_filter_returns_original_rows_when_given(model):
     np.testing.assert_array_equal(res.kept_tokens, v)
 
 
-def test_filter_threshold_validated(model):
-    vp, _ = fuse(model, _visual(), _instr(model))
-    with pytest.raises(ValueError, match="outside"):
-        filter_tokens(model, vp, eps=2.0)
-
-
 def test_filter_result_indices_must_increase():
     with pytest.raises(ValueError, match="increasing"):
         FilterResult(kept_indices=np.array([3, 1]),

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from docprune.content_filter import detect, oracle_detector
-from docprune.patching import (PatchEmbed, ProbabilityMap, TokenGrid,
-                               flatten_patches, partition, patch_embed_init)
+from docprune.patching import (PatchEmbed, TokenGrid, flatten_patches,
+                               partition, patch_embed_init)
 from docprune.rng import Rng
 from docprune.synthdoc import generate, plan_layout
 from docprune.tensor import FlopCounter
@@ -102,30 +102,12 @@ def test_grid_shape_validation():
         TokenGrid(rows=2, cols=2, dim=3, tokens=np.zeros((5, 3)))
 
 
-def test_probability_map_validation():
-    with pytest.raises(ValueError, match="1-D"):
-        ProbabilityMap(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ProbabilityMap(np.array([0.5, 1.5]))
-    with pytest.raises(ValueError, match="binarized"):
-        ProbabilityMap(np.array([0.0, 0.5]), binarized=True)
-    ok = ProbabilityMap(np.array([0.0, 1.0]), binarized=True)
-    assert len(ok) == 2
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_probability_map_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        ProbabilityMap(np.array([0.5, bad, 0.0]))
-
-
 def test_labels_to_probs_matches_patch_labels():
     # ground-truth probabilities come from the oracle detector
     doc = generate(plan_layout(256, 0.5, seed=7))
     probs = detect(oracle_detector(4), doc)
-    assert probs.binarized
     np.testing.assert_array_equal(
-        probs.values, doc.patch_labels(4).astype(np.float64).ravel())
+        probs, doc.patch_labels(4).astype(np.float64).ravel())
 
 
 def test_embed_init_deterministic():

@@ -171,3 +171,21 @@ def test_damaged_array_is_value_error_naming_it(tmp_path, kind, name, damage):
     with pytest.raises(ValueError, match=re.escape(str(path))) as err:
         load(path)
     assert f"array {name!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("kind,name,bad", [
+    ("detector", "w1", np.nan),
+    ("detector", "embed_b", -np.inf),
+    ("ifm", "clf_w2", np.nan),
+    ("ifm", "fuse_wq", np.inf),
+])
+def test_non_finite_array_is_value_error_naming_it(tmp_path, kind, name, bad):
+    path, load = _saved_model(tmp_path, kind, 0)
+    _, arrays = read_weights(path)
+    damaged = arrays[name].copy()
+    damaged.flat[damaged.size // 2] = bad
+    _rewrite(path, **{name: damaged})
+    for read in (read_weights, load):
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            read(path)
+        assert f"array {name!r} holds NaN or inf" in str(err.value)
