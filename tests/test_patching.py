@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from docprune.content_filter import detect, oracle_detector
+from docprune.encoder import encode, encoder_init
 from docprune.patching import (PatchEmbed, TokenGrid, flatten_patches,
                                partition, patch_embed_init)
 from docprune.rng import Rng
@@ -100,6 +101,35 @@ def test_grid_index_round_trip():
 def test_grid_shape_validation():
     with pytest.raises(ValueError, match="does not match"):
         TokenGrid(rows=2, cols=2, dim=3, tokens=np.zeros((5, 3)))
+
+
+def _probe_encode(p0):
+    # the content probability map is checked where it is consumed: encode
+    grid = partition(np.zeros((32, 32)), _embed(dim=8))
+    model = encoder_init(0, d0=8, depths=(1, 1, 1, 1), window=2)
+    return encode(model, grid, p0)
+
+
+def test_probability_map_validation():
+    with pytest.raises(ValueError, match="does not match"):
+        _probe_encode(np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="does not match"):
+        _probe_encode(np.zeros(63))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _probe_encode(np.r_[np.full(63, 0.5), 1.5])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _probe_encode(np.r_[np.full(63, 0.5), -0.1])
+    ok = _probe_encode(np.tile([0.0, 1.0], 32))    # a binary 0/1 map
+    assert (ok.grid.rows, ok.grid.cols) == (1, 1)
+    assert ok.kept_final == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_map_rejects_non_finite(bad):
+    p0 = np.full(64, 0.5)
+    p0[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _probe_encode(p0)
 
 
 def test_labels_to_probs_matches_patch_labels():
