@@ -14,6 +14,13 @@ are bit-identical to the unoptimized path: windows whose gate values are
 all zero skip attention entirely, and the FFN runs only on rows with a
 nonzero gate.
 
+The computed windows of a sublayer run in chunks, gathered by token index
+into stacks (W, window*window, d): one norm and one set of q/k/v/o
+products over a chunk's rows, and one stacked product each for the scores
+and the weighted values. No sum mixes two windows' rows, so a stack gives
+the bits and the FLOPs of one window at a time; only a 1-token window,
+a GEMV alone and part of a GEMM in a stack, rounds differently.
+
 Probabilities propagate through merges by taking the max over the four
 children on the RAW values; each stage re-binarizes the raw map against
 its own threshold on entry. Inactive tokens keep their grid positions
@@ -146,35 +153,74 @@ def attn_residual(x: np.ndarray, bw: BlockWeights,
                   ) -> np.ndarray:
     """x + attention(layernorm(x)): the attention half of a pre-norm block.
 
-    cats names the FLOP categories of the norm and of the attention; the
-    instruction filter charges both to its own category.
+    x is (n, d), or a stack (W, n, d) of windows that each attend within
+    themselves. The norm and the projections run once over all rows, the
+    scores and the weighted values are stacked products, and x is left
+    unchanged. cats names the FLOP categories of the norm and of the
+    attention; the instruction filter charges both to its own category.
     """
+    rows = x.reshape(-1, x.shape[-1])
     with flop_category(counter, cats[0]):
-        a = layernorm(x, bw.ln1_g, bw.ln1_b, counter=counter)
+        a = layernorm(rows, bw.ln1_g, bw.ln1_b, counter=counter)
     with flop_category(counter, cats[1]):
-        q = linear(a, bw.wq, bw.bq, counter)
-        k = linear(a, bw.wk, bw.bk, counter)
-        v = linear(a, bw.wv, bw.bv, counter)
-        out = linear(attention(q, k, v, counter), bw.wo, bw.bo, counter)
-    return x + out
+        q, k, v = (linear(a, w, b, counter).reshape(x.shape)
+                   for w, b in ((bw.wq, bw.bq), (bw.wk, bw.bk),
+                                (bw.wv, bw.bv)))
+        ctx = attention(q, k, v, counter).reshape(rows.shape)
+        out = linear(ctx, bw.wo, bw.bo, counter, out=a)
+    out += rows
+    return out.reshape(x.shape)
 
 
 def ffn_residual(x: np.ndarray, bw: BlockWeights,
                  counter: FlopCounter | None = None,
                  cats: tuple[str, str] = ("encoder_norm", "encoder_ffn")
                  ) -> np.ndarray:
-    """x + FFN(layernorm(x)), GELU hidden layer: the FFN half of a block."""
+    """x + FFN(layernorm(x)), GELU hidden layer: the FFN half of a block.
+
+    x is left unchanged; the hidden layer and the output reuse the
+    buffers of the pass itself.
+    """
     with flop_category(counter, cats[0]):
         a = layernorm(x, bw.ln2_g, bw.ln2_b, counter=counter)
     with flop_category(counter, cats[1]):
-        f = linear(gelu(linear(a, bw.w1, bw.b1, counter), counter),
-                   bw.w2, bw.b2, counter)
-    return x + f
+        z = linear(a, bw.w1, bw.b1, counter)
+        gelu(z, counter, out=z)
+        out = linear(z, bw.w2, bw.b2, counter, out=a)
+    out += x
+    return out
 
 
-def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Per-token convex combination p*F(h) + (1-p)*h; identity at p=0."""
-    return p * fh + (1.0 - p) * h
+def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Per-token convex combination p*F(h) + (1-p)*h; identity at p=0.
+
+    Into out when given; out may be fh, but not h.
+    """
+    out = np.multiply(p, fh, out=out)
+    out += (1.0 - p) * h
+    return out
+
+
+# rows per chunk of computed windows: a chunk's windows share one set of
+# products, and its temporaries stay in cache
+_CHUNK_ROWS = 1024
+
+
+def _window_slots(rows: int, cols: int, window: int,
+                  shift: int) -> np.ndarray:
+    """Token index of every window slot, one row per window.
+
+    The grid is zero-padded up to a window multiple and rolled by -shift
+    on both axes; windows are in row-major order over that grid, and slots
+    in row-major order within a window. A pad slot holds rows * cols.
+    """
+    R, C = rows + (-rows) % window, cols + (-cols) % window
+    r = (np.arange(R)[:, None] + shift) % R
+    c = (np.arange(C) + shift) % C
+    idx = np.where((r < rows) & (c < cols), r * cols + c, rows * cols)
+    return idx.reshape(R // window, window, C // window,
+                       window).swapaxes(1, 2).reshape(-1, window * window)
 
 
 def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
@@ -182,58 +228,38 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
                 bypass: bool = True) -> tuple[TokenGrid, int, int]:
     """One gated window-attention sublayer over the whole grid.
 
-    p holds per-token gate values (None disables gating entirely). Windows
-    whose gate values are all zero are bypassed when `bypass` is set. The
-    grid is zero-padded up to a window multiple with gate-0 pad tokens,
-    which are stripped again after the pass. Returns the new grid and the
-    number of windows computed and in total.
+    p holds per-token gate values (None disables gating entirely). The
+    grid is zero-padded up to a window multiple, and a shifted pass rolls
+    it by half a window first; pad slots read an appended zero row and are
+    never written back. Windows whose gate values are all zero are
+    bypassed when `bypass` is set. The computed windows run in chunks of
+    at most _CHUNK_ROWS rows, one stacked attn_residual and one gate per
+    chunk. Windows share no token, so neither the chunks nor their order
+    change a bit. Returns the new grid and the number of windows computed
+    and in total.
     """
     if p is not None and p.size != grid.n_tokens:
         raise ValueError(
             f"gate length {p.size} does not match {grid.n_tokens} tokens")
-    rows, cols, d = grid.rows, grid.cols, grid.dim
-    t = grid.tokens.reshape(rows, cols, d).copy()
-    pv = None if p is None else p.reshape(rows, cols).copy()
-
-    pad_r = (-rows) % window
-    pad_c = (-cols) % window
-    if pad_r or pad_c:
-        t = np.pad(t, ((0, pad_r), (0, pad_c), (0, 0)))
-        if pv is None:
-            pv = np.pad(np.ones((rows, cols)), ((0, pad_r), (0, pad_c)))
-        else:
-            pv = np.pad(pv, ((0, pad_r), (0, pad_c)))
-    padded = pad_r or pad_c
-    R, C = t.shape[0], t.shape[1]
-
-    shift = window // 2 if shifted else 0
-    if shift:
-        t = np.roll(t, (-shift, -shift), axis=(0, 1))
-        if pv is not None:
-            pv = np.roll(pv, (-shift, -shift), axis=(0, 1))
-
-    wr_n, wc_n = R // window, C // window
-    computed = 0
-    for widx in range(wr_n * wc_n):
-        wr, wc = divmod(widx, wc_n)
-        rs = slice(wr * window, (wr + 1) * window)
-        cs = slice(wc * window, (wc + 1) * window)
-        pw = None if pv is None else pv[rs, cs].reshape(-1, 1)
-        if bypass and pw is not None and not pw.any():
-            continue
-        computed += 1
-        tv = t[rs, cs].reshape(window * window, d)
-        new = attn_residual(tv, bw, counter)
-        if pw is not None:
-            new = gate_combine(pw, new, tv)
-        t[rs, cs] = new.reshape(window, window, d)
-
-    if shift:
-        t = np.roll(t, (shift, shift), axis=(0, 1))
-    if padded:
-        t = t[:rows, :cols]
-    return (TokenGrid(rows, cols, d, t.reshape(rows * cols, d)), computed,
-            wr_n * wc_n)
+    n, d = grid.n_tokens, grid.dim
+    slots = _window_slots(grid.rows, grid.cols, window,
+                          window // 2 if shifted else 0)
+    total = len(slots)
+    gates = None if p is None else np.append(p, 0.0)[slots]
+    if bypass and gates is not None:
+        keep = gates.any(axis=1)
+        slots, gates = slots[keep], gates[keep]
+    t = np.vstack([grid.tokens, np.zeros((1, d))])
+    step = max(1, _CHUNK_ROWS // (window * window))
+    for w0 in range(0, len(slots), step):
+        idx = slots[w0:w0 + step]
+        h = t[idx]
+        new = attn_residual(h, bw, counter)
+        if gates is not None:
+            gate_combine(gates[w0:w0 + step, :, None], new, h, out=new)
+        t[idx] = new
+        t[n] = 0.0
+    return TokenGrid(grid.rows, grid.cols, d, t[:n]), len(slots), total
 
 
 def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
@@ -250,8 +276,8 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
         active = p > 0.0
         if active.any():
             h = t[active]
-            t[active] = gate_combine(p[active, None],
-                                     ffn_residual(h, bw, counter), h)
+            f = ffn_residual(h, bw, counter)
+            t[active] = gate_combine(p[active, None], f, h, out=f)
     return TokenGrid(out.rows, out.cols, out.dim, t), computed, total
 
 

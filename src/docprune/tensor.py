@@ -1,6 +1,8 @@
 """Dense float64 kernel: matmul, softmax, layernorm, attention, 2-layer MLP.
 
 All matrices are C-contiguous numpy float64 arrays of shape (rows, cols).
+matmul, softmax_rows and attention also take stacks of them, (W, rows,
+cols), and charge W times the count of one.
 Compute cost is tracked by an explicit per-run :class:`FlopCounter` using
 two documented conventions:
 
@@ -133,15 +135,25 @@ def _check_2d(name: str, a: np.ndarray) -> None:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
 
 
+def _check_stacks(**operands: np.ndarray) -> None:
+    """The operands are all 2-D, or all stacks (W, rows, cols) of one W."""
+    lead = next(iter(operands.values())).shape[:-2]
+    for name, a in operands.items():
+        if a.ndim not in (2, 3) or a.shape[:-2] != lead:
+            raise ValueError(
+                f"{name} must be 2-D or a 3-D stack like the first operand, "
+                "got " + ", ".join(f"{n} {o.shape}"
+                                   for n, o in operands.items()))
+
+
 def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, into out when given."""
-    _check_2d("a", a)
-    _check_2d("b", b)
-    if a.shape[1] != b.shape[0]:
+    """a @ b, into out when given; 3-D operands are stacks of products."""
+    _check_stacks(a=a, b=b)
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     if counter is not None:
-        counter.add(2 * a.shape[0] * a.shape[1] * b.shape[1])
+        counter.add(2 * math.prod(a.shape) * b.shape[-1])
     return np.matmul(a, b, out=out)
 
 
@@ -157,13 +169,17 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return y
 
 
-def softmax_rows(a: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    _check_2d("a", a)
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+def softmax_rows(a: np.ndarray, counter: FlopCounter | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis of a 2-D or stacked 3-D array, into out
+    (a itself allowed) when given."""
+    _check_stacks(a=a)
+    e = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * a.size)
-    return e / e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -175,12 +191,14 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             f"gamma={gamma.shape}, beta={beta.shape}")
     if eps <= 0:
         raise ValueError("layernorm eps must be positive")
-    # ndarray.var's own steps, on the rows centred once
+    # ndarray.var's own steps, on the rows centred once; the output then
+    # takes over the squares' buffer
     centred = a - a.mean(axis=1, keepdims=True)
-    var = np.add.reduce(centred * centred, axis=1, keepdims=True) / a.shape[1]
+    out = centred * centred
+    var = np.add.reduce(out, axis=1, keepdims=True) / a.shape[1]
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * a.size)
-    out = gamma * centred
+    np.multiply(gamma, centred, out=out)
     out /= np.sqrt(var + eps)
     out += beta
     return out
@@ -188,17 +206,17 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
               counter: FlopCounter | None = None) -> np.ndarray:
-    """softmax(q.kT / sqrt(d)).v, single head."""
-    _check_2d("q", q)
-    _check_2d("k", k)
-    _check_2d("v", v)
-    if q.shape[1] != k.shape[1]:
+    """softmax(q.kT / sqrt(d)).v, single head; 3-D operands are a stack of
+    independent attentions, one per leading index."""
+    _check_stacks(q=q, k=k, v=v)
+    if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention q/k dim mismatch: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ValueError(f"attention k/v row mismatch: {k.shape} vs {v.shape}")
-    scale = 1.0 / float(q.shape[1]) ** 0.5
-    scores = matmul(q, k.T, counter) * scale
-    weights = softmax_rows(scores, counter)
+    scale = 1.0 / float(q.shape[-1]) ** 0.5
+    scores = matmul(q, k.swapaxes(-1, -2), counter)
+    scores *= scale
+    weights = softmax_rows(scores, counter, out=scores)
     return matmul(weights, v, counter)
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from docprune import encoder
-from docprune.encoder import (EncoderModel, attn_residual, encode,
-                              encoder_init, gate_combine, gated_block,
-                              merge_patches, window_pass)
+from docprune.encoder import (EncoderModel, attn_residual, block_init, encode,
+                              encoder_init, ffn_residual, gate_combine,
+                              gated_block, merge_patches, window_pass)
 from docprune.patching import TokenGrid
 from docprune.rng import Rng
 from docprune.tensor import FlopCounter
@@ -26,6 +26,10 @@ def _model(seed=0, d0=8, depths=(2, 1, 1, 1), window=4):
 
 def _block(seed=1, dim=8):
     return _model(seed, d0=dim).blocks[0][0]
+
+
+def _wide_block(seed, dim):
+    return block_init(Rng(seed).derive("block"), dim, ffn_ratio=2)
 
 
 # --- gating algebra -------------------------------------------------------
@@ -145,6 +149,132 @@ def test_shifted_blocks_differ_from_unshifted():
     a, *_ = window_pass(grid, None, bw, window=4, shifted=False)
     b, *_ = window_pass(grid, None, bw, window=4, shifted=True)
     assert not np.array_equal(a.tokens, b.tokens)
+
+
+# --- stacked windows against the per-window loop ---------------------------
+
+def _reference_pass(grid, p, bw, window, shifted, counter=None, bypass=True):
+    """window_pass one window at a time: pad, roll, attend, gate, strip."""
+    rows, cols, d = grid.rows, grid.cols, grid.dim
+    t = grid.tokens.reshape(rows, cols, d).copy()
+    pv = None if p is None else p.reshape(rows, cols).copy()
+    pad = ((0, (-rows) % window), (0, (-cols) % window))
+    if pad[0][1] or pad[1][1]:
+        t = np.pad(t, pad + ((0, 0),))
+        pv = np.pad(np.ones((rows, cols)) if pv is None else pv, pad)
+    shift = window // 2 if shifted else 0
+    t = np.roll(t, (-shift, -shift), axis=(0, 1))
+    if pv is not None:
+        pv = np.roll(pv, (-shift, -shift), axis=(0, 1))
+    wr_n, wc_n = t.shape[0] // window, t.shape[1] // window
+    computed = 0
+    for widx in range(wr_n * wc_n):
+        wr, wc = divmod(widx, wc_n)
+        rs = slice(wr * window, (wr + 1) * window)
+        cs = slice(wc * window, (wc + 1) * window)
+        pw = None if pv is None else pv[rs, cs].reshape(-1, 1)
+        if bypass and pw is not None and not pw.any():
+            continue
+        computed += 1
+        tv = t[rs, cs].reshape(window * window, d)
+        new = attn_residual(tv, bw, counter)
+        if pw is not None:
+            new = gate_combine(pw, new, tv)
+        t[rs, cs] = new.reshape(window, window, d)
+    t = np.roll(t, (shift, shift), axis=(0, 1))[:rows, :cols]
+    return t.reshape(rows * cols, d), computed, wr_n * wc_n
+
+
+def _gates(kind, rows, cols, seed):
+    """Gate values of one kind; binary and soft gates are zero on the top
+    half of the grid, so that whole windows are bypassed."""
+    if kind == "none":
+        return None
+    if kind == "zero":
+        return np.zeros(rows * cols)
+    p = Rng(seed).uniforms(rows * cols).reshape(rows, cols)
+    if kind == "binary":
+        p = (p > 0.4).astype(np.float64)
+    p[:rows // 2] = 0.0
+    return p.ravel()
+
+
+def _assert_pass_matches_reference(grid, p, bw, window, shifted, bypass,
+                                   atol=None):
+    fast_c, ref_c = FlopCounter(), FlopCounter()
+    out, computed, total = window_pass(grid, p, bw, window, shifted, fast_c,
+                                       bypass)
+    ref, *counts = _reference_pass(grid, p, bw, window, shifted, ref_c,
+                                   bypass)
+    if atol is None:
+        assert out.tokens.tobytes() == ref.tobytes()
+    else:
+        np.testing.assert_allclose(out.tokens, ref, rtol=0.0, atol=atol)
+    assert [computed, total] == counts
+    assert fast_c.by_category == ref_c.by_category
+
+
+@pytest.mark.parametrize("window,dim", [(2, 16), (3, 128), (4, 32), (5, 64),
+                                        (8, 16), (10, 32)])
+@pytest.mark.parametrize("gate", ["none", "binary", "soft", "zero"])
+def test_window_pass_equals_per_window_loop(window, dim, gate):
+    bw = _wide_block(seed=window, dim=dim)
+    for side in (2 * window, 3 * window - 1):       # exact and padded grids
+        grid = _grid(side=side, dim=dim, seed=side)
+        p = _gates(gate, side, side, seed=side + 1)
+        for shifted in (False, True):
+            for bypass in (True, False):
+                _assert_pass_matches_reference(grid, p, bw, window, shifted,
+                                               bypass)
+
+
+def test_window_one_stays_within_rounding_of_the_loop():
+    # a 1-row window is a GEMV alone and part of a GEMM in a stack, so its
+    # bits may move, by rounding only
+    bw = _wide_block(seed=1, dim=16)
+    grid = _grid(side=7, dim=16)
+    for gate in ("none", "binary", "soft"):
+        p = _gates(gate, 7, 7, seed=3)
+        for shifted in (False, True):
+            _assert_pass_matches_reference(grid, p, bw, 1, shifted, True,
+                                           atol=1e-12)
+
+
+def _encode_bytes_and_flops(model, grid, p0):
+    counter = FlopCounter()
+    result = encode(model, grid, p0, DEFAULT_EPS_C, counter=counter)
+    return result.grid.tokens.tobytes(), counter.by_category
+
+
+def test_chunk_size_does_not_change_bytes_or_flops(monkeypatch):
+    # 24 tokens a side pads to 25 at window 5: 25 windows of 25 rows
+    grid = _grid(side=24, dim=16, seed=5)
+    model = _model(seed=2, d0=16, depths=(2, 2, 1, 1), window=5)
+    p0 = Rng(7).uniforms(grid.n_tokens)
+    runs = []
+    for rows in (encoder._CHUNK_ROWS, 25, 25 * 25):   # default, 1, all
+        monkeypatch.setattr(encoder, "_CHUNK_ROWS", rows)
+        run = [_encode_bytes_and_flops(model, grid, p0)]
+        for gate in ("none", "soft"):
+            counter = FlopCounter()
+            out, *counts = window_pass(grid, _gates(gate, 24, 24, seed=6),
+                                       model.blocks[0][0], 5, True, counter)
+            run.append((out.tokens.tobytes(), counts, counter.by_category))
+        runs.append(run)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_sublayers_leave_their_inputs_unchanged():
+    bw = _block(dim=8)
+    x = _grid(side=4).tokens
+    stack = x.reshape(2, 8, 8)
+    p = Rng(3).uniforms(16).reshape(16, 1)
+    for f, args in ((attn_residual, (x, bw)), (attn_residual, (stack, bw)),
+                    (ffn_residual, (x, bw)), (gate_combine, (p, x + 1.0, x))):
+        before = [a.copy() for a in args if isinstance(a, np.ndarray)]
+        f(*args)
+        after = [a for a in args if isinstance(a, np.ndarray)]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 # --- merges and probability propagation -----------------------------------

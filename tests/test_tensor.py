@@ -3,6 +3,7 @@ oracles for the MLP gradients, and exactness of the FLOP accounting."""
 
 import importlib.machinery
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,6 +144,64 @@ def test_attention_rejects_mismatch():
         attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError, match="k/v"):
         attention(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 4)))
+
+
+# --- stacked operands ---
+
+def _stack(seed, *shape):
+    return Rng(seed).uniforms(math.prod(shape), -1, 1).reshape(shape)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 16, 64])
+def test_stacked_kernels_equal_their_slices(rows):
+    q, k = _stack(40, 5, rows, 8), _stack(41, 5, rows, 8)
+    v = _stack(42, 5, rows, 6)
+    cases = ((matmul, (q, k.swapaxes(1, 2))), (softmax_rows, (q,)),
+             (attention, (q, k, v)))
+    for f, args in cases:
+        c_stack, c_one = FlopCounter(), FlopCounter()
+        out = f(*args, c_stack)
+        for w in range(5):
+            one = f(*(a[w] for a in args), c_one)
+            assert one.tobytes() == out[w].tobytes()
+        assert c_stack.total() == c_one.total() > 0
+
+
+def test_stacked_flops_are_w_times_one_slice():
+    c = FlopCounter()
+    matmul(np.zeros((7, 3, 4)), np.zeros((7, 4, 5)), c)
+    assert c.total() == 7 * 2 * 3 * 4 * 5
+    c = FlopCounter()
+    softmax_rows(np.zeros((7, 2, 8)), c)
+    assert c.total() == 7 * ELEMWISE_FLOPS * 16
+    c = FlopCounter()
+    attention(np.zeros((7, 3, 4)), np.zeros((7, 5, 4)), np.zeros((7, 5, 6)), c)
+    assert c.total() == 7 * (2 * 3 * 4 * 5 + ELEMWISE_FLOPS * 15
+                             + 2 * 3 * 5 * 6)
+
+
+def test_softmax_rows_into_its_input():
+    a = _stack(43, 3, 4, 4)
+    expect = softmax_rows(a)
+    assert softmax_rows(a, out=a) is a
+    assert a.tobytes() == expect.tobytes()
+
+
+def test_stacked_shapes_are_checked_by_operand():
+    stack = "must be 2-D or a 3-D stack like the first operand"
+    with pytest.raises(ValueError, match=f"^b {stack}, got a .*, b "):
+        matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
+    with pytest.raises(ValueError, match=f"^b {stack}"):
+        matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+    with pytest.raises(ValueError, match=f"^a {stack}"):
+        softmax_rows(np.zeros((1, 2, 3, 4)))
+    with pytest.raises(ValueError, match=f"^v {stack}"):
+        attention(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=f"^k {stack}"):
+        attention(np.zeros((3, 4)), np.zeros(4), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="k/v"):
+        attention(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)),
+                  np.zeros((2, 5, 4)))
 
 
 # --- MLP and gradients ---
