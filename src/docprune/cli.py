@@ -21,11 +21,10 @@ from pathlib import Path
 from .content_filter import (evaluate_detector, mlp_detector, save_detector,
                              train_detector)
 from .instruction_filter import evaluate_ifm, save_ifm, train_ifm
-from .pipeline import (ConfigError, PipelineConfig, build_models,
+from .pipeline import (PROFILES, ConfigError, PipelineConfig, build_models,
                        prepare_ifm_samples, render_masks, run, summary_row,
                        sweep, write_report, write_summary_csv)
-from .synthdoc import (LAYOUT_GRID, LayoutError, make_corpus,
-                       mean_content_fraction, save_corpus)
+from .synthdoc import make_corpus, mean_content_fraction, save_corpus
 
 DEFAULT_GRID = "0.25:0.25,0.25:0.5,0.5:0.25,0.5:0.5"
 
@@ -55,54 +54,22 @@ def _count(text: str) -> int:
     return n
 
 
-def _page_size(text: str) -> int:
-    """argparse type of --size: a count that is a multiple of LAYOUT_GRID."""
-    n = _count(text)
-    if n % LAYOUT_GRID:
-        raise argparse.ArgumentTypeError(
-            f"must be a multiple of {LAYOUT_GRID}, got {n}")
-    return n
-
-
-def _finite(text: str) -> float:
+def _positive(text: str) -> float:
+    """argparse type of --lr and --pos-weight: a finite float above 0."""
     try:
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return x
-
-
-def _fraction(text: str) -> float:
-    """argparse type of --fraction: a finite float in [0, 1]."""
-    x = _finite(text)
-    if not 0.0 <= x <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return x
-
-
-def _positive(text: str) -> float:
-    """argparse type of --lr and --pos-weight: a finite float above 0."""
-    x = _finite(text)
     if x <= 0.0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return x
 
 
-def _corpus(args, seed: int):
-    """The corpus that --n, --fraction and --size ask for, or a ConfigError
-    naming them when no page of that size packs that fraction."""
-    try:
-        return make_corpus(args.n, args.fraction, args.size, seed)
-    except LayoutError as e:
-        raise ConfigError(f"--fraction {args.fraction:g} at --size "
-                          f"{args.size}: {e}") from e
-
-
 def _load_config(args) -> PipelineConfig:
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text())
         except FileNotFoundError:
@@ -111,21 +78,31 @@ def _load_config(args) -> PipelineConfig:
             raise ConfigError(f"config file is not valid JSON: {e}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    profile = getattr(args, "profile", None) or file_cfg.get("profile", "desk")
+    profile = args.profile or file_cfg.get("profile", "desk")
     # from_dict rejects an unknown profile
     base = asdict(PipelineConfig.paper_scale() if profile == "paper-scale"
                   else PipelineConfig())
     base.update(file_cfg)
     base["profile"] = profile
-    base["seed"] = _resolve_seed(getattr(args, "seed", None), file_cfg)
+    base["seed"] = _resolve_seed(args.seed, file_cfg)
     try:
         return PipelineConfig.from_dict(base)
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e))
 
 
+def _config_and_corpus(args) -> tuple[PipelineConfig, list]:
+    """The config the flags describe, --n overriding its corpus_n, and the
+    corpus it describes."""
+    config = _load_config(args)
+    if args.n is not None:
+        config = replace(config, corpus_n=args.n)
+    return config, make_corpus(config.corpus_n, config.content_fraction,
+                               config.image_size, config.seed)
+
+
 def _cmd_gen(args) -> int:
-    docs = _corpus(args, _resolve_seed(args.seed, {}))
+    _, docs = _config_and_corpus(args)
     out = save_corpus(docs, args.out)
     print(f"wrote {len(docs)} documents to {out} "
           f"(mean content fraction {mean_content_fraction(docs):.3f})")
@@ -133,36 +110,30 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_detector(args) -> int:
-    if args.size % args.patch:
-        raise ConfigError(f"--patch {args.patch} does not divide --size "
-                          f"{args.size}")
-    seed = _resolve_seed(args.seed, {})
-    corpus = _corpus(args, seed)
-    model = mlp_detector(seed, args.patch)
+    config, corpus = _config_and_corpus(args)
+    model = mlp_detector(config.seed, config.patch_size)
     model, curve = train_detector(model, corpus, args.epochs, args.lr)
     save_detector(args.out, model)
-    stats = evaluate_detector(model, corpus, threshold=0.25)
-    print(f"trained detector on {args.n} docs for {args.epochs} epochs: "
+    eps = config.eps_c[0]
+    stats = evaluate_detector(model, corpus, threshold=eps)
+    print(f"trained detector on {len(corpus)} docs for {args.epochs} epochs: "
           f"loss {curve[0]:.4f} -> {curve[-1]:.4f}, "
-          f"train recall@0.25 {stats['recall']:.4f}; weights at {args.out}")
+          f"train recall@{eps:g} {stats['recall']:.4f}; weights at {args.out}")
     return 0
 
 
 def _cmd_train_ifm(args) -> int:
-    config = _load_config(args)
-    if args.n is not None:
-        config = replace(config, corpus_n=args.n)
-    corpus = make_corpus(config.corpus_n, config.content_fraction,
-                         config.image_size, config.seed)
+    config, corpus = _config_and_corpus(args)
     models = build_models(config)
     samples = prepare_ifm_samples(config, corpus, models)
     _, curve = train_ifm(models.ifm, samples, args.epochs, args.lr,
                          pos_weight=args.pos_weight)
     save_ifm(args.out, models.ifm)
-    stats = evaluate_ifm(models.ifm, samples, eps=0.5)
+    eps = config.eps_i
+    stats = evaluate_ifm(models.ifm, samples, eps=eps)
     print(f"trained IFM on {len(samples)} docs for {args.epochs} epochs: "
           f"loss {curve[0]:.4f} -> {curve[-1]:.4f}, "
-          f"train recall@0.5 {stats['recall']:.4f}; weights at {args.out}")
+          f"train recall@{eps:g} {stats['recall']:.4f}; weights at {args.out}")
     return 0
 
 
@@ -260,7 +231,7 @@ def _cmd_render(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (keys mirror PipelineConfig)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--profile", choices=["desk", "paper-scale"], default=None)
+    p.add_argument("--profile", choices=PROFILES, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,21 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic document corpus")
-    p.add_argument("--n", type=_count, default=32)
-    p.add_argument("--fraction", type=_fraction, default=0.5)
-    p.add_argument("--size", type=_page_size, default=256)
-    p.add_argument("--seed", type=int, default=None)
+    _add_config_flags(p)
+    p.add_argument("--n", type=_count, default=None,
+                   help="override corpus size")
     p.add_argument("--out", default="corpus")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train-detector", help="train the MLP content detector")
-    p.add_argument("--n", type=_count, default=16)
-    p.add_argument("--fraction", type=_fraction, default=0.5)
-    p.add_argument("--size", type=_page_size, default=256)
-    p.add_argument("--patch", type=_count, default=4)
+    _add_config_flags(p)
+    p.add_argument("--n", type=_count, default=16, help="override corpus size")
     p.add_argument("--epochs", type=_count, default=250)
     p.add_argument("--lr", type=_positive, default=0.08)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="detector.hrvd")
     p.set_defaults(func=_cmd_train_detector)
 

@@ -120,15 +120,20 @@ class PipelineConfig:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.detector not in ("oracle", "mlp"):
             raise ConfigError(f"unknown detector variant {self.detector!r}")
+        if self.detector == "oracle" and self.detector_weights is not None:
+            raise ConfigError(
+                "config field 'detector_weights' is set, but detector "
+                "'oracle' reads no weights; set detector to 'mlp'")
         if self.image_size % self.patch_size:
             raise ConfigError(
-                f"patch size {self.patch_size} does not divide image size "
-                f"{self.image_size}")
+                f"config field 'patch_size' {self.patch_size} does not "
+                f"divide 'image_size' {self.image_size}")
         grid = self.image_size // self.patch_size
         if grid % 8:
             raise ConfigError(
-                f"stage-1 grid {grid} must be divisible by 8 for three "
-                "2x2 merges")
+                f"config fields 'image_size' {self.image_size} and "
+                f"'patch_size' {self.patch_size} give a stage-1 grid of "
+                f"{grid}, which must be divisible by 8 for three 2x2 merges")
         packable = max_content_fraction(self.image_size)
         if self.content_fraction > packable:
             raise ConfigError(
@@ -235,6 +240,10 @@ def build_models(config: PipelineConfig,
     if ifm.dim != config.llm_dim:
         raise ConfigError(
             f"IFM dim {ifm.dim} does not match llm_dim {config.llm_dim}")
+    if ifm.use_positions != config.use_positions:
+        raise ConfigError(
+            f"IFM use_positions {ifm.use_positions} does not match config "
+            f"use_positions {config.use_positions}")
     return Models(
         embed=patch_embed_init(rng.derive("patch_embed"),
                                config.patch_size, config.d0),

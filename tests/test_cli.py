@@ -2,11 +2,13 @@
 and artifacts landing where the flags say."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from docprune.cli import main
+from docprune.cli import build_parser, main
 from docprune.instruction_filter import save_ifm
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex)
@@ -32,28 +34,31 @@ def config_file(tmp_path):
     return str(path)
 
 
-def test_gen_writes_corpus(tmp_path, capsys):
+def test_gen_writes_corpus(tmp_path, config_file, capsys):
     out = tmp_path / "corpus"
-    assert main(["gen", "--n", "2", "--size", "128", "--seed", "3",
+    assert main(["gen", "--config", config_file, "--seed", "3",
                  "--out", str(out)]) == 0
     assert (out / "doc_0000.pgm").exists()
     assert (out / "doc_0001.mask.pbm").exists()
     assert "wrote 2 documents" in capsys.readouterr().out
 
 
-def test_gen_deterministic_in_seed(tmp_path):
+def test_gen_deterministic_in_seed(tmp_path, config_file):
     a, b = tmp_path / "a", tmp_path / "b"
-    main(["gen", "--n", "1", "--size", "128", "--seed", "5", "--out", str(a)])
-    main(["gen", "--n", "1", "--size", "128", "--seed", "5", "--out", str(b)])
+    main(["gen", "--config", config_file, "--n", "1", "--seed", "5",
+          "--out", str(a)])
+    main(["gen", "--config", config_file, "--n", "1", "--seed", "5",
+          "--out", str(b)])
     assert (a / "doc_0000.pgm").read_bytes() == (b / "doc_0000.pgm").read_bytes()
 
 
-def test_seed_env_var(tmp_path, monkeypatch):
+def test_seed_env_var(tmp_path, monkeypatch, config_file):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("HRVDA_SEED", "5")
-    main(["gen", "--n", "1", "--size", "128", "--out", str(a)])
+    main(["gen", "--config", config_file, "--n", "1", "--out", str(a)])
     monkeypatch.delenv("HRVDA_SEED")
-    main(["gen", "--n", "1", "--size", "128", "--seed", "5", "--out", str(b)])
+    main(["gen", "--config", config_file, "--n", "1", "--seed", "5",
+          "--out", str(b)])
     assert (a / "doc_0000.pgm").read_bytes() == (b / "doc_0000.pgm").read_bytes()
 
 
@@ -203,16 +208,33 @@ def test_non_finite_ifm_weights_are_exit_3(tmp_path, capsys):
     ("eps_c", [0.5, 0.25, 0.5, 0.5]),
     ("eps_c", [-0.1, 0.25, 0.5, 0.5]),
     ("eps_c", [0.25, 0.25, 0.5, 1.5]),
+    ("detector_weights", "det.hrvd"),
+    ("image_size", 4),
+    ("patch_size", 3),
+    ("content_fraction", float("nan")),
 ])
 def test_bad_field_value_is_exit_2(tmp_path, capsys, key, value):
+    # every command that reads a config rejects it before it writes a file
     with pytest.raises(ConfigError, match=key):
         PipelineConfig.from_dict({**SMALL_CONFIG, key: value})
-    path = tmp_path / "config.json"
+    path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps({**SMALL_CONFIG, key: value}))
-    assert main(["run", "--config", str(path), "--out",
-                 str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for command in ("gen", "train-detector", "train-ifm", "run"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_ifm_weights_of_other_use_positions_are_exit_2(tmp_path, capsys):
+    # weights saved with positions must not run, and report, without them
+    weights, out = tmp_path / "ifm.hrvd", tmp_path / "out"
+    save_ifm(weights, build_models(PipelineConfig.from_dict(SMALL_CONFIG)).ifm)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, ifm_weights=str(weights),
+                                    use_positions=False)))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "use_positions" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_writes_summary(tmp_path, config_file, capsys):
@@ -266,11 +288,11 @@ def test_render_from_report(tmp_path, config_file):
 
 
 def test_gen_and_render_draw_content_in_one_colour(tmp_path, config_file):
-    # gen, run and render of one 128-px page at seed 7: a stage-2 cell is
-    # kept exactly when its 8x8 pixels hold content, so a cell is white in
-    # the render exactly when the page mask has a white pixel in it
+    # gen, run and render of one config's 128-px pages at seed 7: a stage-2
+    # cell is kept exactly when its 8x8 pixels hold content, so a cell is
+    # white in the render exactly when the page mask has a white pixel in it
     corpus, out, masks = tmp_path / "corpus", tmp_path / "out", tmp_path / "m"
-    assert main(["gen", "--n", "1", "--size", "128", "--seed", "7",
+    assert main(["gen", "--config", config_file, "--seed", "7",
                  "--out", str(corpus)]) == 0
     assert main(["run", "--config", config_file, "--seed", "7",
                  "--out", str(out)]) == 0
@@ -290,17 +312,21 @@ def test_render_missing_report_is_exit_2(tmp_path, capsys):
 
 
 def test_train_detector_then_use(tmp_path, capsys):
-    weights = tmp_path / "det.npz"
-    assert main(["train-detector", "--n", "2", "--size", "128",
+    # one config's patch size for the detector and the run that uses it
+    weights, out = tmp_path / "det.npz", tmp_path / "out"
+    cfg = dict(SMALL_CONFIG, patch_size=8)
+    train, use = tmp_path / "train.json", tmp_path / "use.json"
+    train.write_text(json.dumps(cfg))
+    use.write_text(json.dumps(dict(cfg, detector="mlp",
+                                   detector_weights=str(weights))))
+    assert main(["train-detector", "--config", str(train), "--n", "2",
                  "--epochs", "3", "--lr", "0.05", "--seed", "1",
                  "--out", str(weights)]) == 0
-    assert weights.exists()
-    assert "trained detector" in capsys.readouterr().out
-    cfg = dict(SMALL_CONFIG, detector="mlp", detector_weights=str(weights))
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(path), "--seed", "7",
-                 "--out", str(tmp_path / "out")]) == 0
+    assert "trained detector on 2 docs" in capsys.readouterr().out
+    assert main(["run", "--config", str(use), "--seed", "7",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["patch_size"] == 8
 
 
 def test_train_ifm_then_use(tmp_path, config_file, capsys):
@@ -339,13 +365,6 @@ def test_count_below_one_is_exit_2_before_any_file(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command,flag,value,message", [
-    ("gen", "--fraction", "1.5", "must lie in [0, 1], got 1.5"),
-    ("gen", "--fraction", "nan", "must be finite, got nan"),
-    ("gen", "--size", "7", "must be a multiple of 4, got 7"),
-    ("gen", "--size", "0", "must be >= 1, got 0"),
-    ("train-detector", "--fraction", "-0.5", "must lie in [0, 1], got -0.5"),
-    ("train-detector", "--size", "130", "must be a multiple of 4, got 130"),
-    ("train-detector", "--patch", "0", "must be >= 1, got 0"),
     ("train-detector", "--lr", "nan", "must be finite, got nan"),
     ("train-detector", "--lr", "0", "must be > 0, got 0"),
     ("train-ifm", "--lr", "-0.3", "must be > 0, got -0.3"),
@@ -355,26 +374,11 @@ def test_count_below_one_is_exit_2_before_any_file(tmp_path, capsys,
 def test_bad_numeric_flag_is_exit_2_before_any_file(tmp_path, capsys, command,
                                                     flag, value, message):
     out = tmp_path / "out"
-    argv = [command, "--n", "1", f"{flag}={value}", "--out", str(out)]
-    if command != "gen":
-        argv += ["--epochs", "1"]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([command, "--n", "1", f"{flag}={value}", "--epochs", "1",
+              "--out", str(out)])
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["gen", "--fraction", "0.95"], "--fraction 0.95 at --size 256: target"),
-    (["gen", "--size", "4"], "--fraction 0.5 at --size 4: target"),
-    (["train-detector", "--patch", "3", "--epochs", "1"],
-     "--patch 3 does not divide --size 256")])
-def test_unmakeable_corpus_is_exit_2_before_any_file(tmp_path, capsys, argv,
-                                                     message):
-    out = tmp_path / "out"
-    assert main(argv + ["--n", "1", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -422,3 +426,18 @@ def test_render_of_a_non_report_is_exit_2(tmp_path, capsys, content, message):
     assert main(["render", "--report", str(path), "--out", str(masks)]) == 2
     assert f"report {path}: {message}" in capsys.readouterr().err
     assert not masks.exists()
+
+
+def test_readme_cli_lines_parse():
+    # every command line of README's CLI block is one the parser takes
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("docprune ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
