@@ -312,8 +312,19 @@ def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
 
     A merge takes the max over its four children, so every stage's raw
     map is a function of p0 alone and never of the tokens. This is the
-    one place the maps are made.
+    one place the maps are made, and p0 and eps are checked here: one
+    finite probability in [0, 1] per token of `grid`, one threshold per
+    stage.
     """
+    if p0.shape != (grid.n_tokens,):
+        raise ValueError(
+            f"probability map shape {p0.shape} does not match "
+            f"{grid.n_tokens} tokens")
+    if not np.all((p0 >= 0.0) & (p0 <= 1.0)):     # NaN fails both
+        raise ValueError("probabilities must be finite and lie in [0, 1]")
+    if len(eps) != len(model.blocks):
+        raise ValueError(
+            f"{len(eps)} thresholds for {len(model.blocks)} stages")
     raw, rows, cols = p0.copy(), grid.rows, grid.cols
     maps = []
     for s in range(len(model.blocks)):
@@ -324,12 +335,23 @@ def _stage_maps(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
     return maps
 
 
+def mask_key(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
+             eps_c: tuple[float, ...]) -> bytes:
+    """The per-stage binarized masks of p0 under eps_c, packed.
+
+    An encode depends on its thresholds through these masks alone: two
+    encodes of one grid and p0, under one model and one set of gating
+    options, return equal results and charge equal FLOPs when their keys
+    are equal.
+    """
+    return b"".join(np.packbits(b > 0.0).tobytes()
+                    for _, b in _stage_maps(model, grid, p0, eps_c))
+
+
 def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
            eps_c: tuple[float, ...] = (0.0,) * 4, gated: bool = True,
            bypass: bool = True, soft: bool = False,
-           counter: FlopCounter | None = None,
-           cache: dict[bytes, tuple[EncodeResult, dict[str, int]]] | None = None
-           ) -> EncodeResult:
+           counter: FlopCounter | None = None) -> EncodeResult:
     """Run all four stages and drop inactive tokens from the final grid.
 
     With gated=False the probability map is ignored and every token gets
@@ -337,41 +359,10 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
     at all and serves as the reference for the equivalence tests.
 
     p0 holds one content probability per token of `grid`, each finite and
-    in [0, 1]; this is the one check of the content map. eps_c holds one
-    content threshold per stage, 0 by default.
-
-    `cache` belongs to one document: an encode whose per-stage binarized
-    masks were seen before charges the stored FLOPs to `counter` and
-    returns the stored result itself, so callers share it and must not
-    write into it.
+    in [0, 1]; _stage_maps makes the one check of the content map. eps_c
+    holds one content threshold per stage, 0 by default.
     """
-    if p0.shape != (grid.n_tokens,):
-        raise ValueError(
-            f"probability map shape {p0.shape} does not match "
-            f"{grid.n_tokens} tokens")
-    if not np.all((p0 >= 0.0) & (p0 <= 1.0)):     # NaN fails both
-        raise ValueError("probabilities must be finite and lie in [0, 1]")
-    if len(eps_c) != len(model.blocks):
-        raise ValueError(
-            f"{len(eps_c)} thresholds for {len(model.blocks)} stages")
-    if cache is not None and counter is None:
-        raise ValueError("an encode cache needs a FlopCounter to replay")
-
     maps = _stage_maps(model, grid, p0, eps_c)
-    key = None
-    if cache is not None:
-        # The key holds only the masks: a sweep keeps one cache per
-        # document and varies only eps_c/eps_i, so the weights, the grid,
-        # p0 and gated/bypass/soft are the same for every setting.
-        key = b"".join(np.packbits(b > 0.0).tobytes() for _, b in maps)
-        if key in cache:
-            result, flops = cache[key]
-            for cat, n in flops.items():
-                with counter.category(cat):
-                    counter.add(n)
-            return result
-
-    before = dict(counter.by_category) if cache is not None else {}
     cur = grid
     trace: list[StageTraceEntry] = []
     for s, blocks in enumerate(model.blocks):
@@ -397,10 +388,5 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
 
     kept = (np.flatnonzero(maps[-1][1] > 0.0) if gated
             else np.arange(cur.n_tokens))
-    result = EncodeResult(sequence=cur.tokens[kept], kept_indices=kept,
-                          grid=cur, trace=trace)
-    if cache is not None:
-        cache[key] = result, {k: v - before.get(k, 0)
-                              for k, v in counter.by_category.items()
-                              if v != before.get(k, 0)}
-    return result
+    return EncodeResult(sequence=cur.tokens[kept], kept_indices=kept,
+                        grid=cur, trace=trace)

@@ -32,7 +32,8 @@ import numpy as np
 from . import imageio
 from .content_filter import (DetectorModel, detect, load_detector,
                              oracle_detector)
-from .encoder import EncodeResult, EncoderModel, encode, encoder_init
+from .encoder import (EncodeResult, EncoderModel, encode, encoder_init,
+                      mask_key)
 from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
                                  embed_instruction, fuse, filter_tokens,
                                  grid_positions, ifm_init, load_ifm)
@@ -421,33 +422,31 @@ def _encoded_groups(models: Models, doc: LabeledImage,
                     settings: list[_Setting]):
     """The per-document chain up to the instruction filter's inputs.
 
-    partition and detect run once for all settings and encode once per
-    setting, sharing one `encode` cache. Settings whose encodes binarize
-    into the same per-stage masks get one result back, so the projector
-    and the grid positions run once per distinct result: yields (members,
-    encoded, projected, v_in) for each. The walk and `prepare_ifm_samples`
-    both go through here. Every step is called through this module's
-    globals, so a wrapper installed on a name (as `bench/tracer.py` does)
-    sees each call; a shared step gets a `SharedFlops` over its settings'
-    counters.
+    partition and detect run once for all settings. The settings are then
+    grouped by the per-stage masks their thresholds binarize the document
+    into (`encoder.mask_key`), and encode, the projector and the grid
+    positions run once per group: yields (members, encoded, projected,
+    v_in) for each. The walk and `prepare_ifm_samples` both go through
+    here. Every step is called through this module's globals, so a
+    wrapper installed on a name (as `bench/tracer.py` does) sees each
+    call; a shared step gets a `SharedFlops` over its settings' counters,
+    which charges each of them what a lone `run` charges.
     """
     counter = _shared(settings)
     with flop_category(counter, "patch_embed"):
         grid = partition(doc.image, models.embed, counter)
     with _timed(settings, "detect"), flop_category(counter, "detector"):
         probs = detect(models.detector, doc, counter)
-    cache = {} if len(settings) > 1 else None
-    groups: dict[int, tuple[EncodeResult, list[_Setting]]] = {}
+    groups: dict[bytes, list[_Setting]] = {}
     for s in settings:
-        cfg = s.config
-        with _timed([s], "encode"):
+        key = mask_key(models.encoder, grid, probs, s.config.eps_c)
+        groups.setdefault(key, []).append(s)
+    for members in groups.values():
+        cfg, counter = members[0].config, _shared(members)
+        with _timed(members, "encode"):
             encoded = encode(models.encoder, grid, probs, cfg.eps_c,
                              gated=cfg.gated, bypass=cfg.bypass,
-                             soft=cfg.soft_gating, counter=s.counter,
-                             cache=cache)
-        groups.setdefault(id(encoded), (encoded, []))[1].append(s)
-    for encoded, members in groups.values():
-        cfg, counter = members[0].config, _shared(members)
+                             soft=cfg.soft_gating, counter=counter)
         with _timed(members, "project"), flop_category(counter, "projector"):
             projected, _ = mlp2_forward(encoded.sequence, models.projector,
                                         counter)
@@ -545,11 +544,11 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
 
     Every setting's config is checked before the first document. The walk
     then takes each document through all settings: partition and detect
-    run once per document, settings that binarize it into the same
-    per-stage masks share one encode, projection and IFM fusion, and the
-    IFM classifier runs once per distinct eps_i among them. Each setting
-    is still charged the full FLOPs of every step, so every report equals
-    that of a separate `run`.
+    run once per document, the settings are grouped by the per-stage
+    masks they binarize it into, each group runs one encode, projection
+    and IFM fusion, and the IFM classifier runs once per distinct eps_i
+    in a group. Each setting is still charged the full FLOPs of every
+    step, so every report equals that of a separate `run`.
 
     With out_dir, each setting's report goes to its own directory; two
     settings that name one directory are a ConfigError.

@@ -108,7 +108,9 @@ class SharedFlops(FlopCounter):
 
     Each add charges n to every run's counter, under this counter's
     current category, so each run is charged what computing alone would
-    cost it; this counter's own tally is their sum.
+    cost it. This counter's own tally (by_category, total) is their sum;
+    get reads one run's share of it, which is exact because every add
+    charges each run the same n.
     """
 
     def __init__(self, counters):
@@ -116,10 +118,13 @@ class SharedFlops(FlopCounter):
         self.counters = list(counters)
 
     def add(self, n: int) -> None:
+        cat, n = self._current, int(n)
         super().add(n * len(self.counters))
         for c in self.counters:
-            with c.category(self._current):
-                c.add(n)
+            c.by_category[cat] = c.by_category.get(cat, 0) + n
+
+    def get(self, name: str) -> int:
+        return super().get(name) // len(self.counters)
 
 
 def flop_category(counter: FlopCounter | None, name: str):

@@ -6,8 +6,10 @@ attributes such as `pipeline.make_corpus` and `tensor.gelu_grad` and reads
 of the encoder's blocks and the `merge` argument of `merge_patches`, which
 `encode` passes by keyword. A name deleted from the package
 because nothing in it calls the name must fail here, not in the benchmark.
-So must a sweep that stops calling `encode` once per setting: the
-benchmark's `sweep.distinct_encode_share` counts the calls.
+So must a change to how often a sweep calls `encode`, once per distinct
+mask set of each document, which the benchmark's
+`sweep.distinct_encode_share` counts, and an encode whose FLOPs are not
+all charged inside the block and merge spans it contains.
 """
 
 import importlib.util
@@ -60,7 +62,16 @@ def test_traced_toy_workload_passes_its_checks(bench, name):
                 for kind in ("attn", "ffn")} <= set(t.spans)
         assert {f"encoder.m{n}.merge" for n in range(1, 4)} <= set(t.spans)
         assert t.encode_calls > 0
+        # the encode span's FLOPs are its children's: the attention spans,
+        # the FFN spans less the attention inside them, and the merges
+        spans = t.spans
+        parts = sum(sum(spans[f"encoder.s{n}.attn"].flops.values())
+                    + sum(spans[f"encoder.s{n}.ffn"].self_flops.values())
+                    for n in range(1, 5))
+        parts += sum(sum(spans[f"encoder.m{n}.merge"].flops.values())
+                     for n in range(1, 4))
+        assert parts == sum(spans["encoder.encode"].flops.values()) > 0
     if name == "sweep-desk":
-        # one encode per setting of the default 4-setting grid per document,
-        # even though the settings share one result
-        assert t.encode_calls == 4 * toy.docs
+        # the oracle binarizes every page alike at each threshold of the
+        # default grid: one mask set, so one encode, per document
+        assert t.encode_calls == toy.docs

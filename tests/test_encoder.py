@@ -374,26 +374,6 @@ def test_final_drop_matches_last_binarized_map():
                                   result.grid.tokens[result.kept_indices])
 
 
-def test_cached_encode_returns_the_stored_result():
-    grid = _grid()
-    p0 = (Rng(14).uniforms(grid.n_tokens) > 0.6).astype(float)
-    model = _model()
-    ref_counter = FlopCounter()
-    ref = encode(model, grid, p0, DEFAULT_EPS_C, counter=ref_counter)
-    cache, results = {}, []
-    for _ in range(3):
-        counter = FlopCounter()
-        results.append(encode(model, grid, p0, DEFAULT_EPS_C, counter=counter,
-                              cache=cache))
-        # a hit charges what a fresh encode charges
-        assert counter.by_category == ref_counter.by_category
-    # and returns the result the first encode stored, not a copy of it
-    assert results[1] is results[0] and results[2] is results[0]
-    np.testing.assert_array_equal(results[0].grid.tokens, ref.grid.tokens)
-    np.testing.assert_array_equal(results[0].kept_indices, ref.kept_indices)
-    assert len(cache) == 1
-
-
 def test_encode_validates_inputs():
     grid = _grid()
     model = _model()
@@ -409,8 +389,6 @@ def test_encode_validates_inputs():
             encode(model, grid, p0)
     with pytest.raises(ValueError, match="thresholds"):
         encode(model, grid, ones, (0.1, 0.2))
-    with pytest.raises(ValueError, match="FlopCounter"):
-        encode(model, grid, ones, cache={})
 
 
 # --- construction ----------------------------------------------------------

@@ -2,7 +2,6 @@
 byte-identically for a fixed (config, seed), and show pruning actually
 cutting compute on half-blank pages."""
 
-import itertools
 import json
 import weakref
 from collections import Counter
@@ -170,25 +169,18 @@ def test_sweep_single_point_matches_run():
     assert rows[0]["total_flops"] == direct.flops["total"]
 
 
-def _sweep_counting_window_passes(monkeypatch, cfg, settings, **kwargs):
-    """Sweep reports plus the number of window_pass calls that each
-    setting's encode calls made, summed over the documents. Each document
-    is encoded once per setting, in the order of the settings."""
-    calls = [0] * len(settings)
-    encoding, order = [], itertools.count()
+def _sweep_counting_encodes(monkeypatch, cfg, settings, **kwargs):
+    """Sweep reports plus one [eps_c, window_pass calls] pair per encode
+    call, in the order of the calls."""
+    calls = []
     real_encode, real_pass = pipeline.encode, encoder.window_pass
 
     def counting_encode(model, grid, p0, eps_c, **kw):
-        n = next(order) % len(settings)
-        assert eps_c == sweep_schedule(settings[n][0])
-        encoding.append(n)
-        try:
-            return real_encode(model, grid, p0, eps_c, **kw)
-        finally:
-            encoding.pop()
+        calls.append([eps_c, 0])
+        return real_encode(model, grid, p0, eps_c, **kw)
 
     def counting_pass(*args, **kw):
-        calls[encoding[-1]] += 1
+        calls[-1][1] += 1
         return real_pass(*args, **kw)
 
     monkeypatch.setattr(pipeline, "encode", counting_encode)
@@ -213,9 +205,14 @@ GRADED_GRID = [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25), (0.75, 0.5)]
 def test_sweep_reuse_is_exact(monkeypatch, overrides, settings, computes):
     cfg = _small_config(**overrides)
     det = mlp_detector(seed=2, patch_size=4) if cfg.detector == "mlp" else None
-    reports, calls = _sweep_counting_window_passes(monkeypatch, cfg, settings,
-                                                   detector=det)
-    assert [n > 0 for n in calls] == computes
+    reports, calls = _sweep_counting_encodes(monkeypatch, cfg, settings,
+                                             detector=det)
+    # each document encodes once per mask group, with the thresholds of
+    # the group's first setting, and every encode computes
+    assert [eps for eps, _ in calls] == [
+        sweep_schedule(c) for (c, _), first in zip(settings, computes)
+        if first] * cfg.corpus_n
+    assert all(passes > 0 for _, passes in calls)
     for (c, i), rep in zip(settings, reports):
         direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i),
                      detector=det)
@@ -234,27 +231,14 @@ def test_sweep_runs_threshold_free_work_once_per_document(monkeypatch):
     # grid all four settings share one mask set per document
     cfg = _small_config()
     counts = Counter()
-    for name in ("partition", "detect", "mlp2_forward", "fuse",
+    for name in ("partition", "detect", "encode", "mlp2_forward", "fuse",
                  "filter_tokens"):
         monkeypatch.setattr(pipeline, name,
                             _counting(counts, name, getattr(pipeline, name)))
-    encoded, real_encode = [], pipeline.encode
-
-    def recording_encode(*args, **kw):
-        encoded.append(real_encode(*args, **kw))
-        return encoded[-1]
-
-    monkeypatch.setattr(pipeline, "encode", recording_encode)
     reports, _ = sweep(cfg, DEFAULT_GRID)
     n = cfg.corpus_n
-    assert counts == {"partition": n, "detect": n, "mlp2_forward": n,
-                      "fuse": n, "filter_tokens": 2 * n}
-    # each document is encoded once per setting, and the four settings
-    # get back one and the same result
-    assert len(encoded) == 4 * n
-    for d in range(n):
-        assert all(e is encoded[4 * d] for e in encoded[4 * d:4 * d + 4])
-    assert len({id(e) for e in encoded}) == n
+    assert counts == {"partition": n, "detect": n, "encode": n,
+                      "mlp2_forward": n, "fuse": n, "filter_tokens": 2 * n}
     monkeypatch.undo()
     for (c, i), rep in zip(DEFAULT_GRID, reports):
         direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i))

@@ -409,6 +409,9 @@ def test_shared_flops_charge_each_counter_in_full():
         assert c.get("projector") == 48 and c.get("uncategorized") == 5
     assert runs[0].get("encoder_ffn") == 1
     assert shared.by_category == {"projector": 3 * 48, "uncategorized": 15}
+    # get reads one run's share of the summed tally
+    assert shared.get("projector") == 48 and shared.get("uncategorized") == 5
+    assert shared.get("encoder_ffn") == 0
 
 
 def test_sigmoid_extremes_and_symmetry():
