@@ -45,7 +45,7 @@ from .synthdoc import (FRACTION_TOLERANCE, LabeledImage, content_fraction,
 # not called here, but bench/tracer.py wraps the name pipeline.make_corpus
 from .synthdoc import make_corpus  # noqa: F401
 from .tensor import (FlopCounter, Mlp2, SharedFlops, flop_category,
-                     mlp2_forward, mlp2_init)
+                     map_on_cores, mlp2_forward, mlp2_init)
 
 SCHEMA_VERSION = 1
 DECODER_FLOPS_PER_TOKEN_SQ = 2 * 4096 * 32
@@ -493,6 +493,12 @@ def _walk(configs: list[PipelineConfig], detector: DetectorModel | None,
     and each page is generated when its turn comes and goes through every
     setting before the next one is made. Returns the reports and each
     setting's artifacts (None unless kept).
+
+    The documents are walked serially, on the calling thread. They are
+    independent, and `tensor.map_on_cores` could take them one per core
+    as `prepare_ifm_samples` does, but bench/tracer.py keeps one span
+    stack per process: spans of two documents in flight at once would
+    nest into each other and charge one's FLOPs to the other's spans.
     """
     config = configs[0]
     models = build_models(config, detector)
@@ -638,19 +644,33 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
     encodings when enabled), exactly what the filter sees during a run.
     A token counts as relevant when its stage-4 cell overlaps the
     instruction target's dilated bbox.
+
+    Every page must be config.image_size pixels square (a ValueError
+    names the first that is not). The documents are prepared one per
+    thread on every core (`tensor.map_on_cores`), each under its own
+    `_Setting`; the samples equal those of a serial loop byte for byte.
     """
+    want = (config.image_size, config.image_size)
+    for i, doc in enumerate(corpus):
+        if doc.image.shape != want:
+            raise ValueError(
+                f"document {i} is a {doc.image.shape[0]}x"
+                f"{doc.image.shape[1]} page, but config 'image_size' is "
+                f"{config.image_size}")
     if models is None:
         models = build_models(config)
     instr_rng = Rng(config.seed).derive("instructions")
-    setting = [_Setting(config, None)]
-    samples = []
-    for i, doc in enumerate(corpus):
-        ((_, encoded, _, v_in),) = _encoded_groups(models, doc, setting)
+
+    def sample(i: int):
+        doc = corpus[i]
+        ((_, encoded, _, v_in),) = _encoded_groups(
+            models, doc, [_Setting(config, None)])
         spec, relevance = instruction_target(doc, instr_rng.derive(i).state)
         cells = patchify_any(relevance, config.patch_size * 8).ravel()
-        samples.append((v_in, embed_instruction(models.ifm, spec),
-                        cells[encoded.kept_indices].astype(np.float64)))
-    return samples
+        return (v_in, embed_instruction(models.ifm, spec),
+                cells[encoded.kept_indices].astype(np.float64))
+
+    return map_on_cores(sample, range(len(corpus)))
 
 
 def render_masks(report: RunReport | dict, out_dir,

@@ -13,10 +13,16 @@ two documented conventions:
 
 The counts are exact integers and additive over composed operations; only
 relative comparisons between runs are meaningful.
+
+:func:`map_on_cores` runs independent items, one per thread, on every
+available core. While it runs it holds numpy's OpenBLAS at one thread
+process-wide, so a BLAS call made meanwhile from any other thread of the
+process runs single-threaded too.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -74,6 +80,96 @@ def _load_erf(scipy_dir: str | None):
 
 
 erf = _load_erf(_scipy_dir())
+
+# (get, set) thread-count entry points: numpy's bundled OpenBLAS, then a
+# system one. The plain setter is used because in OpenBLAS 0.3.31
+# openblas_set_num_threads_local changes the process-wide count as well.
+_OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_",
+                      "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of numpy's OpenBLAS thread count, or None if not found.
+
+    The library is the mapped file of this process whose path names
+    OpenBLAS and that exports one of the pairs above; the lookup runs once.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def map_on_cores(fn, items) -> list:
+    """[fn(x) for x in items], computed on one thread per available core.
+
+    min(len(items), cores) threads, the caller one of them, take the items
+    in order; the results come back in input order. After an item fails no
+    further item is handed out, and once the running ones end the
+    exception of the lowest failing index is raised. For the whole call
+    numpy's OpenBLAS runs one thread, so each item's products stay on its
+    own core; this changes the process-wide count, which is restored on
+    return. With one item or one core, or no OpenBLAS found, this is the
+    plain loop. fn must not write state that another item's call reads.
+    """
+    items = list(items)
+    blas = _openblas() if len(items) > 1 else None
+    n = min(len(items), len(os.sched_getaffinity(0))) if blas else 1
+    if n < 2:
+        return [fn(x) for x in items]
+    import threading
+    get_threads, set_threads = blas
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    cursor = iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(cursor, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:  # re-raised by the caller below
+                with lock:
+                    errors[i] = e
+
+    old = get_threads()
+    set_threads(1)
+    started = []
+    try:
+        for _ in range(n - 1):
+            t = threading.Thread(target=work)
+            t.start()
+            started.append(t)
+        work()
+    finally:
+        for t in started:
+            t.join()
+        set_threads(old)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class FlopCounter:

@@ -10,15 +10,22 @@ So must a change to how often a sweep calls `encode`, once per distinct
 mask set of each document, which the benchmark's
 `sweep.distinct_encode_share` counts, and an encode whose FLOPs are not
 all charged inside the block and merge spans it contains.
+
+The tracer keeps one span stack per process. `prepare_ifm_samples` runs
+its documents on several threads, which the traced set-up of
+`train-recipes` must survive; `run` and `sweep` must call `encode` on the
+calling thread only, so walking their documents on threads fails here
+until the tracer keeps its spans per thread.
 """
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from docprune import pipeline
+from docprune import pipeline, tensor
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,31 +53,50 @@ def test_tracer_installs_every_wrapped_name(bench):
 
 
 @pytest.mark.parametrize("name", ["run-desk", "sweep-desk", "train-recipes"])
-def test_traced_toy_workload_passes_its_checks(bench, name):
+def test_traced_toy_workload_passes_its_checks(bench, monkeypatch, name):
     workloads, tracer = bench
-    toy = workloads.Size(docs=1, ifm_docs=1, det_docs=1, ifm_epochs=1,
+    toy = workloads.Size(docs=2, ifm_docs=2, det_docs=1, ifm_epochs=1,
                          det_epochs=1)
-    workload = workloads.WORKLOADS[name](3, toy)
+    # two cores, so sample preparation runs its two documents on two
+    # threads wherever numpy's OpenBLAS is found
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    encode, encode_threads = pipeline.encode, []
+
+    def recorded_encode(*args, **kwargs):
+        encode_threads.append(threading.get_ident())
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode", recorded_encode)
+    setup = tracer.Tracer()
+    with setup.installed():
+        workload = workloads.WORKLOADS[name](3, toy)
     t = tracer.Tracer()
     with t.installed():
         result = workload.op()
     assert workload.inspect(result).problems == []
-    if name != "train-recipes":
-        # the per-stage and per-merge spans name the encoder's layers
-        # from the blocks and merges the tracer looked up
-        assert {f"encoder.s{n}.{kind}" for n in range(1, 5)
-                for kind in ("attn", "ffn")} <= set(t.spans)
-        assert {f"encoder.m{n}.merge" for n in range(1, 4)} <= set(t.spans)
-        assert t.encode_calls > 0
-        # the encode span's FLOPs are its children's: the attention spans,
-        # the FFN spans less the attention inside them, and the merges
-        spans = t.spans
-        parts = sum(sum(spans[f"encoder.s{n}.attn"].flops.values())
-                    + sum(spans[f"encoder.s{n}.ffn"].self_flops.values())
-                    for n in range(1, 5))
-        parts += sum(sum(spans[f"encoder.m{n}.merge"].flops.values())
-                     for n in range(1, 4))
-        assert parts == sum(spans["encoder.encode"].flops.values()) > 0
+    if name == "train-recipes":
+        assert setup.spans["pipeline.prepare_ifm_samples"].calls == 1
+        assert len(encode_threads) == toy.ifm_docs
+        if tensor._openblas() is not None:
+            assert len(set(encode_threads)) == 2
+        return
+    # the tracer's single span stack needs the walk on the calling thread
+    assert encode_threads and set(encode_threads) == {threading.get_ident()}
+    # the per-stage and per-merge spans name the encoder's layers from the
+    # blocks and merges the tracer looked up
+    assert {f"encoder.s{n}.{kind}" for n in range(1, 5)
+            for kind in ("attn", "ffn")} <= set(t.spans)
+    assert {f"encoder.m{n}.merge" for n in range(1, 4)} <= set(t.spans)
+    assert t.encode_calls > 0
+    # the encode span's FLOPs are its children's: the attention spans,
+    # the FFN spans less the attention inside them, and the merges
+    spans = t.spans
+    parts = sum(sum(spans[f"encoder.s{n}.attn"].flops.values())
+                + sum(spans[f"encoder.s{n}.ffn"].self_flops.values())
+                for n in range(1, 5))
+    parts += sum(sum(spans[f"encoder.m{n}.merge"].flops.values())
+                 for n in range(1, 4))
+    assert parts == sum(spans["encoder.encode"].flops.values()) > 0
     if name == "sweep-desk":
         # the oracle binarizes every page alike at each threshold of the
         # default grid: one mask set, so one encode, per document

@@ -3,6 +3,7 @@ byte-identically for a fixed (config, seed), and show pruning actually
 cutting compute on half-blank pages."""
 
 import json
+import threading
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from docprune import encoder, pipeline, synthdoc
+from docprune import encoder, pipeline, synthdoc, tensor
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex, prepare_ifm_samples,
                                render_masks, run, sweep, sweep_schedule,
@@ -383,6 +384,58 @@ def test_prepare_ifm_samples_shapes():
         assert instr.shape == (d["instruction_len"], cfg.llm_dim)
         assert labels.shape == (d["kept_final"],)
         assert set(np.unique(labels)) <= {0.0, 1.0}
+
+
+def test_prepare_ifm_samples_equal_a_serial_loop(monkeypatch):
+    # the reference: the documents one after another on this thread, with
+    # BLAS at its own thread count
+    cfg = _small_config(corpus_n=4)
+    corpus = make_corpus(4, 0.5, 128, seed=7)
+    models = build_models(cfg)
+    instr_rng = pipeline.Rng(cfg.seed).derive("instructions")
+    want = []
+    for i, doc in enumerate(corpus):
+        ((_, encoded, _, v_in),) = pipeline._encoded_groups(
+            models, doc, [pipeline._Setting(cfg, None)])
+        spec, relevance = synthdoc.instruction_target(
+            doc, instr_rng.derive(i).state)
+        cells = patchify_any(relevance, cfg.patch_size * 8).ravel()
+        want.append((v_in, pipeline.embed_instruction(models.ifm, spec),
+                     cells[encoded.kept_indices].astype(np.float64)))
+    # two cores, so the documents run on two threads wherever numpy's
+    # OpenBLAS is found
+    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    groups, threads = pipeline._encoded_groups, set()
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return groups(*args)
+
+    monkeypatch.setattr(pipeline, "_encoded_groups", recorded)
+    got = prepare_ifm_samples(cfg, corpus, models)
+    if tensor._openblas() is not None:
+        assert len(threads) == 2
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("side", [128, 512])
+def test_prepare_ifm_samples_reject_pages_of_another_size(monkeypatch, side):
+    # default config: 256-px pages; the odd page is the second
+    cfg = PipelineConfig(corpus_n=2)
+    corpus = (make_corpus(1, 0.5, 256, seed=0)
+              + make_corpus(1, 0.5, side, seed=0))
+    encoded = []
+    monkeypatch.setattr(pipeline, "_encoded_groups",
+                        lambda *args: encoded.append(args))
+    with pytest.raises(ValueError,
+                       match=f"document 1 is a {side}x{side} page, but "
+                             "config 'image_size' is 256"):
+        prepare_ifm_samples(cfg, corpus)
+    assert encoded == []
 
 
 def test_prepare_ifm_samples_blank_page():

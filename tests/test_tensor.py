@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,9 @@ from docprune import tensor
 from docprune.rng import Rng
 from docprune.tensor import (ELEMWISE_FLOPS, FlopCounter, LossCurve, Mlp2,
                              SharedFlops, attention, bce_loss, gelu,
-                             gelu_grad, layernorm, linear, matmul,
-                             mlp2_backward, mlp2_forward, mlp2_init, sigmoid,
-                             softmax_rows)
+                             gelu_grad, layernorm, linear, map_on_cores,
+                             matmul, mlp2_backward, mlp2_forward, mlp2_init,
+                             sigmoid, softmax_rows)
 from helpers import mlp2_zeros
 
 
@@ -520,3 +522,122 @@ def test_cli_run_does_not_import_scipy_special(tmp_path):
     assert seen["after_run"] == seen["with_numpy"]
     if sys.platform.startswith("linux"):
         assert len(seen["after_run"]) == 1, seen
+
+
+# --- map_on_cores ---
+
+class _FakeBlas:
+    """An OpenBLAS thread count that logs every change made to it."""
+
+    def __init__(self, n: int):
+        self.n, self.log = n, []
+
+    def get(self) -> int:
+        return self.n
+
+    def set(self, n: int) -> None:
+        self.n = n
+        self.log.append(n)
+
+
+def _cores(monkeypatch, n: int, blas=None) -> None:
+    """map_on_cores sees n cores and, when given, a fake OpenBLAS."""
+    monkeypatch.setattr(tensor.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+    if blas is not None:
+        monkeypatch.setattr(tensor, "_openblas", lambda: (blas.get, blas.set))
+
+
+def test_map_on_cores_returns_results_in_input_order(monkeypatch):
+    # more threads than cores and a short switch interval, so a lost
+    # update of the shared cursor would skip or repeat an item
+    blas = _FakeBlas(2)
+    _cores(monkeypatch, 8, blas)
+    seen, threads = [], set()
+
+    def square(x):
+        seen.append(x)
+        threads.add(threading.get_ident())
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = map_on_cores(square, range(3000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [x * x for x in range(3000)]
+    assert sorted(seen) == list(range(3000))
+    assert len(threads) >= 2
+    assert blas.log == [1, 2] and blas.n == 2
+
+
+def test_map_on_cores_stops_at_a_failure_and_raises_the_lowest(monkeypatch):
+    blas = _FakeBlas(4)
+    _cores(monkeypatch, 2, blas)
+    both = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def fail_first_two(x):
+        seen.append(x)
+        if x < 2:
+            both.wait()         # items 0 and 1 run at once, one per thread
+            if x == 0:
+                time.sleep(0.05)    # item 1 fails first
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError, match="^0$"):
+        map_on_cores(fail_first_two, range(10))
+    assert sorted(seen) == [0, 1]
+    assert blas.log == [1, 4]
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_map_on_cores_restores_the_blas_thread_count(monkeypatch, fail):
+    found = tensor._openblas()
+    if np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(
+            "name", "").endswith("openblas") and sys.platform == "linux":
+        assert found is not None, "numpy's OpenBLAS was not found"
+    if found is None:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    get_threads, set_threads = found
+    _cores(monkeypatch, 2)
+    old = get_threads()
+    set_threads(2)
+    inside = []
+
+    def work(x):
+        inside.append(get_threads())
+        if fail and x == 1:
+            raise RuntimeError("item 1")
+        return x
+
+    try:
+        if fail:
+            with pytest.raises(RuntimeError, match="item 1"):
+                map_on_cores(work, range(4))
+        else:
+            assert map_on_cores(work, range(4)) == [0, 1, 2, 3]
+        assert get_threads() == 2
+    finally:
+        set_threads(old)
+    assert inside and set(inside) == {1}
+
+
+@pytest.mark.parametrize("case", ["no openblas", "one core", "one item"])
+def test_map_on_cores_is_the_plain_loop(monkeypatch, case):
+    blas = _FakeBlas(2)
+    _cores(monkeypatch, 1 if case == "one core" else 2, blas)
+    if case == "no openblas":
+        monkeypatch.setattr(tensor, "_openblas", lambda: None)
+    items = [5] if case == "one item" else list(range(6))
+    threads = []
+
+    def double(x):
+        threads.append(threading.get_ident())
+        return 2 * x
+
+    assert map_on_cores(double, items) == [2 * x for x in items]
+    assert set(threads) == {threading.get_ident()}
+    assert blas.log == []
