@@ -39,9 +39,9 @@ from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
                                  grid_positions, ifm_init, load_ifm)
 from .patching import PatchEmbed, partition, patch_embed_init
 from .rng import Rng
-from .synthdoc import (FRACTION_TOLERANCE, LabeledImage, content_fraction,
-                       corpus_doc, instruction_target, max_content_fraction,
-                       packed_fraction, patchify_any)
+from .synthdoc import (LabeledImage, LayoutError, check_packable,
+                       content_fraction, corpus_doc, instruction_target,
+                       patchify_any)
 # not called here, but bench/tracer.py wraps the name pipeline.make_corpus
 from .synthdoc import make_corpus  # noqa: F401
 from .tensor import (FlopCounter, Mlp2, SharedFlops, flop_category,
@@ -61,8 +61,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent pipeline configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run, checked once when it is built; change one
+    with dataclasses.replace, which builds and checks a new config."""
+
     profile: str = "desk"
     image_size: int = 256
     patch_size: int = 4
@@ -88,10 +91,9 @@ class PipelineConfig:
     decoder_flops_per_token_sq: int = DECODER_FLOPS_PER_TOKEN_SQ
 
     def __post_init__(self):
-        if isinstance(self.depths, list):
-            self.depths = tuple(self.depths)
-        if isinstance(self.eps_c, list):
-            self.eps_c = tuple(self.eps_c)
+        for name in ("depths", "eps_c"):     # JSON gives lists
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         self.validate()
 
     def validate(self) -> None:
@@ -135,18 +137,11 @@ class PipelineConfig:
                 f"config fields 'image_size' {self.image_size} and "
                 f"'patch_size' {self.patch_size} give a stage-1 grid of "
                 f"{grid}, which must be divisible by 8 for three 2x2 merges")
-        packable = max_content_fraction(self.image_size)
-        if self.content_fraction > packable:
-            raise ConfigError(
-                f"config field 'content_fraction' {self.content_fraction!r} "
-                f"exceeds {packable:.4f}, the most a {self.image_size}-px "
-                "page can pack")
-        packed = packed_fraction(self.image_size, self.content_fraction)
-        if abs(packed - self.content_fraction) > FRACTION_TOLERANCE:
-            raise ConfigError(
-                f"config field 'content_fraction' {self.content_fraction!r} "
-                f"is more than {FRACTION_TOLERANCE} from {packed:.4f}, the "
-                f"nearest fraction a {self.image_size}-px page can pack")
+        try:
+            check_packable(self.image_size, self.content_fraction)
+        except LayoutError as e:
+            raise ConfigError(f"config field 'content_fraction' on a "
+                              f"{self.image_size}-px page: {e}") from e
         for name, values in (("eps_c", self.eps_c), ("eps_i", (self.eps_i,))):
             for e in values:
                 if not 0.0 <= e <= 1.0:
@@ -180,10 +175,7 @@ class PipelineConfig:
         unknown = set(d) - {f.name for f in fields(PipelineConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return PipelineConfig(**d)
-        except TypeError as e:
-            raise ConfigError(str(e)) from e
+        return PipelineConfig(**d)
 
 
 _FIELD_TYPES = get_type_hints(PipelineConfig)
@@ -521,7 +513,6 @@ def run(config: PipelineConfig, detector: DetectorModel | None = None,
     generated one page at a time. With return_artifacts the per-document
     intermediates come back alongside the report for the equivalence tests.
     """
-    config.validate()
     reports, artifacts = _walk([config], detector, return_artifacts)
     if return_artifacts:
         return reports[0], artifacts[0]
@@ -673,26 +664,65 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
     return map_on_cores(sample, range(len(corpus)))
 
 
+def _report_field(obj, key: str, where: str):
+    """obj[key] of a report, or a ValueError naming where and key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no key {key!r}")
+    return obj[key]
+
+
+def _report_int(obj, key: str, where: str, low: int) -> int:
+    """A report's integer field of at least low."""
+    value = _report_field(obj, key, where)
+    if type(value) is not int or value < low:
+        raise ValueError(f"{where}.{key} must be an integer >= {low}, got "
+                         f"{value!r}")
+    return value
+
+
 def render_masks(report: RunReport | dict, out_dir,
                  doc_index: int | None = None) -> list[Path]:
     """PBM mask per pruning stage (white = kept) at native grid resolution.
 
-    Every mask is decoded before out_dir is made; a bad one is a
-    ValueError naming its field.
+    The one reader of a report's masks. Every field it reads is checked in
+    every document, and each mask it writes is decoded, before out_dir is
+    made: a bad field is a ValueError naming it, two documents of one
+    index are a ValueError naming both, and a doc_index outside the
+    report is an IndexError.
     """
     rep = report.to_canonical() if isinstance(report, RunReport) else report
-    grid = rep["config"]["image_size"] // rep["config"]["patch_size"]
+    docs = _report_field(rep, "per_doc", "the top level")
+    if not isinstance(docs, list):
+        raise ValueError("per_doc is not a list")
+    config = _report_field(rep, "config", "the top level")
+    grid = (_report_int(config, "image_size", "config", 1)
+            // _report_int(config, "patch_size", "config", 1))
+    if doc_index is not None and not 0 <= doc_index < len(docs):
+        has = (f"{len(docs)} (0 to {len(docs) - 1})" if docs
+               else "no documents")
+        raise IndexError(f"doc_index {doc_index} is not a document of the "
+                         f"report, which has {has}")
     sides = {"stage2": grid // 2, "stage4": grid // 8, "ifm": grid // 8}
-    picked = range(len(rep["per_doc"])) if doc_index is None else [doc_index]
-    kept = {}
-    for j in picked:
-        doc = rep["per_doc"][j]
+    kept, seen = {}, {}
+    for j, doc in enumerate(docs):
+        where = f"per_doc[{j}]"
+        index = _report_int(doc, "index", where, 0)
+        if index in seen:
+            raise ValueError(f"{seen[index]} and {where} both have index "
+                             f"{index}")
+        seen[index] = where
+        masks = _report_field(doc, "masks", where)
         for name, side in sides.items():
+            hexed = _report_field(masks, name, f"{where}.masks")
+            if doc_index not in (None, j):
+                continue
             try:
-                mask = mask_from_hex(doc["masks"][name], side)
+                mask = mask_from_hex(hexed, side)
             except (TypeError, ValueError) as e:
-                raise ValueError(f"per_doc[{j}].masks.{name}: {e}") from e
-            kept[f"doc_{doc['index']:04d}_{name}.pbm"] = mask
+                raise ValueError(f"{where}.masks.{name}: {e}") from e
+            kept[f"doc_{index:04d}_{name}.pbm"] = mask
     out = imageio.ensure_dir(out_dir)
     for name, mask in kept.items():
         imageio.write_pbm(out / name, mask)

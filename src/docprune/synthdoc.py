@@ -127,16 +127,27 @@ def max_content_fraction(image_size: int) -> float:
     return min(limit, 1.0)
 
 
-def packed_fraction(image_size: int, fraction: float) -> float:
-    """The fraction closest to fraction that whole LAYOUT_GRID cells cover.
+def check_packable(image_size: int, fraction: float) -> None:
+    """LayoutError unless plan_layout can pack fraction on this page.
 
-    On a page of 16 px or more it lies within FRACTION_TOLERANCE of every
-    fraction; on an 8 px page a cell is a quarter of the page, so most
-    fractions are out of reach there.
+    The fraction may not exceed max_content_fraction, and it must lie
+    within FRACTION_TOLERANCE of a whole number of LAYOUT_GRID cells, the
+    area the solid column fill lands on. From 16 px up every fraction is
+    that close to one; on an 8 px page a cell is a quarter of the page, so
+    most fractions are out of reach there.
     """
+    limit = max_content_fraction(image_size)
+    if fraction > limit:
+        raise LayoutError(
+            f"target fraction {fraction} not packable at density "
+            f"{_DENSITY_PACK}", limit)
     cell = LAYOUT_GRID * LAYOUT_GRID
     page_area = image_size * image_size
-    return round(fraction * page_area / cell) * cell / page_area
+    packed = round(fraction * page_area / cell) * cell / page_area
+    if abs(packed - fraction) > FRACTION_TOLERANCE:
+        raise LayoutError(
+            f"target fraction {fraction} is more than {FRACTION_TOLERANCE} "
+            f"from any whole number of {LAYOUT_GRID}-px cells", packed)
 
 
 def plan_layout(image_size: int, target_fraction: float, seed: int,
@@ -151,8 +162,8 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
     needed to land on the target, and the final region is trimmed so the
     realised pixel fraction hits it. Where the row flow runs out of page
     (pages of 72 px or less), the column is filled solid instead, which
-    lands on packed_fraction: within FRACTION_TOLERANCE of the target on
-    pages of 16 px or more.
+    lands on the whole number of LAYOUT_GRID cells nearest the target:
+    within FRACTION_TOLERANCE of it, as check_packable requires.
     """
     if image_size % LAYOUT_GRID != 0:
         raise ValueError(f"image size must be a multiple of {LAYOUT_GRID}")
@@ -163,11 +174,7 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
     if target_fraction == 0.0:
         return LayoutSpec(image_size, (), background_value, 0.0, seed)
 
-    limit = max_content_fraction(image_size)
-    if target_fraction > limit:
-        raise LayoutError(
-            f"target fraction {target_fraction} not packable at density "
-            f"{_DENSITY_PACK}", limit)
+    check_packable(image_size, target_fraction)
     page_area = image_size * image_size
     target_area = target_fraction * page_area
     block_w = min(max(1, _column_cells(image_size, target_fraction))
@@ -177,13 +184,7 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
     if image_size >= BLOCK_SNAP:    # the row flow needs a whole cell across
         regions, placed = _flow_rows(rng, image_size, block_w, target_area)
     if abs(placed / page_area - target_fraction) > FRACTION_TOLERANCE:
-        regions, placed = _fill_column(rng, image_size, block_w, target_area)
-    achieved = placed / page_area
-    if abs(achieved - target_fraction) > FRACTION_TOLERANCE:
-        raise LayoutError(
-            f"target fraction {target_fraction} is more than "
-            f"{FRACTION_TOLERANCE} from any whole number of "
-            f"{LAYOUT_GRID}-px cells", achieved)
+        regions = _fill_column(rng, image_size, block_w, target_area)
     return LayoutSpec(image_size, tuple(regions), background_value,
                       target_fraction, seed)
 
@@ -216,8 +217,6 @@ def _flow_rows(rng: Rng, image_size: int, block_w: int, target_area: float):
                  "chart_block": 24}[kind]
         w = block_w if kind == "table" else block_w - rng.choice([0, 0, 4, 8])
         h = min(h, (image_size - y) // LAYOUT_GRID * LAYOUT_GRID)
-        if h < LAYOUT_GRID:
-            break
         if w * h > remaining:
             # trim the closing region to land on the target fraction
             h = min(h, 16)
@@ -241,7 +240,8 @@ def _flow_rows(rng: Rng, image_size: int, block_w: int, target_area: float):
     return regions, placed
 
 
-def _fill_column(rng: Rng, image_size: int, block_w: int, target_area: float):
+def _fill_column(rng: Rng, image_size: int, block_w: int,
+                 target_area: float) -> list[ContentRegion]:
     """The column filled solid from the top in whole LAYOUT_GRID cells.
 
     A table covers the full rows and a chart block the partial one, so
@@ -260,7 +260,7 @@ def _fill_column(rng: Rng, image_size: int, block_w: int, target_area: float):
                                      rng.next_u64()))
     for region in regions:
         region.validate(image_size)
-    return regions, cells * cell
+    return regions
 
 
 def generate(spec: LayoutSpec) -> LabeledImage:

@@ -11,7 +11,7 @@ import pytest
 from docprune.cli import build_parser, main
 from docprune.instruction_filter import save_ifm
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
-                               mask_from_hex)
+                               mask_from_hex, render_masks)
 from docprune.weights_io import KIND_IFM, read_weights, write_weights
 from helpers import pbm_bits
 
@@ -159,6 +159,14 @@ def test_run_invalid_json_is_exit_2(tmp_path, capsys):
     assert "valid JSON" in capsys.readouterr().err
 
 
+def test_config_file_of_a_json_array_is_exit_2(tmp_path, capsys):
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps([SMALL_CONFIG]))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_unknown_key_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"image_sz": 128}))
@@ -237,6 +245,17 @@ def test_ifm_weights_of_other_use_positions_are_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ifm_weights_of_another_dim_are_exit_2(tmp_path, capsys):
+    weights, out = tmp_path / "ifm.hrvd", tmp_path / "out"
+    save_ifm(weights, build_models(PipelineConfig.from_dict(SMALL_CONFIG)).ifm)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, ifm_weights=str(weights),
+                                    llm_dim=16)))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "IFM dim 32 does not match llm_dim 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_writes_summary(tmp_path, config_file, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", config_file, "--seed", "7",
@@ -309,6 +328,14 @@ def test_render_missing_report_is_exit_2(tmp_path, capsys):
     assert main(["render", "--report", str(tmp_path / "no.json"),
                  "--out", str(tmp_path / "m")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_render_of_a_non_json_report_is_exit_2(tmp_path, capsys):
+    path, masks = tmp_path / "r.json", tmp_path / "masks"
+    path.write_text("{per_doc: []}")
+    assert main(["render", "--report", str(path), "--out", str(masks)]) == 2
+    assert "report is not valid JSON" in capsys.readouterr().err
+    assert not masks.exists()
 
 
 def test_train_detector_then_use(tmp_path, capsys):
@@ -419,12 +446,32 @@ def _report_64px(stage2="00" * 8, image_size=64):
     (_report_64px(stage2=0), "per_doc[0].masks.stage2: fromhex() argument "
      "must be str"),
     ({**_report_64px(), "per_doc": [{"index": "0", "masks": {}}]},
-     "per_doc[0].index must be an integer >= 0, got '0'")])
+     "per_doc[0].index must be an integer >= 0, got '0'"),
+    ({**_report_64px(), "per_doc": {}}, "per_doc is not a list"),
+    ({**_report_64px(), "per_doc": _report_64px()["per_doc"] * 2},
+     "per_doc[0] and per_doc[1] both have index 0")])
 def test_render_of_a_non_report_is_exit_2(tmp_path, capsys, content, message):
     path, masks = tmp_path / "r.json", tmp_path / "masks"
     path.write_text(json.dumps(content))
     assert main(["render", "--report", str(path), "--out", str(masks)]) == 2
     assert f"report {path}: {message}" in capsys.readouterr().err
+    assert not masks.exists()
+    # render_masks is the one reader: library callers get the same check
+    with pytest.raises(ValueError) as err:
+        render_masks(content, masks)
+    assert message in str(err.value)
+    assert not masks.exists()
+
+
+def test_render_doc_of_an_empty_report_is_exit_2(tmp_path, capsys):
+    path, masks = tmp_path / "r.json", tmp_path / "masks"
+    path.write_text(json.dumps({**_report_64px(), "per_doc": []}))
+    assert main(["render", "--report", str(path), "--out", str(masks),
+                 "--doc", "0"]) == 2
+    assert ("--doc 0 is not a document of the report, which has no "
+            "documents") in capsys.readouterr().err
+    with pytest.raises(IndexError, match="doc_index 0 is not a document"):
+        render_masks(json.loads(path.read_text()), masks, doc_index=0)
     assert not masks.exists()
 
 

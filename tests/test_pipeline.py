@@ -6,7 +6,7 @@ import json
 import threading
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ import pytest
 from docprune import encoder, pipeline, synthdoc, tensor
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex, prepare_ifm_samples,
-                               render_masks, run, sweep, sweep_schedule,
-                               write_report)
+                               render_masks, run, summary_row, sweep,
+                               sweep_schedule, write_report)
 from docprune.content_filter import mlp_detector, oracle_detector
 from docprune.synthdoc import make_corpus, patchify_any
 from helpers import pbm_bits
@@ -273,6 +273,22 @@ def test_sweep_writes_summary_and_reports(tmp_path):
     assert (tmp_path / "run_c0.5_i0.5" / "report.json").exists()
 
 
+def test_sweep_that_gains_compute_fails_after_writing(tmp_path, monkeypatch):
+    # a sweep whose compute rose along a threshold axis fails, and leaves
+    # the reports it checked behind as evidence
+    def inverted(report):
+        row = summary_row(report)
+        return {**row, "total_flops": -row["total_flops"]}
+
+    monkeypatch.setattr(pipeline, "summary_row", inverted)
+    with pytest.raises(RuntimeError, match="compute increased"):
+        sweep(_small_config(corpus_n=1), [(0.0, 0.0), (0.5, 0.5)],
+              out_dir=tmp_path)
+    assert (tmp_path / "run_c0_i0" / "report.json").exists()
+    assert (tmp_path / "run_c0.5_i0.5" / "report.json").exists()
+    assert (tmp_path / "summary.csv").exists()
+
+
 def test_sweep_schedule_two_tier():
     assert sweep_schedule(0.25) == (0.25, 0.25, 0.5, 0.5)
     assert sweep_schedule(0.7) == (0.7, 0.7, 1.0, 1.0)
@@ -293,6 +309,16 @@ def test_binary_probs_insensitive_to_threshold_position():
 
 
 # --- configuration ---------------------------------------------------------
+
+def test_config_is_immutable():
+    # a config is checked once, when it is built: no field can change after
+    cfg = _small_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.eps_i = 1.5
+    assert replace(cfg, eps_i=0.25).eps_i == 0.25
+    with pytest.raises(ConfigError, match="eps_i"):
+        replace(cfg, eps_i=1.5)
+
 
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):

@@ -123,6 +123,14 @@ def test_overlapping_regions_rejected():
         generate(spec)
 
 
+def test_generate_rejects_a_layout_that_misses_its_target():
+    region = ContentRegion("table", 0, 0, 16, 16, texture_seed=11)
+    spec = LayoutSpec(64, (region,), 0.95, 0.5, seed=0)
+    with pytest.raises(LayoutError, match="misses target fraction 0.5") as exc:
+        generate(spec)
+    assert exc.value.achieved == 0.0625
+
+
 def test_infeasible_fraction_reports_achieved():
     with pytest.raises(LayoutError) as exc:
         plan_layout(256, 0.99, seed=0)

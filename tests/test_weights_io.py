@@ -81,14 +81,26 @@ def _damage(raw: bytes, how: str, seed: int, rng: Rng) -> bytes:
         return raw[:(10, 18)[seed] if seed < 2 else rng.randint(len(raw))]
     if how == "trailing":
         return raw + bytes(1 + rng.randint(8))
+    (name_len,) = struct.unpack_from("<H", raw, 16)
+    if how == "bad_name":
+        # 0xff starts no utf-8 sequence; put it in the first array's name
+        at = 18 + rng.randint(name_len)
+        return raw[:at] + b"\xff" + raw[at + 1:]
+    if how == "repeat":
+        # the first array's record once more, counted in the header
+        (ndim,) = struct.unpack_from("<B", raw, 18 + name_len)
+        dims = struct.unpack_from(f"<{ndim}I", raw, 19 + name_len)
+        end = 19 + name_len + 4 * ndim + 8 * math.prod(dims)
+        (count,) = struct.unpack_from("<I", raw, 12)
+        return raw[:12] + struct.pack("<I", count + 1) + raw[16:] + raw[16:end]
     # huge_dim: the first array's first dim sits after the 16-byte file
     # header, its u16 name length, the name and its u8 rank
-    (name_len,) = struct.unpack_from("<H", raw, 16)
     at = 16 + 2 + name_len + 1
     return raw[:at] + struct.pack("<I", 0xFFFFFFFF - rng.randint(4)) + raw[at + 4:]
 
 
-@pytest.mark.parametrize("how", ["cut", "trailing", "huge_dim"])
+@pytest.mark.parametrize("how", ["cut", "trailing", "huge_dim", "bad_name",
+                                 "repeat"])
 @pytest.mark.parametrize("seed", range(5))
 def test_damaged_file_is_value_error_naming_it(tmp_path, how, seed):
     rng = Rng(seed).derive(how)
