@@ -25,6 +25,11 @@ from .synthdoc import LabeledImage
 from .tensor import (FlopCounter, LossCurve, Mlp2, bce_loss, linear,
                      mlp2_backward, mlp2_forward, mlp2_init)
 
+# the learned detector's feature and hidden widths; load_detector takes
+# whatever widths a weight file declares
+FEAT_DIM = 32
+HIDDEN = 32
+
 
 @dataclass
 class DetectorModel:
@@ -38,14 +43,13 @@ def oracle_detector(patch_size: int) -> DetectorModel:
     return DetectorModel(variant="oracle", patch_size=patch_size)
 
 
-def mlp_detector(seed: int, patch_size: int, feat_dim: int = 32,
-                 hidden: int = 32) -> DetectorModel:
+def mlp_detector(seed: int, patch_size: int) -> DetectorModel:
     rng = Rng(seed).derive("detector")
     return DetectorModel(
         variant="mlp",
         patch_size=patch_size,
-        embed=patch_embed_init(rng.derive("embed"), patch_size, feat_dim),
-        mlp=mlp2_init(rng.derive("mlp"), feat_dim, hidden, 1),
+        embed=patch_embed_init(rng.derive("embed"), patch_size, FEAT_DIM),
+        mlp=mlp2_init(rng.derive("mlp"), FEAT_DIM, HIDDEN, 1),
     )
 
 

@@ -144,7 +144,6 @@ def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
 class FilterResult:
     kept_indices: np.ndarray      # strictly increasing original positions
     relevance_scores: np.ndarray  # one sigmoid score per visual token
-    kept_tokens: np.ndarray
 
     def __post_init__(self):
         if self.kept_indices.size and np.any(np.diff(self.kept_indices) <= 0):
@@ -152,20 +151,18 @@ class FilterResult:
 
 
 def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
-                  v_orig: np.ndarray | None = None,
                   counter: FlopCounter | None = None) -> FilterResult:
     """Score fused visual tokens and keep those at or above the threshold.
 
-    kept_tokens are rows of v_orig when provided (the decoder consumes the
-    original projected tokens, not the fused features), else of v_fused.
+    The kept indices select rows of the projected tokens the IFM took in,
+    not of the fused features: the decoder consumes the original projected
+    tokens.
     """
     with flop_category(counter, "ifm"):
         scores, _ = mlp2_forward(v_fused, model.clf, counter, sigmoid_out=True)
     scores = scores.ravel()
-    kept = np.flatnonzero(scores >= eps)
-    source = v_fused if v_orig is None else v_orig
-    return FilterResult(kept_indices=kept, relevance_scores=scores,
-                        kept_tokens=source[kept])
+    return FilterResult(kept_indices=np.flatnonzero(scores >= eps),
+                        relevance_scores=scores)
 
 
 def train_ifm(model: IfmModel, samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],

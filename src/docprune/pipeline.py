@@ -142,6 +142,9 @@ class PipelineConfig:
         except LayoutError as e:
             raise ConfigError(f"config field 'content_fraction' on a "
                               f"{self.image_size}-px page: {e}") from e
+        except OverflowError as e:
+            raise ConfigError("config field 'image_size' is too large: the "
+                              "page area passes the float range") from e
         for name, values in (("eps_c", self.eps_c), ("eps_i", (self.eps_i,))):
             for e in values:
                 if not 0.0 <= e <= 1.0:
@@ -264,15 +267,6 @@ def mask_from_hex(s: str, side: int) -> np.ndarray:
 
 
 @dataclass
-class DocArtifacts:
-    """One document's intermediates under one setting."""
-
-    encoded: EncodeResult
-    instruction: InstructionSpec
-    filter_result: FilterResult
-
-
-@dataclass
 class RunReport:
     schema_version: int
     config: dict
@@ -304,23 +298,20 @@ def _round_floats(obj):
 
 class _Setting:
     """One threshold setting's share of a walk: its FLOPs, wall time and
-    per-document rows, and the artifacts when they are kept."""
+    per-document rows."""
 
-    def __init__(self, config: PipelineConfig, counter: FlopCounter | None,
-                 keep_artifacts: bool = False):
+    def __init__(self, config: PipelineConfig, counter: FlopCounter | None):
         self.config = config
         self.counter = counter
         self.timings = dict.fromkeys(("generate", "detect", "encode",
                                       "project", "ifm"), 0.0)
         self.stages: list[dict] | None = None
         self.per_doc: list[dict] = []
-        self.artifacts: list[DocArtifacts] | None = (
-            [] if keep_artifacts else None)
 
-    def add_doc(self, index: int, seed: int, art: DocArtifacts) -> None:
-        encoded, result = art.encoded, art.filter_result
+    def add_doc(self, index: int, seed: int, encoded: EncodeResult,
+                instruction: InstructionSpec, result: FilterResult) -> None:
         n_kept = int(result.kept_indices.size)
-        seq_len = n_kept + len(art.instruction)
+        seq_len = n_kept + len(instruction)
         with self.counter.category("decoder_stub"):
             self.counter.add(
                 self.config.decoder_flops_per_token_sq * seq_len * seq_len)
@@ -344,7 +335,7 @@ class _Setting:
             "seed": seed,
             "kept_final": encoded.kept_final,
             "kept_after_ifm": n_kept,
-            "instruction_len": len(art.instruction),
+            "instruction_len": len(instruction),
             "sequence_len": seq_len,
             "masks": {
                 "stage2": _mask_hex(encoded.trace[1].binarized),
@@ -352,8 +343,6 @@ class _Setting:
                 "ifm": _mask_hex(ifm_mask),
             },
         })
-        if self.artifacts is not None:
-            self.artifacts.append(art)
 
     def report(self, pixel_fraction: float,
                patch_fraction: float) -> RunReport:
@@ -417,12 +406,14 @@ def _encoded_groups(models: Models, doc: LabeledImage,
     partition and detect run once for all settings. The settings are then
     grouped by the per-stage masks their thresholds binarize the document
     into (`encoder.mask_key`), and encode, the projector and the grid
-    positions run once per group: yields (members, encoded, projected,
-    v_in) for each. The walk and `prepare_ifm_samples` both go through
-    here. Every step is called through this module's globals, so a
-    wrapper installed on a name (as `bench/tracer.py` does) sees each
-    call; a shared step gets a `SharedFlops` over its settings' counters,
-    which charges each of them what a lone `run` charges.
+    positions run once per group: yields (members, encoded, v_in) for
+    each, v_in being the projected tokens (plus grid positions when the
+    IFM uses them) that the IFM takes in. The walk and
+    `prepare_ifm_samples` both go through here. Every step is called
+    through this module's globals, so a wrapper installed on a name (as
+    `bench/tracer.py` does) sees each call; a shared step gets a
+    `SharedFlops` over its settings' counters, which charges each of them
+    what a lone `run` charges.
     """
     counter = _shared(settings)
     with flop_category(counter, "patch_embed"):
@@ -447,7 +438,7 @@ def _encoded_groups(models: Models, doc: LabeledImage,
             if models.ifm.use_positions and projected.shape[0]:
                 v_in = projected + grid_positions(
                     encoded.kept_indices, cfg.stage4_side, cfg.llm_dim)
-        yield members, encoded, projected, v_in
+        yield members, encoded, v_in
 
 
 def _walk_doc(i: int, config: PipelineConfig, models: Models,
@@ -459,8 +450,7 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
                          config.seed)
     spec, _ = instruction_target(doc, instr_state)
     instr = embed_instruction(models.ifm, spec)
-    for members, encoded, projected, v_in in _encoded_groups(models, doc,
-                                                             settings):
+    for members, encoded, v_in in _encoded_groups(models, doc, settings):
         with _timed(members, "ifm"):
             fused_v, _ = fuse(models.ifm, v_in, instr, _shared(members))
         by_eps: dict[float, list[_Setting]] = {}
@@ -469,22 +459,19 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
         for eps, group in by_eps.items():
             with _timed(group, "ifm"):
                 result = filter_tokens(models.ifm, fused_v, eps,
-                                       v_orig=projected,
                                        counter=_shared(group))
-            art = DocArtifacts(encoded, spec, result)
             for s in group:
-                s.add_doc(i, doc.seed, art)
+                s.add_doc(i, doc.seed, encoded, spec, result)
     return content_fraction(doc), content_fraction(doc, config.patch_size)
 
 
-def _walk(configs: list[PipelineConfig], detector: DetectorModel | None,
-          keep_artifacts: bool = False):
+def _walk(configs: list[PipelineConfig],
+          detector: DetectorModel | None) -> list[RunReport]:
     """Every setting's report from one pass over the config's corpus.
 
     The configs differ only in eps_c/eps_i, so the models are built once
     and each page is generated when its turn comes and goes through every
-    setting before the next one is made. Returns the reports and each
-    setting's artifacts (None unless kept).
+    setting before the next one is made.
 
     The documents are walked serially, on the calling thread. They are
     independent, and `tensor.map_on_cores` could take them one per core
@@ -494,29 +481,23 @@ def _walk(configs: list[PipelineConfig], detector: DetectorModel | None,
     """
     config = configs[0]
     models = build_models(config, detector)
-    settings = [_Setting(cfg, FlopCounter(), keep_artifacts)
-                for cfg in configs]
+    settings = [_Setting(cfg, FlopCounter()) for cfg in configs]
     instr_rng = Rng(config.seed).derive("instructions")
     fractions = [_walk_doc(i, config, models, instr_rng.derive(i).state,
                            settings)
                  for i in range(config.corpus_n)]
     pixel, patch = (float(np.mean(f)) for f in zip(*fractions))
-    return ([s.report(pixel, patch) for s in settings],
-            [s.artifacts for s in settings])
+    return [s.report(pixel, patch) for s in settings]
 
 
-def run(config: PipelineConfig, detector: DetectorModel | None = None,
-        return_artifacts: bool = False):
+def run(config: PipelineConfig,
+        detector: DetectorModel | None = None) -> RunReport:
     """Execute the pipeline over the config's corpus and assemble the report.
 
     The corpus is the seeded synthetic corpus the config describes,
-    generated one page at a time. With return_artifacts the per-document
-    intermediates come back alongside the report for the equivalence tests.
+    generated one page at a time.
     """
-    reports, artifacts = _walk([config], detector, return_artifacts)
-    if return_artifacts:
-        return reports[0], artifacts[0]
-    return reports[0]
+    return _walk([config], detector)[0]
 
 
 def write_report(report: RunReport, out_dir) -> Path:
@@ -558,7 +539,7 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
         raise ConfigError("sweep needs at least one (eps_c, eps_i) setting")
     configs = [_setting_config(config, c, i) for c, i in settings]
     dirs = None if out_dir is None else _report_dirs(settings)
-    reports, _ = _walk(configs, detector)
+    reports = _walk(configs, detector)
     rows = [summary_row(rep) for rep in reports]
     if out_dir is not None:
         for name, rep in zip(dirs, reports):
@@ -654,7 +635,7 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
 
     def sample(i: int):
         doc = corpus[i]
-        ((_, encoded, _, v_in),) = _encoded_groups(
+        ((_, encoded, v_in),) = _encoded_groups(
             models, doc, [_Setting(config, None)])
         spec, relevance = instruction_target(doc, instr_rng.derive(i).state)
         cells = patchify_any(relevance, config.patch_size * 8).ravel()

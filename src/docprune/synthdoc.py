@@ -27,6 +27,8 @@ REGION_KINDS = ("text_line", "table", "chart_block")
 LAYOUT_GRID = 4
 BLOCK_SNAP = 32
 NOISE_AMPLITUDE = 0.02
+# the background grey of every planned page
+BACKGROUND_VALUE = 0.95
 RELEVANCE_MARGIN = 8
 
 # densest packing the row flow can sustain; sizes the content column width
@@ -150,8 +152,8 @@ def check_packable(image_size: int, fraction: float) -> None:
             f"from any whole number of {LAYOUT_GRID}-px cells", packed)
 
 
-def plan_layout(image_size: int, target_fraction: float, seed: int,
-                background_value: float = 0.95) -> LayoutSpec:
+def plan_layout(image_size: int, target_fraction: float,
+                seed: int) -> LayoutSpec:
     """Pack regions into a content column until the target area is met.
 
     The column is anchored at the top-left corner and its width is snapped
@@ -172,7 +174,7 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
 
     rng = Rng(seed).derive("layout")
     if target_fraction == 0.0:
-        return LayoutSpec(image_size, (), background_value, 0.0, seed)
+        return LayoutSpec(image_size, (), BACKGROUND_VALUE, 0.0, seed)
 
     check_packable(image_size, target_fraction)
     page_area = image_size * image_size
@@ -185,7 +187,7 @@ def plan_layout(image_size: int, target_fraction: float, seed: int,
         regions, placed = _flow_rows(rng, image_size, block_w, target_area)
     if abs(placed / page_area - target_fraction) > FRACTION_TOLERANCE:
         regions = _fill_column(rng, image_size, block_w, target_area)
-    return LayoutSpec(image_size, tuple(regions), background_value,
+    return LayoutSpec(image_size, tuple(regions), BACKGROUND_VALUE,
                       target_fraction, seed)
 
 

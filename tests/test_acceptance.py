@@ -51,16 +51,18 @@ def trained_ifm():
 def test_criterion_1_zero_threshold_equivalence():
     t0 = time.perf_counter()
     zero = dict(eps_c=(0.0, 0.0, 0.0, 0.0), eps_i=0.0, corpus_n=2, seed=7)
-    _, gated = run(PipelineConfig(**zero), return_artifacts=True)
-    _, plain = run(PipelineConfig(gated=False, **zero), return_artifacts=True)
-    for a, b in zip(gated, plain):
-        assert a.encoded.kept_final == 64  # full stage-4 grid on the 256/4 profile
-        assert b.encoded.kept_final == 64
-        np.testing.assert_allclose(a.filter_result.kept_tokens,
-                                   b.filter_result.kept_tokens,
-                                   rtol=1e-9, atol=1e-12)
-        np.testing.assert_array_equal(a.filter_result.kept_indices,
-                                      b.filter_result.kept_indices)
+    configs = [PipelineConfig(**zero), PipelineConfig(gated=False, **zero)]
+    gated, plain = (run(cfg) for cfg in configs)
+    for a, b in zip(gated.per_doc, plain.per_doc):
+        assert a["kept_final"] == 64  # full stage-4 grid on the 256/4 profile
+        assert b["kept_final"] == 64
+        # stage 2, stage 4 and the IFM's kept indices
+        assert a["masks"] == b["masks"]
+    # the projected tokens the IFM takes in; both add the same grid positions
+    corpus = make_corpus(2, 0.5, 256, seed=7)
+    samples = [prepare_ifm_samples(cfg, corpus) for cfg in configs]
+    for (va, _, _), (vb, _, _) in zip(*samples):
+        np.testing.assert_allclose(va, vb, rtol=1e-9, atol=1e-12)
     assert time.perf_counter() - t0 < 10.0
 
 

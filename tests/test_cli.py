@@ -391,6 +391,26 @@ def test_count_below_one_is_exit_2_before_any_file(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_non_integer_count_is_exit_2_before_any_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "abc", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --n: invalid int value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", [32 * 10**153, 32 * 10**400],
+                         ids=["area-past-float", "side-past-float"])
+def test_image_size_past_the_float_range_is_exit_2(tmp_path, capsys, side):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({**SMALL_CONFIG, "image_size": side}))
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 2
+    assert "config field 'image_size' is too large" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value,message", [
     ("train-detector", "--lr", "nan", "must be finite, got nan"),
     ("train-detector", "--lr", "0", "must be > 0, got 0"),

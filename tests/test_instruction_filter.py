@@ -122,7 +122,6 @@ def test_threshold_zero_keeps_all(model):
     vp, _ = fuse(model, _visual(), _instr(model))
     res = filter_tokens(model, vp, eps=0.0)
     np.testing.assert_array_equal(res.kept_indices, np.arange(12))
-    np.testing.assert_array_equal(res.kept_tokens, vp)
 
 
 def test_threshold_one_keeps_almost_nothing(model):
@@ -141,18 +140,10 @@ def test_kept_monotone_in_threshold(model):
         previous = kept
 
 
-def test_filter_returns_original_rows_when_given(model):
-    v = _visual()
-    vp, _ = fuse(model, v, _instr(model))
-    res = filter_tokens(model, vp, v_orig=v, eps=0.0)
-    np.testing.assert_array_equal(res.kept_tokens, v)
-
-
 def test_filter_result_indices_must_increase():
     with pytest.raises(ValueError, match="increasing"):
         FilterResult(kept_indices=np.array([3, 1]),
-                     relevance_scores=np.zeros(4),
-                     kept_tokens=np.zeros((2, DIM)))
+                     relevance_scores=np.zeros(4))
 
 
 # --- training ----------------------------------------------------------------

@@ -375,12 +375,11 @@ def test_paper_scale_profile_geometry():
 
 
 def test_blank_pages_run():
-    rep, arts = run(_small_config(content_fraction=0.0, corpus_n=2),
-                    return_artifacts=True)
+    rep = run(_small_config(content_fraction=0.0, corpus_n=2))
     assert rep.tokens["post_encoder"] == rep.tokens["post_ifm"] == 0
     # each blank page still sends its one-token instruction to the decoder
     assert rep.tokens["final_sequence"] == 2
-    assert all(a.instruction.token_ids == (0,) for a in arts)
+    assert all(d["instruction_len"] == 1 for d in rep.per_doc)
     assert all(s["windows_computed"] == 0 for s in rep.stages)
 
 
@@ -421,7 +420,7 @@ def test_prepare_ifm_samples_equal_a_serial_loop(monkeypatch):
     instr_rng = pipeline.Rng(cfg.seed).derive("instructions")
     want = []
     for i, doc in enumerate(corpus):
-        ((_, encoded, _, v_in),) = pipeline._encoded_groups(
+        ((_, encoded, v_in),) = pipeline._encoded_groups(
             models, doc, [pipeline._Setting(cfg, None)])
         spec, relevance = synthdoc.instruction_target(
             doc, instr_rng.derive(i).state)

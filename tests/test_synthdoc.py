@@ -115,6 +115,13 @@ def test_region_bounds_checked():
         ContentRegion("table", 60, 0, 16, 16, 0).validate(64)
 
 
+def test_region_kind_and_size_checked():
+    with pytest.raises(ValueError, match="unknown region kind 'photo'"):
+        ContentRegion("photo", 0, 0, 16, 16, 0).validate(64)
+    with pytest.raises(ValueError, match=r"region too small: 4x3 \(min 4x4\)"):
+        ContentRegion("table", 0, 0, 4, 3, 0).validate(64)
+
+
 def test_overlapping_regions_rejected():
     a = ContentRegion("table", 0, 0, 32, 32, 0)
     b = ContentRegion("table", 16, 16, 32, 32, 1)
@@ -136,6 +143,19 @@ def test_infeasible_fraction_reports_achieved():
         plan_layout(256, 0.99, seed=0)
     assert 0.0 < exc.value.achieved < 0.99
     assert f"{exc.value.achieved:.4f}" in str(exc.value)
+
+
+def test_plan_layout_checks_its_arguments():
+    with pytest.raises(ValueError, match="image size must be a multiple of 4"):
+        plan_layout(66, 0.5, seed=0)
+    for fraction in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="target fraction out of range"):
+            plan_layout(64, fraction, seed=0)
+
+
+def test_make_corpus_needs_a_document():
+    with pytest.raises(ValueError, match="corpus size must be >= 1, got 0"):
+        make_corpus(0, 0.5, 64, seed=0)
 
 
 @pytest.mark.parametrize("size", [40, 128, 200, 256, 1536])
@@ -274,6 +294,16 @@ def test_pbm_round_trip(tmp_path):
     mask = Rng(4).uniforms(39).reshape(3, 13) > 0.5
     imageio.write_pbm(path, mask)
     np.testing.assert_array_equal(pbm_bits(path, (3, 13)), ~mask)
+
+
+def test_writers_take_only_2d_arrays(tmp_path):
+    with pytest.raises(ValueError, match=r"PGM expects a 2-D image, got "
+                                         r"shape \(2, 3, 4\)"):
+        imageio.write_pgm(tmp_path / "page.pgm", np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match=r"PBM expects a 2-D mask, got "
+                                         r"shape \(2, 3, 4\)"):
+        imageio.write_pbm(tmp_path / "mask.pbm", np.zeros((2, 3, 4), bool))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corpus_round_trip(tmp_path):

@@ -106,6 +106,13 @@ def test_layernorm_row_statistics():
     np.testing.assert_allclose(out.var(axis=1), np.ones(4), atol=1e-3)
 
 
+def test_row_kernels_take_only_2d_inputs():
+    with pytest.raises(ValueError, match=r"a must be 2-D, got shape"):
+        layernorm(np.zeros((2, 3, 4)), np.ones(4), np.zeros(4))
+    with pytest.raises(ValueError, match=r"x must be 2-D, got shape"):
+        mlp2_forward(np.zeros((2, 3, 6)), mlp2_zeros(6, 8, 1))
+
+
 def test_layernorm_validates_shapes():
     with pytest.raises(ValueError, match="affine"):
         layernorm(np.zeros((2, 4)), np.ones(3), np.zeros(4))
