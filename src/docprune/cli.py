@@ -67,17 +67,25 @@ def _positive(text: str) -> float:
     return x
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path, or a ConfigError that names
+    what the file is and its path."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}")
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} is not valid JSON: {path}: {e}")
+    # a directory, bytes that are not UTF-8, an integer past Python's
+    # digit limit for int(), arrays nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as e:
+        raise ConfigError(f"{what} cannot be read: {path}: {e}")
+
+
 def _load_config(args) -> PipelineConfig:
-    file_cfg = {}
-    if args.config:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+    file_cfg = _read_json(args.config, "config file") if args.config else {}
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
     profile = args.profile or file_cfg.get("profile", "desk")
     # from_dict rejects an unknown profile
     base = asdict(PipelineConfig.paper_scale() if profile == "paper-scale"
@@ -174,12 +182,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    try:
-        rep = json.loads(Path(args.report).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"report not found: {args.report}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"report is not valid JSON: {e}")
+    rep = _read_json(args.report, "report")
     try:
         written = render_masks(rep, args.out, doc_index=args.doc)
     except IndexError as e:     # it names the argument doc_index; name the flag

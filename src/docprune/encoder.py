@@ -89,7 +89,6 @@ class StageTraceEntry:
     active: int
     windows_total: int
     windows_computed: int
-    windows_bypassed: int
     attn_flops: int
     raw_entry: np.ndarray
     binarized: np.ndarray
@@ -380,8 +379,7 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
         trace.append(StageTraceEntry(
             stage=s + 1, n_tokens=cur.n_tokens, active=int(binp.sum()),
             windows_total=total, windows_computed=computed,
-            windows_bypassed=total - computed, attn_flops=attn_flops,
-            raw_entry=raw, binarized=binp))
+            attn_flops=attn_flops, raw_entry=raw, binarized=binp))
         if s < len(model.merges):
             # merge= by keyword: the benchmark's tracer reads that argument
             cur = merge_patches(cur, merge=model.merges[s], counter=counter)

@@ -7,9 +7,10 @@ scoring below the threshold are dropped; instruction tokens are never
 dropped and pass through to the decoder untouched.
 
 Instructions are sequences of small integer ids over a 256-entry toy
-vocabulary. Most of the embedding table is seeded random; the ids that
-mark row and column spans borrow the grid position ladders so spatial
-matches show up as inner products after fusion. Training updates the
+vocabulary; instruction_target spells one out for a region of a page.
+Most of the embedding table is seeded random; the ids that mark row and
+column spans borrow the grid position ladders so spatial matches show up
+as inner products after fusion. Training updates the
 classifier MLP only, with the fusion layer frozen at its seeded init, so
 every gradient is covered by the finite-difference checks.
 """
@@ -24,6 +25,7 @@ from . import weights_io
 from .content_filter import fit_mlp2, recall_precision
 from .encoder import BlockWeights, attn_residual, block_init, ffn_residual
 from .rng import Rng
+from .synthdoc import REGION_KINDS, LabeledImage
 from .tensor import (FlopCounter, LossCurve, Mlp2, flop_category,
                      mlp2_forward, mlp2_init)
 
@@ -35,6 +37,7 @@ MAX_INSTRUCTION_LEN = 32
 ROW_TOKEN_BASE = 32
 COL_TOKEN_BASE = 64
 N_BINS = 8
+RELEVANCE_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,45 @@ class InstructionSpec:
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+
+def instruction_target(img: LabeledImage, seed: int):
+    """Pick one region as the instruction referent.
+
+    Returns the instruction token sequence and a per-pixel relevance mask
+    covering the region bbox dilated by RELEVANCE_MARGIN pixels. Patch-level
+    relevance at any granularity derives from the mask via patchify_any.
+
+    The token sequence spells out the quantized bbox as spans: one kind
+    token, then one token per covered row bin and one per covered column
+    bin, with the page split into N_BINS bins per axis. At the default
+    geometry those bins coincide with the final-stage grid cells, so a
+    cell is relevant exactly when its row token and its column token both
+    appear in the instruction.
+
+    A blank page has nothing to refer to: its instruction is the single
+    token 0 (no region kind) and nothing on it is relevant.
+    """
+    if not img.regions:
+        return InstructionSpec((0,)), np.zeros((img.size,) * 2, dtype=bool)
+    rng = Rng(seed).derive("instruction")
+    region = rng.choice(img.regions)
+    size = img.size
+
+    m = RELEVANCE_MARGIN
+    mask = np.zeros((size, size), dtype=bool)
+    x0, y0 = max(0, region.x - m), max(0, region.y - m)
+    x1 = min(size, region.x + region.w + m)
+    y1 = min(size, region.y + region.h + m)
+    mask[y0:y1, x0:x1] = True
+
+    kind_id = 1 + REGION_KINDS.index(region.kind)
+    token_ids = [kind_id]
+    token_ids += [ROW_TOKEN_BASE + b
+                  for b in range(y0 * N_BINS // size, (y1 - 1) * N_BINS // size + 1)]
+    token_ids += [COL_TOKEN_BASE + b
+                  for b in range(x0 * N_BINS // size, (x1 - 1) * N_BINS // size + 1)]
+    return InstructionSpec(tuple(token_ids)), mask
 
 
 @dataclass
@@ -140,19 +182,9 @@ def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
     return x[:nv], x[nv:]
 
 
-@dataclass
-class FilterResult:
-    kept_indices: np.ndarray      # strictly increasing original positions
-    relevance_scores: np.ndarray  # one sigmoid score per visual token
-
-    def __post_init__(self):
-        if self.kept_indices.size and np.any(np.diff(self.kept_indices) <= 0):
-            raise ValueError("kept_indices must be strictly increasing")
-
-
 def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
-                  counter: FlopCounter | None = None) -> FilterResult:
-    """Score fused visual tokens and keep those at or above the threshold.
+                  counter: FlopCounter | None = None) -> np.ndarray:
+    """Increasing indices of the fused visual tokens scoring at least eps.
 
     The kept indices select rows of the projected tokens the IFM took in,
     not of the fused features: the decoder consumes the original projected
@@ -160,9 +192,7 @@ def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
     """
     with flop_category(counter, "ifm"):
         scores, _ = mlp2_forward(v_fused, model.clf, counter, sigmoid_out=True)
-    scores = scores.ravel()
-    return FilterResult(kept_indices=np.flatnonzero(scores >= eps),
-                        relevance_scores=scores)
+    return np.flatnonzero(scores.ravel() >= eps)
 
 
 def train_ifm(model: IfmModel, samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -196,7 +226,7 @@ def evaluate_ifm(model: IfmModel,
     for v, instr, _ in samples:
         vp, _ = fuse(model, v, instr)
         mask = np.zeros(v.shape[0], dtype=bool)
-        mask[filter_tokens(model, vp, eps=eps).kept_indices] = True
+        mask[filter_tokens(model, vp, eps=eps)] = True
         kept.append(mask)
     return recall_precision(
         kept, [np.asarray(y, dtype=bool).ravel() for *_, y in samples])

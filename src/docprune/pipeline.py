@@ -34,14 +34,13 @@ from .content_filter import (DetectorModel, detect, load_detector,
                              oracle_detector)
 from .encoder import (EncodeResult, EncoderModel, encode, encoder_init,
                       mask_key)
-from .instruction_filter import (FilterResult, IfmModel, InstructionSpec,
-                                 embed_instruction, fuse, filter_tokens,
-                                 grid_positions, ifm_init, load_ifm)
+from .instruction_filter import (IfmModel, InstructionSpec, embed_instruction,
+                                 fuse, filter_tokens, grid_positions,
+                                 ifm_init, instruction_target, load_ifm)
 from .patching import PatchEmbed, partition, patch_embed_init
 from .rng import Rng
 from .synthdoc import (LabeledImage, LayoutError, check_packable,
-                       content_fraction, corpus_doc, instruction_target,
-                       patchify_any)
+                       content_fraction, corpus_doc, patchify_any)
 # not called here, but bench/tracer.py wraps the name pipeline.make_corpus
 from .synthdoc import make_corpus  # noqa: F401
 from .tensor import (FlopCounter, Mlp2, SharedFlops, flop_category,
@@ -309,8 +308,8 @@ class _Setting:
         self.per_doc: list[dict] = []
 
     def add_doc(self, index: int, seed: int, encoded: EncodeResult,
-                instruction: InstructionSpec, result: FilterResult) -> None:
-        n_kept = int(result.kept_indices.size)
+                instruction: InstructionSpec, kept: np.ndarray) -> None:
+        n_kept = int(kept.size)
         seq_len = n_kept + len(instruction)
         with self.counter.category("decoder_stub"):
             self.counter.add(
@@ -325,11 +324,11 @@ class _Setting:
             agg["active_total"] += e.active
             agg["windows_total"] += e.windows_total
             agg["windows_computed"] += e.windows_computed
-            agg["windows_bypassed"] += e.windows_bypassed
+            agg["windows_bypassed"] += e.windows_total - e.windows_computed
             agg["attn_flops"] += e.attn_flops
 
         ifm_mask = np.zeros(encoded.grid.n_tokens)
-        ifm_mask[encoded.kept_indices[result.kept_indices]] = 1.0
+        ifm_mask[encoded.kept_indices[kept]] = 1.0
         self.per_doc.append({
             "index": index,
             "seed": seed,
@@ -441,15 +440,23 @@ def _encoded_groups(models: Models, doc: LabeledImage,
         yield members, encoded, v_in
 
 
+def _instruction(config: PipelineConfig, models: Models, doc: LabeledImage,
+                 i: int):
+    """Document i's instruction, pixel relevance mask and embedding; the
+    walk and prepare_ifm_samples both take a page's instruction here."""
+    seed = Rng(config.seed).derive("instructions").derive(i).state
+    spec, relevance = instruction_target(doc, seed)
+    return spec, relevance, embed_instruction(models.ifm, spec)
+
+
 def _walk_doc(i: int, config: PipelineConfig, models: Models,
-              instr_state: int, settings: list[_Setting]):
+              settings: list[_Setting]):
     """Document i under every setting; returns its pixel and patch
     content fractions. The page lives only as long as this call."""
     with _timed(settings, "generate"):
         doc = corpus_doc(i, config.content_fraction, config.image_size,
                          config.seed)
-    spec, _ = instruction_target(doc, instr_state)
-    instr = embed_instruction(models.ifm, spec)
+    spec, _, instr = _instruction(config, models, doc, i)
     for members, encoded, v_in in _encoded_groups(models, doc, settings):
         with _timed(members, "ifm"):
             fused_v, _ = fuse(models.ifm, v_in, instr, _shared(members))
@@ -458,10 +465,10 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
             by_eps.setdefault(s.config.eps_i, []).append(s)
         for eps, group in by_eps.items():
             with _timed(group, "ifm"):
-                result = filter_tokens(models.ifm, fused_v, eps,
-                                       counter=_shared(group))
+                kept = filter_tokens(models.ifm, fused_v, eps,
+                                     counter=_shared(group))
             for s in group:
-                s.add_doc(i, doc.seed, encoded, spec, result)
+                s.add_doc(i, doc.seed, encoded, spec, kept)
     return content_fraction(doc), content_fraction(doc, config.patch_size)
 
 
@@ -482,9 +489,7 @@ def _walk(configs: list[PipelineConfig],
     config = configs[0]
     models = build_models(config, detector)
     settings = [_Setting(cfg, FlopCounter()) for cfg in configs]
-    instr_rng = Rng(config.seed).derive("instructions")
-    fractions = [_walk_doc(i, config, models, instr_rng.derive(i).state,
-                           settings)
+    fractions = [_walk_doc(i, config, models, settings)
                  for i in range(config.corpus_n)]
     pixel, patch = (float(np.mean(f)) for f in zip(*fractions))
     return [s.report(pixel, patch) for s in settings]
@@ -631,16 +636,14 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
                 f"{config.image_size}")
     if models is None:
         models = build_models(config)
-    instr_rng = Rng(config.seed).derive("instructions")
 
     def sample(i: int):
         doc = corpus[i]
         ((_, encoded, v_in),) = _encoded_groups(
             models, doc, [_Setting(config, None)])
-        spec, relevance = instruction_target(doc, instr_rng.derive(i).state)
+        _, relevance, instr = _instruction(config, models, doc, i)
         cells = patchify_any(relevance, config.patch_size * 8).ravel()
-        return (v_in, embed_instruction(models.ifm, spec),
-                cells[encoded.kept_indices].astype(np.float64))
+        return v_in, instr, cells[encoded.kept_indices].astype(np.float64)
 
     return map_on_cores(sample, range(len(corpus)))
 

@@ -29,7 +29,6 @@ BLOCK_SNAP = 32
 NOISE_AMPLITUDE = 0.02
 # the background grey of every planned page
 BACKGROUND_VALUE = 0.95
-RELEVANCE_MARGIN = 8
 
 # densest packing the row flow can sustain; sizes the content column width
 _DENSITY_PACK = 0.85
@@ -72,7 +71,6 @@ class ContentRegion:
 class LayoutSpec:
     image_size: int
     regions: tuple[ContentRegion, ...]
-    background_value: float
     target_content_fraction: float
     seed: int
 
@@ -174,7 +172,7 @@ def plan_layout(image_size: int, target_fraction: float,
 
     rng = Rng(seed).derive("layout")
     if target_fraction == 0.0:
-        return LayoutSpec(image_size, (), BACKGROUND_VALUE, 0.0, seed)
+        return LayoutSpec(image_size, (), 0.0, seed)
 
     check_packable(image_size, target_fraction)
     page_area = image_size * image_size
@@ -187,8 +185,7 @@ def plan_layout(image_size: int, target_fraction: float,
         regions, placed = _flow_rows(rng, image_size, block_w, target_area)
     if abs(placed / page_area - target_fraction) > FRACTION_TOLERANCE:
         regions = _fill_column(rng, image_size, block_w, target_area)
-    return LayoutSpec(image_size, tuple(regions), BACKGROUND_VALUE,
-                      target_fraction, seed)
+    return LayoutSpec(image_size, tuple(regions), target_fraction, seed)
 
 
 def _flow_rows(rng: Rng, image_size: int, block_w: int, target_area: float):
@@ -274,7 +271,7 @@ def generate(spec: LayoutSpec) -> LabeledImage:
 
     noise_rng = Rng(spec.seed).derive("noise")
     noise = noise_rng.uniforms(size * size, -NOISE_AMPLITUDE, NOISE_AMPLITUDE)
-    image = np.clip(spec.background_value + noise.reshape(size, size), 0.0, 1.0)
+    image = np.clip(BACKGROUND_VALUE + noise.reshape(size, size), 0.0, 1.0)
     mask = np.zeros((size, size), dtype=bool)
 
     for region in spec.regions:
@@ -348,48 +345,6 @@ def content_fraction(doc: LabeledImage, patch_size: int | None = None):
 
 def mean_content_fraction(docs, patch_size: int | None = None) -> float:
     return float(np.mean([content_fraction(d, patch_size) for d in docs]))
-
-
-def instruction_target(img: LabeledImage, seed: int):
-    """Pick one region as the instruction referent.
-
-    Returns the instruction token sequence and a per-pixel relevance mask
-    covering the region bbox dilated by RELEVANCE_MARGIN pixels. Patch-level
-    relevance at any granularity derives from the mask via patchify_any.
-
-    The token sequence spells out the quantized bbox as spans: one kind
-    token, then one token per covered row bin and one per covered column
-    bin, with the page split into N_BINS bins per axis. At the default
-    geometry those bins coincide with the final-stage grid cells, so a
-    cell is relevant exactly when its row token and its column token both
-    appear in the instruction.
-
-    A blank page has nothing to refer to: its instruction is the single
-    token 0 (no region kind) and nothing on it is relevant.
-    """
-    from .instruction_filter import (COL_TOKEN_BASE, N_BINS, ROW_TOKEN_BASE,
-                                     InstructionSpec)
-
-    if not img.regions:
-        return InstructionSpec((0,)), np.zeros((img.size,) * 2, dtype=bool)
-    rng = Rng(seed).derive("instruction")
-    region = rng.choice(img.regions)
-    size = img.size
-
-    m = RELEVANCE_MARGIN
-    mask = np.zeros((size, size), dtype=bool)
-    x0, y0 = max(0, region.x - m), max(0, region.y - m)
-    x1 = min(size, region.x + region.w + m)
-    y1 = min(size, region.y + region.h + m)
-    mask[y0:y1, x0:x1] = True
-
-    kind_id = 1 + REGION_KINDS.index(region.kind)
-    token_ids = [kind_id]
-    token_ids += [ROW_TOKEN_BASE + b
-                  for b in range(y0 * N_BINS // size, (y1 - 1) * N_BINS // size + 1)]
-    token_ids += [COL_TOKEN_BASE + b
-                  for b in range(x0 * N_BINS // size, (x1 - 1) * N_BINS // size + 1)]
-    return InstructionSpec(tuple(token_ids)), mask
 
 
 def save_corpus(docs, out_dir) -> Path:

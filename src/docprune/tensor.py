@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import init_uniform
+
 ELEMWISE_FLOPS = 5
 
 _INV_SQRT2 = 0.7071067811865476
@@ -410,7 +412,6 @@ class Mlp2:
 
 
 def mlp2_init(rng, in_dim: int, hidden: int, out_dim: int) -> Mlp2:
-    from .rng import init_uniform
     return Mlp2(
         w1=init_uniform(rng, in_dim, hidden, in_dim),
         b1=rng.uniforms(hidden, -1.0 / in_dim ** 0.5, 1.0 / in_dim ** 0.5),

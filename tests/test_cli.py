@@ -338,6 +338,24 @@ def test_render_of_a_non_json_report_is_exit_2(tmp_path, capsys):
     assert not masks.exists()
 
 
+@pytest.mark.parametrize("flag", ["run --config", "render --report"])
+@pytest.mark.parametrize("content", [
+    b'{"image_size": ' + b"1" * 4401 + b"}",
+    b'{"profile": "\xff"}',
+    None,
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["int-past-4300-digits", "not-utf8", "directory", "nested-too-deep"])
+def test_unreadable_json_file_is_exit_2(tmp_path, capsys, flag, content):
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([*flag.split(), str(path), "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_detector_then_use(tmp_path, capsys):
     # one config's patch size for the detector and the run that uses it
     weights, out = tmp_path / "det.npz", tmp_path / "out"

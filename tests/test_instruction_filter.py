@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from docprune import weights_io
-from docprune.instruction_filter import (FilterResult, InstructionSpec,
-                                         MAX_INSTRUCTION_LEN, embed_instruction,
-                                         evaluate_ifm, filter_tokens, fuse,
-                                         grid_positions, ifm_init, load_ifm,
-                                         save_ifm, train_ifm)
+from docprune.instruction_filter import (InstructionSpec, MAX_INSTRUCTION_LEN,
+                                         embed_instruction, evaluate_ifm,
+                                         filter_tokens, fuse, grid_positions,
+                                         ifm_init, load_ifm, save_ifm,
+                                         train_ifm)
 from docprune.rng import Rng
-from docprune.tensor import FlopCounter
+from docprune.tensor import FlopCounter, mlp2_forward
 from helpers import mlp2_zeros
 
 DIM = 16
@@ -120,30 +120,24 @@ def test_fuse_deterministic_and_counted(model):
 
 def test_threshold_zero_keeps_all(model):
     vp, _ = fuse(model, _visual(), _instr(model))
-    res = filter_tokens(model, vp, eps=0.0)
-    np.testing.assert_array_equal(res.kept_indices, np.arange(12))
+    kept = filter_tokens(model, vp, eps=0.0)
+    np.testing.assert_array_equal(kept, np.arange(12))
 
 
 def test_threshold_one_keeps_almost_nothing(model):
     vp, _ = fuse(model, _visual(), _instr(model))
-    res = filter_tokens(model, vp, eps=1.0)
+    kept = filter_tokens(model, vp, eps=1.0)
     # sigmoid never reaches 1 except in saturation; a seeded init stays inside
-    assert res.kept_indices.size == 0
+    assert kept.size == 0
 
 
 def test_kept_monotone_in_threshold(model):
     vp, _ = fuse(model, _visual(64, seed=5), _instr(model))
-    previous = set(filter_tokens(model, vp, eps=0.0).kept_indices)
+    previous = set(filter_tokens(model, vp, eps=0.0))
     for eps in np.linspace(0.0, 1.0, 11):
-        kept = set(filter_tokens(model, vp, eps=float(eps)).kept_indices)
+        kept = set(filter_tokens(model, vp, eps=float(eps)))
         assert kept <= previous
         previous = kept
-
-
-def test_filter_result_indices_must_increase():
-    with pytest.raises(ValueError, match="increasing"):
-        FilterResult(kept_indices=np.array([3, 1]),
-                     relevance_scores=np.zeros(4))
 
 
 # --- training ----------------------------------------------------------------
@@ -194,7 +188,8 @@ def test_all_relevant_labels_learned(model):
     model, curve = train_ifm(model, samples, epochs=50, lr=0.5, pos_weight=1.0)
     assert curve[-1] < curve[0]
     vp, _ = fuse(model, samples[0][0], samples[0][1])
-    assert filter_tokens(model, vp, eps=0.0).relevance_scores.mean() > 0.9
+    scores, _ = mlp2_forward(vp, model.clf, sigmoid_out=True)
+    assert scores.mean() > 0.9
 
 
 def test_label_length_checked(model):
@@ -218,7 +213,7 @@ def test_evaluate_separable_data(model):
     labelled = []
     for v, instr, _ in samples:
         vp, _ = fuse(model, v, instr)
-        scores = filter_tokens(model, vp, eps=0.0).relevance_scores
+        scores, _ = mlp2_forward(vp, model.clf, sigmoid_out=True)
         labelled.append((v, instr, (scores >= 0.5).astype(np.float64)))
     stats = evaluate_ifm(model, labelled, eps=0.5)
     assert stats == {"recall": 1.0, "precision": 1.0}
@@ -249,8 +244,8 @@ def test_save_load_round_trip(tmp_path, model):
     b, _ = fuse(back, v, instr)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
-        filter_tokens(model, a, eps=0.0).relevance_scores,
-        filter_tokens(back, b, eps=0.0).relevance_scores)
+        mlp2_forward(a, model.clf, sigmoid_out=True)[0],
+        mlp2_forward(b, back.clf, sigmoid_out=True)[0])
     save_ifm(path, ifm_init(seed=3, dim=DIM, use_positions=False))
     assert load_ifm(path).use_positions is False
 

@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from docprune import encoder, pipeline, synthdoc, tensor
+from docprune import encoder, instruction_filter, pipeline, synthdoc, tensor
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex, prepare_ifm_samples,
                                render_masks, run, summary_row, sweep,
@@ -422,7 +422,7 @@ def test_prepare_ifm_samples_equal_a_serial_loop(monkeypatch):
     for i, doc in enumerate(corpus):
         ((_, encoded, v_in),) = pipeline._encoded_groups(
             models, doc, [pipeline._Setting(cfg, None)])
-        spec, relevance = synthdoc.instruction_target(
+        spec, relevance = instruction_filter.instruction_target(
             doc, instr_rng.derive(i).state)
         cells = patchify_any(relevance, cfg.patch_size * 8).ravel()
         want.append((v_in, pipeline.embed_instruction(models.ifm, spec),

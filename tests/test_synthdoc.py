@@ -14,19 +14,18 @@ from docprune.pipeline import ConfigError, PipelineConfig
 from docprune.rng import Rng
 from docprune.instruction_filter import (COL_TOKEN_BASE, N_BINS,
                                          ROW_TOKEN_BASE, MAX_INSTRUCTION_LEN,
-                                         VOCAB_SIZE)
-from docprune.synthdoc import (ContentRegion, LabeledImage, LayoutError,
-                               LayoutSpec, RELEVANCE_MARGIN, generate,
-                               instruction_target, make_corpus,
-                               max_content_fraction, mean_content_fraction,
-                               patchify_any,
+                                         RELEVANCE_MARGIN, VOCAB_SIZE,
+                                         instruction_target)
+from docprune.synthdoc import (ContentRegion, LayoutError, LayoutSpec,
+                               generate, make_corpus, max_content_fraction,
+                               mean_content_fraction, patchify_any,
                                plan_layout, save_corpus)
 from helpers import pbm_bits, pgm_pixels
 
 
 def _full_page_spec(size=64):
     region = ContentRegion("table", 0, 0, size, size, texture_seed=11)
-    return LayoutSpec(size, (region,), 0.95, 1.0, seed=0)
+    return LayoutSpec(size, (region,), 1.0, seed=0)
 
 
 def test_zero_fraction_has_no_content():
@@ -125,14 +124,14 @@ def test_region_kind_and_size_checked():
 def test_overlapping_regions_rejected():
     a = ContentRegion("table", 0, 0, 32, 32, 0)
     b = ContentRegion("table", 16, 16, 32, 32, 1)
-    spec = LayoutSpec(64, (a, b), 0.95, 0.4, seed=0)
+    spec = LayoutSpec(64, (a, b), 0.4, seed=0)
     with pytest.raises(ValueError, match="overlap"):
         generate(spec)
 
 
 def test_generate_rejects_a_layout_that_misses_its_target():
     region = ContentRegion("table", 0, 0, 16, 16, texture_seed=11)
-    spec = LayoutSpec(64, (region,), 0.95, 0.5, seed=0)
+    spec = LayoutSpec(64, (region,), 0.5, seed=0)
     with pytest.raises(LayoutError, match="misses target fraction 0.5") as exc:
         generate(spec)
     assert exc.value.achieved == 0.0625
@@ -190,7 +189,7 @@ def test_patchify_any_requires_divisible_side():
 
 def test_instruction_mask_is_dilated_bbox():
     region = ContentRegion("table", 64, 96, 64, 32, texture_seed=1)
-    spec = LayoutSpec(256, (region,), 0.95, 64 * 32 / 256 ** 2, seed=0)
+    spec = LayoutSpec(256, (region,), 64 * 32 / 256 ** 2, seed=0)
     doc = generate(spec)
     instr, mask = instruction_target(doc, seed=4)
     m = RELEVANCE_MARGIN
