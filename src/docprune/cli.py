@@ -67,6 +67,33 @@ def _positive(text: str) -> float:
     return x
 
 
+def _out(text: str, is_dir: bool) -> str:
+    """text, when a directory (is_dir) or a file can be made there: it does
+    not name an existing entry of the other kind, and its nearest existing
+    ancestor is a directory. Missing directories above it are made when
+    the output is written."""
+    path = Path(text)
+    if path.exists() and path.is_dir() != is_dir:
+        raise argparse.ArgumentTypeError(
+            f"{text} is a directory, not a file" if path.is_dir()
+            else f"{text} is a file, not a directory")
+    above = next(a for a in path.absolute().parents if a.exists())
+    if not above.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"{text} is under {above}, which is a file")
+    return text
+
+
+def _out_dir(text: str) -> str:
+    """argparse type of --out when the command writes a directory."""
+    return _out(text, is_dir=True)
+
+
+def _out_file(text: str) -> str:
+    """argparse type of --out when the command writes one file."""
+    return _out(text, is_dir=False)
+
+
 def _read_json(path: str, what: str):
     """The JSON value in the file at path, or a ConfigError that names
     what the file is and its path."""
@@ -210,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--n", type=_count, default=None,
                    help="override corpus size")
-    p.add_argument("--out", default="corpus")
+    p.add_argument("--out", type=_out_dir, default="corpus")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train-detector", help="train the MLP content detector")
@@ -218,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, default=16, help="override corpus size")
     p.add_argument("--epochs", type=_count, default=250)
     p.add_argument("--lr", type=_positive, default=0.08)
-    p.add_argument("--out", default="detector.hrvd")
+    p.add_argument("--out", type=_out_file, default="detector.hrvd")
     p.set_defaults(func=_cmd_train_detector)
 
     p = sub.add_parser("train-ifm", help="train the instruction filter classifier")
@@ -228,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_positive, default=0.3)
     p.add_argument("--pos-weight", type=_positive, default=5.0,
                    help="loss weight on relevant tokens; biases toward recall")
-    p.add_argument("--out", default="ifm.hrvd")
+    p.add_argument("--out", type=_out_file, default="ifm.hrvd")
     p.set_defaults(func=_cmd_train_ifm)
 
     p = sub.add_parser("run", help="run the pipeline and write a report")
     _add_config_flags(p)
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", type=_out_dir, default="out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_run)
 
@@ -241,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--grid", default=DEFAULT_GRID,
                    help="comma-separated eps_c:eps_i pairs")
-    p.add_argument("--out", default="sweep")
+    p.add_argument("--out", type=_out_dir, default="sweep")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("render", help="render kept-token masks from a report")
     p.add_argument("--report", required=True)
-    p.add_argument("--out", default="masks")
+    p.add_argument("--out", type=_out_dir, default="masks")
     p.add_argument("--doc", type=int, default=None,
                    help="render a single document (default: all)")
     p.set_defaults(func=_cmd_render)

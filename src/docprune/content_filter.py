@@ -23,7 +23,7 @@ from .patching import PatchEmbed, flatten_patches, patch_embed_init
 from .rng import Rng
 from .synthdoc import LabeledImage
 from .tensor import (FlopCounter, LossCurve, Mlp2, bce_loss, linear,
-                     mlp2_backward, mlp2_forward, mlp2_init)
+                     mlp2_backward, mlp2_forward, mlp2_init, one_blas_thread)
 
 # the learned detector's feature and hidden widths; load_detector takes
 # whatever widths a weight file declares
@@ -91,21 +91,30 @@ def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
     y (1.0 when y has no positives). Returns the per-epoch losses. The
     loss is looked up in this module: the benchmark's smoke test replaces
     content_filter.bce_loss to check that a non-finite loss fails a run.
+
+    The loop holds numpy's OpenBLAS at one thread (tensor.one_blas_thread,
+    restored on return or error) and runs the passes' elementwise row
+    blocks on every core. Products stay whole: at one BLAS thread
+    x.T @ dz1, a sum over every sample, rounds the same way on any
+    machine, so the trained bytes depend on neither the core count nor
+    the BLAS thread count.
     """
     if pos_weight == "auto":
         pos = float(y.sum())
         pos_weight = (y.size - pos) / pos if pos > 0 else 1.0
     curve = LossCurve()
     cache = None
-    for _ in range(epochs):
-        # the last epoch's cache is spent: this pass writes over it
-        pred, cache = mlp2_forward(x, mlp, sigmoid_out=True, spent=cache)
-        curve.append(bce_loss(pred, y, pos_weight))
-        g = mlp2_backward(cache, mlp, y, pos_weight)
-        mlp.w1 -= lr * g["dw1"]
-        mlp.b1 -= lr * g["db1"]
-        mlp.w2 -= lr * g["dw2"]
-        mlp.b2 -= lr * g["db2"]
+    with one_blas_thread():
+        for _ in range(epochs):
+            # the last epoch's cache is spent: this pass writes over it
+            pred, cache = mlp2_forward(x, mlp, sigmoid_out=True, spent=cache,
+                                       on_cores=True)
+            curve.append(bce_loss(pred, y, pos_weight))
+            g = mlp2_backward(cache, mlp, y, pos_weight, on_cores=True)
+            mlp.w1 -= lr * g["dw1"]
+            mlp.b1 -= lr * g["db1"]
+            mlp.w2 -= lr * g["dw2"]
+            mlp.b2 -= lr * g["db2"]
     return curve
 
 

@@ -14,10 +14,13 @@ two documented conventions:
 The counts are exact integers and additive over composed operations; only
 relative comparisons between runs are meaningful.
 
-:func:`map_on_cores` runs independent items, one per thread, on every
-available core. While it runs it holds numpy's OpenBLAS at one thread
-process-wide, so a BLAS call made meanwhile from any other thread of the
-process runs single-threaded too.
+:func:`one_blas_thread` holds numpy's OpenBLAS at one thread process-wide
+for a block; :func:`map_on_cores` runs independent items, one per thread,
+on every available core inside such a hold. Training holds it for its
+whole loop and maps the elementwise row blocks of :func:`gelu` and
+:func:`mlp2_backward` onto cores (``on_cores``), while every product stays
+one call on the calling thread, so trained bytes depend on neither the
+core count nor the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ ELEMWISE_FLOPS = 5
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
-# elements per block of the GELU kernels: 128 KB, so a block and its
-# temporaries stay in L2; timings are flat from 4k to 64k elements
-_BLOCK = 16384
+# elements per row block of the GELU kernels and the backward's scaling:
+# 512 KB, so a block and its temporaries stay in L2. Serial timings are
+# flat from 4k to 64k elements; on cores, larger blocks mean fewer
+# hand-offs between threads
+_BLOCK = 65536
 
 _ERF_MODULE = "scipy.special._special_ufuncs"
 
@@ -120,25 +125,43 @@ def _openblas():
     return None
 
 
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, process-wide, for the block.
+
+    The count it had is restored on leaving, also on an exception; a hold
+    inside another one restores the outer hold's count of one. Where no
+    OpenBLAS is found, nothing is changed.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
 def map_on_cores(fn, items) -> list:
     """[fn(x) for x in items], computed on one thread per available core.
 
     min(len(items), cores) threads, the caller one of them, take the items
     in order; the results come back in input order. After an item fails no
     further item is handed out, and once the running ones end the
-    exception of the lowest failing index is raised. For the whole call
-    numpy's OpenBLAS runs one thread, so each item's products stay on its
-    own core; this changes the process-wide count, which is restored on
-    return. With one item or one core, or no OpenBLAS found, this is the
-    plain loop. fn must not write state that another item's call reads.
+    exception of the lowest failing index is raised. The call runs inside
+    :func:`one_blas_thread`, so each item's products stay on its own core.
+    With one item or one core, or no OpenBLAS found, this is the plain
+    loop. fn must not write state that another item's call reads.
     """
     items = list(items)
-    blas = _openblas() if len(items) > 1 else None
-    n = min(len(items), len(os.sched_getaffinity(0))) if blas else 1
-    if n < 2:
+    n = min(len(items), len(os.sched_getaffinity(0)))
+    if n < 2 or _openblas() is None:
         return [fn(x) for x in items]
     import threading
-    get_threads, set_threads = blas
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
@@ -156,19 +179,17 @@ def map_on_cores(fn, items) -> list:
                 with lock:
                     errors[i] = e
 
-    old = get_threads()
-    set_threads(1)
-    started = []
-    try:
-        for _ in range(n - 1):
-            t = threading.Thread(target=work)
-            t.start()
-            started.append(t)
-        work()
-    finally:
-        for t in started:
-            t.join()
-        set_threads(old)
+    with one_blas_thread():
+        started = []
+        try:
+            for _ in range(n - 1):
+                t = threading.Thread(target=work)
+                t.start()
+                started.append(t)
+            work()
+        finally:
+            for t in started:
+                t.join()
     if errors:
         raise errors[min(errors)]
     return results
@@ -329,6 +350,15 @@ def _row_blocks(a: np.ndarray):
     return (slice(r, r + step) for r in range(0, len(a), step))
 
 
+def _each_row_block(fn, a: np.ndarray, on_cores: bool) -> None:
+    """fn(r) for every row block r of a; on every core when on_cores."""
+    if on_cores:
+        map_on_cores(fn, _row_blocks(a))
+    else:
+        for r in _row_blocks(a):
+            fn(r)
+
+
 def _onep(xb: np.ndarray) -> np.ndarray:
     """1 + erf(x / sqrt(2)) of one block: the erf pass GELU and gelu' share."""
     e = xb * _INV_SQRT2
@@ -353,18 +383,20 @@ def _gelu_prime(xb: np.ndarray, e: np.ndarray, out: np.ndarray) -> None:
 
 def gelu(x: np.ndarray, counter: FlopCounter | None = None,
          grad: np.ndarray | None = None,
-         out: np.ndarray | None = None) -> np.ndarray:
+         out: np.ndarray | None = None, on_cores: bool = False) -> np.ndarray:
     """Exact GELU, 0.5 * x * (1 + erf(x / sqrt(2))), walked in row blocks.
 
     A whole-array pass streams every temporary through memory; a block's
     temporaries stay in cache. When given, grad (shaped like x) receives
     gelu'(x) from the same erf block, and out (x itself allowed) receives
-    the result.
+    the result. on_cores maps the blocks with map_on_cores; every element
+    is computed the same way either way.
     """
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * x.size)
     h = np.empty(x.shape) if out is None else out
-    for r in _row_blocks(x):
+
+    def block(r):
         xb = x[r]
         e = _onep(xb)
         if grad is not None:
@@ -372,6 +404,8 @@ def gelu(x: np.ndarray, counter: FlopCounter | None = None,
         hb = h[r]
         np.multiply(0.5, xb, out=hb)
         hb *= e
+
+    _each_row_block(block, x, on_cores)
     return h
 
 
@@ -421,14 +455,16 @@ def mlp2_init(rng, in_dim: int, hidden: int, out_dim: int) -> Mlp2:
 
 
 def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
-                 sigmoid_out: bool = False, spent: tuple | None = None):
+                 sigmoid_out: bool = False, spent: tuple | None = None,
+                 on_cores: bool = False):
     """Forward pass; returns (output, cache) where cache feeds the backward pass.
 
     The cache holds only what mlp2_backward reads: x, h and gelu'(z1).
     spent, when given, is an earlier cache for an x of this shape that is
     no longer needed; the pass writes over its two hidden-layer arrays
     instead of allocating new ones, so a training loop holds two of them
-    and faults in no fresh pages each epoch.
+    and faults in no fresh pages each epoch. on_cores runs the GELU's row
+    blocks on every core; the products stay whole on the calling thread.
     """
     _check_2d("x", x)
     if x.shape[1] != p.in_dim:
@@ -439,7 +475,7 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
     # blocks, and h overwrites z1, which nothing reads again
     if d is None:
         d = np.empty(z1.shape)
-    h = gelu(z1, counter, grad=d, out=z1)
+    h = gelu(z1, counter, grad=d, out=z1, on_cores=on_cores)
     z2 = linear(h, p.w2, p.b2, counter)
     out = sigmoid(z2, counter) if sigmoid_out else z2
     return out, (x, h, d, out)
@@ -453,13 +489,16 @@ def bce_loss(pred: np.ndarray, y: np.ndarray, pos_weight: float = 1.0) -> float:
     return float(np.mean(w * per))
 
 
-def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
+def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0,
+                  on_cores: bool = False):
     """Analytic gradients of mean weighted BCE for a sigmoid-headed Mlp2.
 
     For sigmoid + BCE the head gradient collapses to w*(pred - y)/n, which
     is what makes these gradients finite-difference checkable to 1e-4.
     Returns dict with dw1, db1, dw2, db2. Consumes the cache: the cached
-    gelu'(z1) is scaled in place into dz1.
+    gelu'(z1) is scaled in place into dz1, one row block at a time, on
+    every core when on_cores. The products and the sums over rows stay
+    whole: split, x.T @ dz1 would add its rows in another order.
     """
     x, h, dz1, pred = cache
     if pred.shape != y.shape:
@@ -469,8 +508,11 @@ def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
     dz2 = w * (pred - y) / n
     dw2 = h.T @ dz2
     db2 = dz2.sum(axis=0)
-    for r in _row_blocks(dz1):
+
+    def scale(r):
         dz1[r] *= dz2[r] @ p.w2.T
+
+    _each_row_block(scale, dz1, on_cores)
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return {"dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2}

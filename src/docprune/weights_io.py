@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +29,8 @@ _KIND_NAMES = {KIND_DETECTOR: "a detector", KIND_IFM: "an IFM"}
 
 
 def write_weights(path, kind: int, arrays: dict[str, np.ndarray]) -> None:
+    """Write a weight file, making any missing directory above it."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, kind))

@@ -1,11 +1,15 @@
 """What the tests share and the program does not use: the default and
-all-zero per-stage content thresholds, an all-zero two-layer MLP, and
-decoders of the PGM and PBM files the program writes."""
+all-zero per-stage content thresholds, an all-zero two-layer MLP, a block
+run at a set OpenBLAS thread count, and decoders of the PGM and PBM files
+the program writes."""
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from docprune import tensor
 from docprune.tensor import Mlp2
 
 DEFAULT_EPS_C = (0.25, 0.25, 0.5, 0.5)
@@ -15,6 +19,23 @@ ZERO_EPS_C = (0.0, 0.0, 0.0, 0.0)
 def mlp2_zeros(in_dim: int, hidden: int, out_dim: int) -> Mlp2:
     return Mlp2(np.zeros((in_dim, hidden)), np.zeros(hidden),
                 np.zeros((hidden, out_dim)), np.zeros(out_dim))
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the block with numpy's OpenBLAS at n threads and restore the
+    count it had; yields the count's getter. Skips the test where no
+    OpenBLAS thread setter is found."""
+    found = tensor._openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    get_threads, set_threads = found
+    old = get_threads()
+    set_threads(n)
+    try:
+        yield get_threads
+    finally:
+        set_threads(old)
 
 
 def _payload(path, header: str) -> np.ndarray:

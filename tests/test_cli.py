@@ -526,3 +526,39 @@ def test_readme_cli_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+@pytest.mark.parametrize("command,taken_by,message", [
+    ("gen", "file", "{out} is a file, not a directory"),
+    ("run", "file", "{out} is a file, not a directory"),
+    ("sweep", "file", "{out} is a file, not a directory"),
+    ("render", "file", "{out} is a file, not a directory"),
+    ("train-detector", "dir", "{out} is a directory, not a file"),
+    ("train-ifm", "dir", "{out} is a directory, not a file"),
+    ("train-ifm", "file above", "{out} is under {taken}, which is a file")])
+def test_out_that_cannot_be_written_is_exit_2_before_any_work(
+        tmp_path, capsys, command, taken_by, message):
+    taken = tmp_path / "taken"
+    if taken_by == "dir":
+        taken.mkdir()
+    else:
+        taken.write_text("")
+    out = taken / "w.hrvd" if taken_by == "file above" else taken
+    argv = [command, "--out", str(out)]
+    if command == "render":
+        argv += ["--report", str(tmp_path / "report.json")]
+    # the parser exits: no command function, so no work, has started
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --out: " + message.format(out=out, taken=taken) in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train-detector", "train-ifm"])
+def test_weight_file_out_makes_its_missing_directories(tmp_path, config_file,
+                                                       command):
+    weights = tmp_path / "new" / "dir" / "w.hrvd"
+    assert main([command, "--config", config_file, "--n", "1", "--epochs",
+                 "1", "--out", str(weights)]) == 0
+    assert weights.is_file()

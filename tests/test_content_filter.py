@@ -1,22 +1,25 @@
 """Detector contracts: oracle probabilities equal ground truth, thresholds
 keep the boundary, and the learned head trains by plain gradient descent."""
 
+import hashlib
+import threading
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from docprune import tensor, weights_io
+from docprune import content_filter, tensor, weights_io
 from docprune.content_filter import (DetectorModel, binarize, detect,
                                      evaluate_detector, fit_mlp2,
                                      load_detector, mlp_detector,
                                      oracle_detector, save_detector,
                                      train_detector)
-from docprune.pipeline import PipelineConfig, sweep_schedule
+from docprune.pipeline import PipelineConfig, run, sweep_schedule
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
 from docprune.tensor import FlopCounter, mlp2_init
-from helpers import DEFAULT_EPS_C
+from helpers import DEFAULT_EPS_C, blas_threads
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +182,99 @@ def test_training_peak_memory_stays_below_three_hidden_arrays():
     finally:
         tracemalloc.stop()
     assert peak - start < 3 * n * hidden * 8
+
+
+# --- training on every core with BLAS held at one thread ---
+
+def _fit_700_rows() -> bytes:
+    """The weight bytes of a small fit_mlp2 run whose sample count, 700,
+    is not a multiple of 64: x.T @ dz1 over it rounds differently at 1
+    and at 2 OpenBLAS threads."""
+    rng = Rng(11)
+    x = rng.uniforms(700 * 64, -2, 2).reshape(700, 64)
+    y = (rng.uniforms(700) > 0.8).astype(float).reshape(700, 1)
+    mlp = mlp2_init(rng, 64, 256, 1)
+    fit_mlp2(mlp, x, y, epochs=2, lr=0.3, pos_weight=5.0)
+    return b"".join(a.tobytes() for a in (mlp.w1, mlp.b1, mlp.w2, mlp.b2))
+
+
+def _cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(tensor.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def test_trained_bytes_depend_on_neither_blas_threads_nor_cores(monkeypatch):
+    got = {}
+    for threads in (1, 2):
+        with blas_threads(threads):
+            got[f"{threads} BLAS threads"] = _fit_700_rows()
+    with blas_threads(2):
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            got[f"{cores} cores"] = _fit_700_rows()
+    assert len(set(got.values())) == 1, {
+        k: hashlib.sha256(v).hexdigest()[:12] for k, v in got.items()}
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_fit_mlp2_holds_one_blas_thread_and_restores_it(monkeypatch, fail):
+    inside = []
+
+    def loss(pred, y, pos_weight):
+        inside.append(get_threads())
+        return float("nan") if fail else 0.5
+
+    monkeypatch.setattr(content_filter, "bce_loss", loss)
+    rng = Rng(3)
+    x = rng.uniforms(40 * 4, -1, 1).reshape(40, 4)
+    y = (rng.uniforms(40) > 0.5).astype(float).reshape(40, 1)
+    raised = (pytest.raises(FloatingPointError, match="non-finite") if fail
+              else nullcontext())
+    with blas_threads(2) as get_threads:
+        with raised:
+            fit_mlp2(mlp2_init(rng, 4, 8, 1), x, y, epochs=3, lr=0.1)
+        assert get_threads() == 2
+    assert inside == ([1] if fail else [1, 1, 1])
+
+
+def _gelu_threads(monkeypatch, wait: bool) -> set[int]:
+    """The threads that compute GELU blocks from now on. With wait, the
+    first block waits (up to 5 s) for a block on a second thread, so the
+    test does not rest on how the threads happen to be scheduled."""
+    seen, lock, both = set(), threading.Lock(), threading.Event()
+    onep, first = tensor._onep, [wait]
+
+    def recorded(xb):
+        with lock:
+            seen.add(threading.get_ident())
+            if len(seen) > 1:
+                both.set()
+            waits, first[0] = first[0], False
+        if waits:
+            both.wait(timeout=5)
+        return onep(xb)
+
+    monkeypatch.setattr(tensor, "_onep", recorded)
+    return seen
+
+
+def test_training_runs_gelu_blocks_on_every_core(monkeypatch):
+    if tensor._openblas() is None:
+        pytest.skip("map_on_cores is the plain loop without OpenBLAS")
+    _cores(monkeypatch, 2)
+    threads = _gelu_threads(monkeypatch, wait=True)
+    rng = Rng(4)
+    # 3 row blocks of the hidden layer
+    x = rng.uniforms(700 * 8, -1, 1).reshape(700, 8)
+    y = (rng.uniforms(700) > 0.5).astype(float).reshape(700, 1)
+    fit_mlp2(mlp2_init(rng, 8, 256, 1), x, y, epochs=1, lr=0.1)
+    assert len(threads) == 2
+
+
+def test_gelu_outside_training_stays_on_the_calling_thread(monkeypatch):
+    _cores(monkeypatch, 2)
+    threads = _gelu_threads(monkeypatch, wait=False)
+    run(PipelineConfig(image_size=128, patch_size=4, d0=16,
+                       depths=(1, 1, 2, 1), window=8, llm_dim=32,
+                       proj_hidden=64, corpus_n=1, seed=7))
+    assert threads == {threading.get_ident()}

@@ -22,7 +22,7 @@ from docprune.tensor import (ELEMWISE_FLOPS, FlopCounter, LossCurve, Mlp2,
                              gelu_grad, layernorm, linear, map_on_cores,
                              matmul, mlp2_backward, mlp2_forward, mlp2_init,
                              sigmoid, softmax_rows)
-from helpers import mlp2_zeros
+from helpers import blas_threads, mlp2_zeros
 
 
 # --- matmul ---
@@ -312,18 +312,27 @@ def _gelu_grad_whole(x):
 
 
 def _boundary_cases():
-    # rows around the kernels' row block, for hidden widths 1, 32 and 256
+    # rows around the kernels' row block, and around the 16k-element block
+    # of earlier versions (now arrays of one block or a few), for hidden
+    # widths 1, 32 and 256
+    cases = {}
     for width in (1, 32, 256):
-        b = max(1, tensor._BLOCK // width)
-        for rows in (1, b - 1, b, b + 1, 3 * b + 7):
-            yield width, rows
+        for block in (16384, tensor._BLOCK):
+            b = max(1, block // width)
+            for rows in (1, b - 1, b, b + 1, 3 * b + 7):
+                cases[width, rows] = None
+    return list(cases)
 
 
-@pytest.mark.parametrize("width,rows", list(_boundary_cases()))
-def test_blocked_kernels_equal_whole_array_formulas(width, rows):
+@pytest.mark.parametrize("width,rows", _boundary_cases())
+def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, width, rows):
+    # two cores, so on_cores maps the blocks on two threads wherever
+    # numpy's OpenBLAS is found
+    _cores(monkeypatch, 2)
     rng = Rng(rows * 7 + width)
     z = rng.uniforms(rows * width, -4, 4).reshape(rows, width)
     assert np.array_equal(gelu(z), _gelu_whole(z))
+    assert np.array_equal(gelu(z, on_cores=True), _gelu_whole(z))
     assert np.array_equal(gelu_grad(z), _gelu_grad_whole(z))
     assert np.array_equal(gelu(z.ravel()), _gelu_whole(z.ravel()))
 
@@ -335,14 +344,15 @@ def test_blocked_kernels_equal_whole_array_formulas(width, rows):
     pred = sigmoid(h @ p.w2 + p.b2)
     dz2 = np.where(y > 0.5, 2.0, 1.0) * (pred - y) / y.size
     dz1 = (dz2 @ p.w2.T) * _gelu_grad_whole(z1)
-    out, cache = mlp2_forward(x, p, sigmoid_out=True)
-    assert np.array_equal(out, pred)
-    g = mlp2_backward(cache, p, y, pos_weight=2.0)
     want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
             "db2": dz2.sum(axis=0)}
-    assert g.keys() == want.keys()
-    for key, ref in want.items():
-        assert np.array_equal(g[key], ref), key
+    for on_cores in (False, True):
+        out, cache = mlp2_forward(x, p, sigmoid_out=True, on_cores=on_cores)
+        assert np.array_equal(out, pred)
+        g = mlp2_backward(cache, p, y, pos_weight=2.0, on_cores=on_cores)
+        assert g.keys() == want.keys()
+        for key, ref in want.items():
+            assert np.array_equal(g[key], ref), (key, on_cores)
 
 
 def test_mlp2_forward_rejects_bad_input():
@@ -606,30 +616,38 @@ def test_map_on_cores_restores_the_blas_thread_count(monkeypatch, fail):
     if np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(
             "name", "").endswith("openblas") and sys.platform == "linux":
         assert found is not None, "numpy's OpenBLAS was not found"
-    if found is None:
-        pytest.skip("no OpenBLAS thread setter in this process")
-    get_threads, set_threads = found
     _cores(monkeypatch, 2)
-    old = get_threads()
-    set_threads(2)
     inside = []
+    with blas_threads(2) as get_threads:
 
-    def work(x):
-        inside.append(get_threads())
-        if fail and x == 1:
-            raise RuntimeError("item 1")
-        return x
+        def work(x):
+            inside.append(get_threads())
+            if fail and x == 1:
+                raise RuntimeError("item 1")
+            return x
 
-    try:
         if fail:
             with pytest.raises(RuntimeError, match="item 1"):
                 map_on_cores(work, range(4))
         else:
             assert map_on_cores(work, range(4)) == [0, 1, 2, 3]
         assert get_threads() == 2
-    finally:
-        set_threads(old)
     assert inside and set(inside) == {1}
+
+
+def test_one_blas_thread_restores_the_count_also_when_nested_or_failing(
+        monkeypatch):
+    blas = _FakeBlas(4)
+    _cores(monkeypatch, 2, blas)
+    with pytest.raises(RuntimeError, match="inner"):
+        with tensor.one_blas_thread():
+            with tensor.one_blas_thread():
+                assert blas.n == 1
+                raise RuntimeError("inner")
+    assert blas.log == [1, 1, 1, 4] and blas.n == 4
+    monkeypatch.setattr(tensor, "_openblas", lambda: None)
+    with tensor.one_blas_thread():
+        pass
 
 
 @pytest.mark.parametrize("case", ["no openblas", "one core", "one item"])
