@@ -110,7 +110,7 @@ def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
             pred, cache = mlp2_forward(x, mlp, sigmoid_out=True, spent=cache,
                                        on_cores=True)
             curve.append(bce_loss(pred, y, pos_weight))
-            g = mlp2_backward(cache, mlp, y, pos_weight, on_cores=True)
+            g = mlp2_backward(cache, mlp, y, pos_weight)
             mlp.w1 -= lr * g["dw1"]
             mlp.b1 -= lr * g["db1"]
             mlp.w2 -= lr * g["dw2"]
@@ -119,7 +119,7 @@ def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
 
 
 def train_detector(model: DetectorModel, corpus: list[LabeledImage],
-                   epochs: int = 30, lr: float = 1e-2,
+                   epochs: int, lr: float,
                    pos_weight: float | str = "auto") -> tuple[DetectorModel, LossCurve]:
     """Fit the MLP head; the private embed stays frozen.
 

@@ -196,7 +196,7 @@ def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
 
 
 def train_ifm(model: IfmModel, samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-              epochs: int = 50, lr: float = 0.05,
+              epochs: int, lr: float,
               pos_weight: float | str = 1.0) -> tuple[IfmModel, LossCurve]:
     """Fit the relevance classifier on (V, I, labels) samples.
 

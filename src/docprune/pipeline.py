@@ -3,11 +3,11 @@
 A run takes a synthetic corpus through the full chain: content detection,
 the gated hierarchical encoder, an MLP projector into the decoder
 embedding space, instruction filtering, and a decoder-budget stub that
-charges quadratic cost in the final sequence length. Everything the run
-computes lands in a RunReport whose JSON serialization is a pure function
-of (config, seed): integers stay exact, floats are fixed to 9 decimals,
-keys are sorted, and wall-clock timings live in a separate sidecar so the
-canonical report stays byte-reproducible.
+charges quadratic cost in the final sequence length. The config is the
+whole run, weight files included: a RunReport's JSON serialization is a
+pure function of (config, seed). Integers stay exact, floats are fixed to
+9 decimals, keys are sorted, and wall-clock timings live in a separate
+sidecar so the canonical report stays byte-reproducible.
 
 The decoder stub charges DECODER_FLOPS_PER_TOKEN_SQ * L**2 for a final
 sequence of L tokens, sized like a prefill pass of a small decoder
@@ -136,6 +136,9 @@ class PipelineConfig:
                 f"config fields 'image_size' {self.image_size} and "
                 f"'patch_size' {self.patch_size} give a stage-1 grid of "
                 f"{grid}, which must be divisible by 8 for three 2x2 merges")
+        if self.window > grid:
+            raise ConfigError(f"config field 'window' {self.window} is wider "
+                              f"than the stage-1 grid of {grid} tokens a side")
         try:
             check_packable(self.image_size, self.content_fraction)
         except LayoutError as e:
@@ -166,11 +169,10 @@ class PipelineConfig:
         return self.d0 * 8
 
     @staticmethod
-    def paper_scale(**overrides) -> "PipelineConfig":
-        base = dict(profile="paper-scale", image_size=1536, patch_size=4,
-                    depths=(2, 2, 18, 2), window=10, corpus_n=4)
-        base.update(overrides)
-        return PipelineConfig(**base)
+    def paper_scale() -> "PipelineConfig":
+        return PipelineConfig(profile="paper-scale", image_size=1536,
+                              patch_size=4, depths=(2, 2, 18, 2), window=10,
+                              corpus_n=4)
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
@@ -210,25 +212,34 @@ class Models:
     ifm: IfmModel
 
 
-def build_models(config: PipelineConfig,
-                 detector: DetectorModel | None = None) -> Models:
-    """Instantiate every model the pipeline needs, all seeded from config."""
+def _load_weights(name: str, path: str, load):
+    """load(path), or a ConfigError naming config field name and path."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"config field {name!r}: cannot load weights from "
+                          f"{path}: {e}") from e
+
+
+def build_models(config: PipelineConfig) -> Models:
+    """Every model of the run, seeded from config or read from the weight
+    files it names. The checks that need weights live here, not in
+    validate: train-detector reads configs that name no weights yet."""
     rng = Rng(config.seed)
-    if detector is None:
-        if config.detector == "oracle":
-            detector = oracle_detector(config.patch_size)
-        elif config.detector_weights:
-            detector = load_detector(config.detector_weights)
-        else:
-            raise ConfigError(
-                "detector variant 'mlp' needs trained weights: pass a model "
-                "or set detector_weights")
+    if config.detector == "oracle":
+        detector = oracle_detector(config.patch_size)
+    elif config.detector_weights:
+        detector = _load_weights("detector_weights", config.detector_weights,
+                                 load_detector)
+    else:
+        raise ConfigError("detector variant 'mlp' needs trained weights: "
+                          "set detector_weights")
     if detector.patch_size != config.patch_size:
         raise ConfigError(
             f"detector patch size {detector.patch_size} does not match "
             f"config {config.patch_size}")
     if config.ifm_weights:
-        ifm = load_ifm(config.ifm_weights)
+        ifm = _load_weights("ifm_weights", config.ifm_weights, load_ifm)
     else:
         ifm = ifm_init(config.seed, config.llm_dim, config.ffn_ratio,
                        config.use_positions)
@@ -472,8 +483,7 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
     return content_fraction(doc), content_fraction(doc, config.patch_size)
 
 
-def _walk(configs: list[PipelineConfig],
-          detector: DetectorModel | None) -> list[RunReport]:
+def _walk(configs: list[PipelineConfig]) -> list[RunReport]:
     """Every setting's report from one pass over the config's corpus.
 
     The configs differ only in eps_c/eps_i, so the models are built once
@@ -487,7 +497,7 @@ def _walk(configs: list[PipelineConfig],
     nest into each other and charge one's FLOPs to the other's spans.
     """
     config = configs[0]
-    models = build_models(config, detector)
+    models = build_models(config)
     settings = [_Setting(cfg, FlopCounter()) for cfg in configs]
     fractions = [_walk_doc(i, config, models, settings)
                  for i in range(config.corpus_n)]
@@ -495,14 +505,13 @@ def _walk(configs: list[PipelineConfig],
     return [s.report(pixel, patch) for s in settings]
 
 
-def run(config: PipelineConfig,
-        detector: DetectorModel | None = None) -> RunReport:
+def run(config: PipelineConfig) -> RunReport:
     """Execute the pipeline over the config's corpus and assemble the report.
 
     The corpus is the seeded synthetic corpus the config describes,
     generated one page at a time.
     """
-    return _walk([config], detector)[0]
+    return _walk([config])[0]
 
 
 def write_report(report: RunReport, out_dir) -> Path:
@@ -521,7 +530,6 @@ def sweep_schedule(c: float) -> tuple[float, ...]:
 
 
 def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
-          detector: DetectorModel | None = None,
           out_dir=None) -> tuple[list[RunReport], list[dict]]:
     """One report per (content, instruction) threshold setting, one corpus.
 
@@ -544,7 +552,7 @@ def sweep(config: PipelineConfig, settings: list[tuple[float, float]],
         raise ConfigError("sweep needs at least one (eps_c, eps_i) setting")
     configs = [_setting_config(config, c, i) for c, i in settings]
     dirs = None if out_dir is None else _report_dirs(settings)
-    reports = _walk(configs, detector)
+    reports = _walk(configs)
     rows = [summary_row(rep) for rep in reports]
     if out_dir is not None:
         for name, rep in zip(dirs, reports):
@@ -666,17 +674,16 @@ def _report_int(obj, key: str, where: str, low: int) -> int:
     return value
 
 
-def render_masks(report: RunReport | dict, out_dir,
+def render_masks(rep: dict, out_dir,
                  doc_index: int | None = None) -> list[Path]:
     """PBM mask per pruning stage (white = kept) at native grid resolution.
 
-    The one reader of a report's masks. Every field it reads is checked in
-    every document, and each mask it writes is decoded, before out_dir is
-    made: a bad field is a ValueError naming it, two documents of one
-    index are a ValueError naming both, and a doc_index outside the
-    report is an IndexError.
+    The one reader of a report's masks; rep is a report's parsed JSON.
+    Every field it reads is checked in every document, and each mask it
+    writes is decoded, before out_dir is made: a bad field is a ValueError
+    naming it, two documents of one index are a ValueError naming both,
+    and a doc_index outside the report is an IndexError.
     """
-    rep = report.to_canonical() if isinstance(report, RunReport) else report
     docs = _report_field(rep, "per_doc", "the top level")
     if not isinstance(docs, list):
         raise ValueError("per_doc is not a list")

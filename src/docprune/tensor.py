@@ -17,10 +17,10 @@ relative comparisons between runs are meaningful.
 :func:`one_blas_thread` holds numpy's OpenBLAS at one thread process-wide
 for a block; :func:`map_on_cores` runs independent items, one per thread,
 on every available core inside such a hold. Training holds it for its
-whole loop and maps the elementwise row blocks of :func:`gelu` and
-:func:`mlp2_backward` onto cores (``on_cores``), while every product stays
-one call on the calling thread, so trained bytes depend on neither the
-core count nor the BLAS thread count.
+whole loop and maps the elementwise row blocks of :func:`gelu`
+(``on_cores``) and of :func:`mlp2_backward` (always) onto cores, while
+every product stays one call on the calling thread, so trained bytes
+depend on neither the core count nor the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -307,14 +307,12 @@ def softmax_rows(a: np.ndarray, counter: FlopCounter | None = None,
 
 
 def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-              eps: float = 1e-5, counter: FlopCounter | None = None) -> np.ndarray:
+              counter: FlopCounter | None = None) -> np.ndarray:
     _check_2d("a", a)
     if gamma.shape != (a.shape[1],) or beta.shape != (a.shape[1],):
         raise ValueError(
             f"layernorm affine shape mismatch: cols={a.shape[1]}, "
             f"gamma={gamma.shape}, beta={beta.shape}")
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
     # ndarray.var's own steps, on the rows centred once; the output then
     # takes over the squares' buffer
     centred = a - a.mean(axis=1, keepdims=True)
@@ -323,7 +321,7 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * a.size)
     np.multiply(gamma, centred, out=out)
-    out /= np.sqrt(var + eps)
+    out /= np.sqrt(var + 1e-5)
     out += beta
     return out
 
@@ -348,15 +346,6 @@ def _row_blocks(a: np.ndarray):
     """Slices of a's first axis holding whole rows, about _BLOCK elements each."""
     step = max(1, _BLOCK // max(1, math.prod(a.shape[1:])))
     return (slice(r, r + step) for r in range(0, len(a), step))
-
-
-def _each_row_block(fn, a: np.ndarray, on_cores: bool) -> None:
-    """fn(r) for every row block r of a; on every core when on_cores."""
-    if on_cores:
-        map_on_cores(fn, _row_blocks(a))
-    else:
-        for r in _row_blocks(a):
-            fn(r)
 
 
 def _onep(xb: np.ndarray) -> np.ndarray:
@@ -405,7 +394,11 @@ def gelu(x: np.ndarray, counter: FlopCounter | None = None,
         np.multiply(0.5, xb, out=hb)
         hb *= e
 
-    _each_row_block(block, x, on_cores)
+    if on_cores:
+        map_on_cores(block, _row_blocks(x))
+    else:
+        for r in _row_blocks(x):
+            block(r)
     return h
 
 
@@ -489,15 +482,14 @@ def bce_loss(pred: np.ndarray, y: np.ndarray, pos_weight: float = 1.0) -> float:
     return float(np.mean(w * per))
 
 
-def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0,
-                  on_cores: bool = False):
+def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
     """Analytic gradients of mean weighted BCE for a sigmoid-headed Mlp2.
 
     For sigmoid + BCE the head gradient collapses to w*(pred - y)/n, which
     is what makes these gradients finite-difference checkable to 1e-4.
     Returns dict with dw1, db1, dw2, db2. Consumes the cache: the cached
     gelu'(z1) is scaled in place into dz1, one row block at a time, on
-    every core when on_cores. The products and the sums over rows stay
+    every core (`map_on_cores`). The products and the sums over rows stay
     whole: split, x.T @ dz1 would add its rows in another order.
     """
     x, h, dz1, pred = cache
@@ -512,7 +504,7 @@ def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0,
     def scale(r):
         dz1[r] *= dz2[r] @ p.w2.T
 
-    _each_row_block(scale, dz1, on_cores)
+    map_on_cores(scale, _row_blocks(dz1))
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return {"dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2}

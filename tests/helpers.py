@@ -1,7 +1,7 @@
 """What the tests share and the program does not use: the default and
-all-zero per-stage content thresholds, an all-zero two-layer MLP, a block
-run at a set OpenBLAS thread count, and decoders of the PGM and PBM files
-the program writes."""
+all-zero per-stage content thresholds, an all-zero two-layer MLP, an
+untrained detector's weight file, a block run at a set OpenBLAS thread
+count, and decoders of the PGM and PBM files the program writes."""
 
 from contextlib import contextmanager
 from pathlib import Path
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from docprune import tensor
+from docprune.content_filter import mlp_detector, save_detector
 from docprune.tensor import Mlp2
 
 DEFAULT_EPS_C = (0.25, 0.25, 0.5, 0.5)
@@ -19,6 +20,13 @@ ZERO_EPS_C = (0.0, 0.0, 0.0, 0.0)
 def mlp2_zeros(in_dim: int, hidden: int, out_dim: int) -> Mlp2:
     return Mlp2(np.zeros((in_dim, hidden)), np.zeros(hidden),
                 np.zeros((hidden, out_dim)), np.zeros(out_dim))
+
+
+def detector_file(path, seed: int = 2, patch_size: int = 4) -> str:
+    """Save the untrained mlp detector of this seed at path and return the
+    path, as a config's detector_weights names it."""
+    save_detector(path, mlp_detector(seed, patch_size))
+    return str(path)
 
 
 @contextmanager

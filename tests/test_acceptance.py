@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from docprune.cli import main
+from docprune.cli import build_parser, main
 from docprune.content_filter import (detector_features, evaluate_detector,
-                                     mlp_detector, train_detector)
+                                     mlp_detector, save_detector,
+                                     train_detector)
 from docprune.encoder import encode, encoder_init
 from docprune.instruction_filter import (evaluate_ifm, fuse, ifm_init,
                                          train_ifm)
@@ -26,25 +27,38 @@ from docprune.tensor import bce_loss, mlp2_backward, mlp2_forward
 from helpers import DEFAULT_EPS_C
 
 
+def _recipe(command: str):
+    """The training recipe of a CLI command: its flags' defaults, which
+    the parser alone owns (--n documents, --epochs, --lr, --pos-weight)."""
+    return build_parser().parse_args([command])
+
+
 @pytest.fixture(scope="module")
-def trained_detector():
-    """Locked recipe: 16 documents, 250 epochs, lr 0.08, auto class weight."""
+def trained_detector(tmp_path_factory):
+    """The train-detector recipe (16 documents, 250 epochs, lr 0.08, auto
+    class weight); returns the model and its weight file for configs."""
     t0 = time.perf_counter()
-    corpus = make_corpus(16, 0.5, 256, seed=0)
+    recipe = _recipe("train-detector")
+    corpus = make_corpus(recipe.n, 0.5, 256, seed=0)
     det = mlp_detector(seed=0, patch_size=4)
-    det, _ = train_detector(det, corpus, epochs=250, lr=0.08)
-    return det, time.perf_counter() - t0
+    det, _ = train_detector(det, corpus, recipe.epochs, recipe.lr)
+    path = tmp_path_factory.mktemp("detector") / "detector.hrvd"
+    save_detector(path, det)
+    return det, str(path), time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def trained_ifm():
-    """Locked recipe: 48 documents, 3000 epochs, lr 0.3, pos_weight 5."""
+    """The train-ifm recipe (48 documents, 3000 epochs, lr 0.3,
+    pos_weight 5)."""
     t0 = time.perf_counter()
-    cfg = PipelineConfig(corpus_n=48, seed=5)
+    recipe = _recipe("train-ifm")
+    cfg = PipelineConfig(corpus_n=recipe.n, seed=5)
     models = build_models(cfg)
-    corpus = make_corpus(48, 0.5, 256, seed=5)
+    corpus = make_corpus(recipe.n, 0.5, 256, seed=5)
     samples = prepare_ifm_samples(cfg, corpus, models)
-    train_ifm(models.ifm, samples, epochs=3000, lr=0.3, pos_weight=5.0)
+    train_ifm(models.ifm, samples, recipe.epochs, recipe.lr,
+              pos_weight=recipe.pos_weight)
     return models, time.perf_counter() - t0
 
 
@@ -122,12 +136,13 @@ def test_criterion_4_compute_reduction(half_blank_runs):
 
 
 def test_criterion_5_threshold_dominance(trained_detector):
-    det, det_secs = trained_detector
+    _, weights, det_secs = trained_detector
     t0 = time.perf_counter()
-    cfg = PipelineConfig(corpus_n=8, seed=3, detector="mlp")
+    cfg = PipelineConfig(corpus_n=8, seed=3, detector="mlp",
+                         detector_weights=weights)
     settings = [(0.25, 0.25), (0.25, 0.5), (0.5, 0.25), (0.5, 0.5)]
     # sweep() itself raises if compute ever increases along a threshold axis
-    _, rows = sweep(cfg, settings, detector=det)
+    _, rows = sweep(cfg, settings)
     flops = {(r["eps_c"], r["eps_i"]): r["total_flops"] for r in rows}
     # near-binary probability maps produce exact ties along one axis, so
     # maximal/minimal are membership claims; the extremes stay strict
@@ -198,7 +213,7 @@ def test_criterion_7_gradient_checks():
 
 
 def test_criterion_8_high_recall_training(trained_detector, trained_ifm):
-    det, det_secs = trained_detector
+    det, _, det_secs = trained_detector
     models, ifm_secs = trained_ifm
     t0 = time.perf_counter()
     held_docs = make_corpus(16, 0.5, 256, seed=777)

@@ -9,7 +9,9 @@ because nothing in it calls the name must fail here, not in the benchmark.
 So must a change to how often a sweep calls `encode`, once per distinct
 mask set of each document, which the benchmark's
 `sweep.distinct_encode_share` counts, and an encode whose FLOPs are not
-all charged inside the block and merge spans it contains.
+all charged inside the block and merge spans it contains. Its
+`train-recipes` workload copies the CLI's training recipes (lr,
+pos_weight, corpus size), which must stay equal to the parser's defaults.
 
 The tracer keeps one span stack per process. `prepare_ifm_samples` runs
 its documents on several threads, which the traced set-up of
@@ -19,6 +21,7 @@ until the tracer keeps its spans per thread.
 """
 
 import importlib.util
+import inspect
 import sys
 import threading
 from pathlib import Path
@@ -26,6 +29,8 @@ from pathlib import Path
 import pytest
 
 from docprune import pipeline, tensor
+from docprune.cli import build_parser
+from docprune.content_filter import train_detector
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -42,6 +47,21 @@ def _load(name: str):
 @pytest.fixture(scope="module")
 def bench():
     return _load("workloads"), _load("tracer")
+
+
+def test_bench_recipes_copy_the_cli_defaults(bench):
+    # the parser owns both training recipes; train-recipes copies them
+    workloads, _ = bench
+    det = build_parser().parse_args(["train-detector"])
+    ifm = build_parser().parse_args(["train-ifm"])
+    size = workloads.Size()
+    assert (workloads.IFM_LR, workloads.IFM_POS_WEIGHT, size.ifm_docs) == (
+        ifm.lr, ifm.pos_weight, ifm.n)
+    # train-detector has no --pos-weight: it takes train_detector's default
+    det_pos_weight = inspect.signature(train_detector).parameters[
+        "pos_weight"].default
+    assert (workloads.DET_LR, workloads.DET_POS_WEIGHT, size.det_docs) == (
+        det.lr, det_pos_weight, det.n)
 
 
 def test_tracer_installs_every_wrapped_name(bench):

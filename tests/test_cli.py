@@ -13,7 +13,7 @@ from docprune.instruction_filter import save_ifm
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex, render_masks)
 from docprune.weights_io import KIND_IFM, read_weights, write_weights
-from helpers import pbm_bits
+from helpers import detector_file, pbm_bits
 
 SMALL_CONFIG = {
     "image_size": 128,
@@ -174,29 +174,51 @@ def test_run_unknown_key_is_exit_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_missing_weights_is_exit_3(tmp_path, capsys):
-    cfg = dict(SMALL_CONFIG, detector="mlp",
-               detector_weights=str(tmp_path / "missing.npz"))
+def _weights_config(tmp_path, field: str, weights) -> Path:
+    """A config file of SMALL_CONFIG whose field names the weight file."""
+    cfg = dict(SMALL_CONFIG, **{field: str(weights)})
+    if field == "detector_weights":
+        cfg["detector"] = "mlp"
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(path), "--out",
-                 str(tmp_path / "out")]) == 3
-    assert "error" in capsys.readouterr().err
+    return path
 
 
-def test_non_finite_ifm_weights_are_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("field", ["detector_weights", "ifm_weights"])
+@pytest.mark.parametrize("case,message", [
+    ("missing", "No such file or directory"),
+    ("damaged", "is truncated")], ids=["missing", "damaged"])
+def test_unreadable_weight_file_is_exit_2(tmp_path, capsys, field, case,
+                                          message):
+    weights, out = tmp_path / "w.hrvd", tmp_path / "out"
+    if case == "damaged":
+        if field == "detector_weights":
+            detector_file(weights)
+        else:
+            save_ifm(weights,
+                     build_models(PipelineConfig.from_dict(SMALL_CONFIG)).ifm)
+        weights.write_bytes(weights.read_bytes()[:-8])
+    path = _weights_config(tmp_path, field, weights)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field {field!r}" in err and str(weights) in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_non_finite_ifm_weights_are_exit_2(tmp_path, capsys):
     # a NaN classifier scores no token relevant: the run must not report that
-    weights = tmp_path / "ifm.hrvd"
+    weights, out = tmp_path / "ifm.hrvd", tmp_path / "out"
     save_ifm(weights, build_models(PipelineConfig.from_dict(SMALL_CONFIG)).ifm)
     _, arrays = read_weights(weights)
     arrays["clf_w2"][0, 0] = np.nan
     write_weights(weights, KIND_IFM, arrays)
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(dict(SMALL_CONFIG, ifm_weights=str(weights))))
+    path = _weights_config(tmp_path, "ifm_weights", weights)
     assert main(["run", "--config", str(path), "--seed", "3",
-                 "--out", str(tmp_path / "out")]) == 3
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(weights) in err and "'clf_w2' holds NaN or inf" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [
@@ -220,6 +242,7 @@ def test_non_finite_ifm_weights_are_exit_3(tmp_path, capsys):
     ("image_size", 4),
     ("patch_size", 3),
     ("content_fraction", float("nan")),
+    ("window", 33),
 ])
 def test_bad_field_value_is_exit_2(tmp_path, capsys, key, value):
     # every command that reads a config rejects it before it writes a file

@@ -124,7 +124,7 @@ def test_small_corpus_training_quality(corpus):
 
 def test_oracle_not_trainable(corpus):
     with pytest.raises(ValueError, match="trainable"):
-        train_detector(oracle_detector(4), corpus)
+        train_detector(oracle_detector(4), corpus, epochs=1, lr=0.1)
 
 
 def test_evaluate_oracle_is_perfect(corpus):

@@ -17,6 +17,7 @@ from docprune.instruction_filter import train_ifm
 from docprune.pipeline import (PipelineConfig, build_models,
                                prepare_ifm_samples, run, sweep)
 from docprune.synthdoc import make_corpus
+from helpers import detector_file
 
 SMALL = dict(image_size=128, patch_size=4, d0=16, depths=(1, 1, 2, 1),
              window=8, llm_dim=32, proj_hidden=64, corpus_n=3, seed=7)
@@ -30,14 +31,15 @@ SWEEP_SEED7 = [
     "00f285e0b72e09ac70c494f7186c1613413227dc12a49f00338e893667d6c8d9",
 ]
 
-# a small sweep with an untrained MLP detector, whose graded probabilities
-# split this grid's settings into mask sets of one, one and two settings
+# a small sweep with an untrained MLP detector (seed 2, saved as det.hrvd),
+# whose graded probabilities split this grid's settings into mask sets of
+# one, one and two settings
 GRADED_GRID = [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25), (0.75, 0.5)]
 GRADED_SWEEP = [
-    "bf72f2b8998de70078491cdf2bb7737228fcb5f7720ff5cbfbfe3a306728bfac",
-    "18d86da51621ccd98801ca8cccc21eaebef731fae504d22400e2db15749cb592",
-    "e13b298a83c2afb866136ad2e022ff41f28e66c8afb1a6be14e88d84f8778fb7",
-    "4e623e3ad823c550069589649e2b1e7ae20e6cd03473018cacd5478be6a3cf5b",
+    "12b826c29f751cc426e6665a617936c82f7a1406a43c93b552e7a9e4c8b49e83",
+    "e4e46c33fdc40081e0191bc6f109f564b8208d0492bead5eaee8876a60571368",
+    "66120c01e6dbb8f52c2d3610a4c507f8a8d6a0a63286b354fdc3156dc8b9aefd",
+    "ba82da79991348dd73b5f37f4667ecbb3c3af5aca11193c8a128dd755f5ae375",
 ]
 
 SMALL_RUNS = {
@@ -50,7 +52,7 @@ SMALL_RUNS = {
     "no_positions":
         "921a324f74611ef8ac24b31cff4b955be55c0ba270e7979f8851be546995292e",
     "mlp_detector":
-        "bf72f2b8998de70078491cdf2bb7737228fcb5f7720ff5cbfbfe3a306728bfac",
+        "12b826c29f751cc426e6665a617936c82f7a1406a43c93b552e7a9e4c8b49e83",
 }
 
 IFM_SAMPLES_4DOCS = (
@@ -83,9 +85,18 @@ def test_default_sweep_digests():
     assert [_sha(r.to_json()) for r in reports] == SWEEP_SEED7
 
 
-def test_graded_sweep_digests():
-    cfg = PipelineConfig(**{**SMALL, "detector": "mlp"})
-    reports, _ = sweep(cfg, GRADED_GRID, detector=mlp_detector(2, 4))
+@pytest.fixture()
+def det_weights(tmp_path, monkeypatch):
+    """The untrained seed-2 detector at the relative path det.hrvd: the
+    report holds the path as the config names it, so its bytes do not
+    depend on the test's directory."""
+    monkeypatch.chdir(tmp_path)
+    return detector_file("det.hrvd", seed=2)
+
+
+def test_graded_sweep_digests(det_weights):
+    cfg = PipelineConfig(**SMALL, detector="mlp", detector_weights=det_weights)
+    reports, _ = sweep(cfg, GRADED_GRID)
     assert [_sha(r.to_json()) for r in reports] == GRADED_SWEEP
 
 
@@ -94,12 +105,11 @@ def test_graded_sweep_digests():
     ("soft", {"soft_gating": True}),
     ("no_bypass", {"bypass": False}),
     ("no_positions", {"use_positions": False}),
-    ("mlp_detector", {"detector": "mlp"}),
+    ("mlp_detector", {"detector": "mlp", "detector_weights": "det.hrvd"}),
 ])
-def test_small_run_digests(name, overrides):
+def test_small_run_digests(det_weights, name, overrides):
     cfg = PipelineConfig(**{**SMALL, **overrides})
-    det = mlp_detector(2, 4) if cfg.detector == "mlp" else None
-    assert _sha(run(cfg, detector=det).to_json()) == SMALL_RUNS[name]
+    assert _sha(run(cfg).to_json()) == SMALL_RUNS[name]
 
 
 def test_ifm_samples_digest():

@@ -195,7 +195,7 @@ def test_all_relevant_labels_learned(model):
 def test_label_length_checked(model):
     bad = [(_visual(4), _instr(model), np.ones(5))]
     with pytest.raises(ValueError, match="labels"):
-        train_ifm(model, bad, epochs=1)
+        train_ifm(model, bad, epochs=1, lr=0.1)
 
 
 def test_auto_pos_weight_upweights_minority(model):

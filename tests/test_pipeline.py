@@ -16,9 +16,8 @@ from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                mask_from_hex, prepare_ifm_samples,
                                render_masks, run, summary_row, sweep,
                                sweep_schedule, write_report)
-from docprune.content_filter import mlp_detector, oracle_detector
 from docprune.synthdoc import make_corpus, patchify_any
-from helpers import pbm_bits
+from helpers import detector_file, pbm_bits
 
 
 def _small_config(**overrides):
@@ -115,6 +114,21 @@ def test_seed_changes_report():
     assert a != b
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"gated": False}, {"soft_gating": True}, {"bypass": False},
+    {"detector": "mlp"}], ids=["default", "ungated", "soft", "no_bypass",
+                               "mlp_weights"])
+def test_report_config_reproduces_its_run(tmp_path, overrides):
+    # the config is the whole run: rebuilt from the report it gives the
+    # same bytes, a detector named by its weight file included
+    if overrides.get("detector") == "mlp":
+        overrides = dict(overrides,
+                         detector_weights=detector_file(tmp_path / "det.hrvd"))
+    text = run(_small_config(**overrides)).to_json()
+    config = PipelineConfig.from_dict(json.loads(text)["config"])
+    assert run(config).to_json() == text
+
+
 # --- masks --------------------------------------------------------------------
 
 def test_mask_hex_round_trip(report):
@@ -144,7 +158,8 @@ def test_mask_containment_chain(report):
 
 
 def test_render_masks_writes_readable_pbms(tmp_path, report):
-    written = render_masks(report, tmp_path, doc_index=0)
+    written = render_masks(json.loads(report.to_json()), tmp_path,
+                           doc_index=0)
     masks = report.per_doc[0]["masks"]
     sides = {"stage2": 16, "stage4": 4, "ifm": 4}
     assert [p.name for p in written] == [f"doc_0000_{n}.pbm" for n in sides]
@@ -170,7 +185,7 @@ def test_sweep_single_point_matches_run():
     assert rows[0]["total_flops"] == direct.flops["total"]
 
 
-def _sweep_counting_encodes(monkeypatch, cfg, settings, **kwargs):
+def _sweep_counting_encodes(monkeypatch, cfg, settings):
     """Sweep reports plus one [eps_c, window_pass calls] pair per encode
     call, in the order of the calls."""
     calls = []
@@ -186,7 +201,7 @@ def _sweep_counting_encodes(monkeypatch, cfg, settings, **kwargs):
 
     monkeypatch.setattr(pipeline, "encode", counting_encode)
     monkeypatch.setattr(encoder, "window_pass", counting_pass)
-    reports, _ = sweep(cfg, settings, **kwargs)
+    reports, _ = sweep(cfg, settings)
     monkeypatch.undo()
     return reports, calls
 
@@ -203,11 +218,13 @@ GRADED_GRID = [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25), (0.75, 0.5)]
     # graded probabilities: only the eps_i-only step repeats its masks
     ({"detector": "mlp"}, GRADED_GRID, [True, True, True, False]),
 ])
-def test_sweep_reuse_is_exact(monkeypatch, overrides, settings, computes):
+def test_sweep_reuse_is_exact(monkeypatch, tmp_path, overrides, settings,
+                              computes):
+    if overrides.get("detector") == "mlp":
+        overrides = dict(overrides,
+                         detector_weights=detector_file(tmp_path / "det.hrvd"))
     cfg = _small_config(**overrides)
-    det = mlp_detector(seed=2, patch_size=4) if cfg.detector == "mlp" else None
-    reports, calls = _sweep_counting_encodes(monkeypatch, cfg, settings,
-                                             detector=det)
+    reports, calls = _sweep_counting_encodes(monkeypatch, cfg, settings)
     # each document encodes once per mask group, with the thresholds of
     # the group's first setting, and every encode computes
     assert [eps for eps, _ in calls] == [
@@ -215,8 +232,7 @@ def test_sweep_reuse_is_exact(monkeypatch, overrides, settings, computes):
         if first] * cfg.corpus_n
     assert all(passes > 0 for _, passes in calls)
     for (c, i), rep in zip(settings, reports):
-        direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i),
-                     detector=det)
+        direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i))
         assert rep.to_json() == direct.to_json()
 
 
@@ -351,14 +367,16 @@ def test_mlp_detector_requires_weights():
         build_models(_small_config(detector="mlp"))
 
 
-def test_detector_patch_size_checked():
+def test_detector_patch_size_checked(tmp_path):
+    weights = detector_file(tmp_path / "det8.hrvd", patch_size=8)
     with pytest.raises(ConfigError, match="patch size"):
-        build_models(_small_config(), detector=oracle_detector(8))
+        build_models(_small_config(detector="mlp", detector_weights=weights))
 
 
-def test_passed_detector_is_used():
-    det = mlp_detector(seed=1, patch_size=4)
-    rep = run(_small_config(corpus_n=1), detector=det)
+def test_passed_detector_is_used(tmp_path):
+    weights = detector_file(tmp_path / "det.hrvd", seed=1)
+    rep = run(_small_config(corpus_n=1, detector="mlp",
+                            detector_weights=weights))
     # an untrained detector disagrees with the oracle run
     oracle = run(_small_config(corpus_n=1))
     assert rep.tokens["post_encoder"] != oracle.tokens["post_encoder"] or \
@@ -370,8 +388,6 @@ def test_paper_scale_profile_geometry():
     assert cfg.image_size == 1536
     assert cfg.grid_side == 384
     assert cfg.stage4_side == 48
-    cfg2 = PipelineConfig.paper_scale(corpus_n=1)
-    assert cfg2.corpus_n == 1
 
 
 def test_blank_pages_run():
@@ -385,7 +401,8 @@ def test_blank_pages_run():
 
 def test_paper_scale_blank_page_geometry():
     # a blank page bypasses every window, so the full-size grid runs fast
-    rep = run(PipelineConfig.paper_scale(corpus_n=1, content_fraction=0.0))
+    rep = run(replace(PipelineConfig.paper_scale(), corpus_n=1,
+                      content_fraction=0.0))
     assert rep.tokens["initial"] == 384 * 384 == 147456
     assert [s["n_tokens_per_doc"] for s in rep.stages] == [
         147456, 36864, 9216, 2304]

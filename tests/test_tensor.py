@@ -94,8 +94,7 @@ def test_layernorm_constant_row_is_zero():
 
 
 def test_layernorm_two_point():
-    out = layernorm(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2),
-                    eps=1e-12)
+    out = layernorm(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2))
     np.testing.assert_allclose(out, [[-1.0, 1.0]], atol=1e-5)
 
 
@@ -116,8 +115,6 @@ def test_row_kernels_take_only_2d_inputs():
 def test_layernorm_validates_shapes():
     with pytest.raises(ValueError, match="affine"):
         layernorm(np.zeros((2, 4)), np.ones(3), np.zeros(4))
-    with pytest.raises(ValueError, match="eps"):
-        layernorm(np.zeros((2, 4)), np.ones(4), np.zeros(4), eps=0.0)
 
 
 # --- attention ---
@@ -349,7 +346,7 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, width, rows):
     for on_cores in (False, True):
         out, cache = mlp2_forward(x, p, sigmoid_out=True, on_cores=on_cores)
         assert np.array_equal(out, pred)
-        g = mlp2_backward(cache, p, y, pos_weight=2.0, on_cores=on_cores)
+        g = mlp2_backward(cache, p, y, pos_weight=2.0)
         assert g.keys() == want.keys()
         for key, ref in want.items():
             assert np.array_equal(g[key], ref), (key, on_cores)
