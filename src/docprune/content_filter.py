@@ -107,8 +107,7 @@ def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
     with one_blas_thread():
         for _ in range(epochs):
             # the last epoch's cache is spent: this pass writes over it
-            pred, cache = mlp2_forward(x, mlp, sigmoid_out=True, spent=cache,
-                                       on_cores=True)
+            pred, cache = mlp2_forward(x, mlp, sigmoid_out=True, spent=cache)
             curve.append(bce_loss(pred, y, pos_weight))
             g = mlp2_backward(cache, mlp, y, pos_weight)
             mlp.w1 -= lr * g["dw1"]

@@ -14,12 +14,18 @@ are bit-identical to the unoptimized path: windows whose gate values are
 all zero skip attention entirely, and the FFN runs only on rows with a
 nonzero gate.
 
-The computed windows of a sublayer run in chunks, gathered by token index
-into stacks (W, window*window, d): one norm and one set of q/k/v/o
-products over a chunk's rows, and one stacked product each for the scores
-and the weighted values. No sum mixes two windows' rows, so a stack gives
-the bits and the FLOPs of one window at a time; only a 1-token window,
-a GEMV alone and part of a GEMM in a stack, rounds differently.
+The computed windows of a sublayer run in parts of whole windows,
+gathered by token index into stacks (W, window*window, d): one norm and
+one set of q/k/v/o products over a part's rows, and one stacked product
+each for the scores and the weighted values. No sum mixes two windows'
+rows, so a stack gives the bits and the FLOPs of one window at a time;
+only a 1-token window, a GEMV alone and part of a GEMM in a stack, rounds
+differently. The FFN runs on row parts of its active rows. The parts of
+a sublayer run on every core (`tensor.map_on_cores`), each charging a
+FlopCounter of its own that is added to the caller's before the sublayer
+returns. How a sublayer is cut depends on its window and row counts
+alone, never on the core count, so each product has one shape however
+many cores run it, and the bits do not depend on the core count.
 
 Probabilities propagate through merges by taking the max over the four
 children on the RAW values; each stage re-binarizes the raw map against
@@ -41,7 +47,7 @@ from .content_filter import binarize
 from .patching import TokenGrid
 from .rng import Rng, init_uniform
 from .tensor import (FlopCounter, attention, flop_category, gelu, layernorm,
-                     linear)
+                     linear, map_on_cores)
 
 
 @dataclass
@@ -201,9 +207,43 @@ def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray,
     return out
 
 
-# rows per chunk of computed windows: a chunk's windows share one set of
+# rows per part of a sublayer at most: a part's windows share one set of
 # products, and its temporaries stay in cache
 _CHUNK_ROWS = 1024
+# rows per part at least: OpenBLAS takes other kernels at M <= 18, so a
+# smaller product could round its rows differently from a whole one
+_MIN_PART_ROWS = 64
+
+
+def _parts(n: int, rows: int) -> list[slice]:
+    """n items of `rows` rows each, cut into parts of whole items.
+
+    The parts are as even as can be and as few as keep each within
+    _CHUNK_ROWS rows (or one item), but two at least where each holds
+    _MIN_PART_ROWS rows. The cut depends on the counts alone, never on
+    the core count, so every product has one shape on any machine.
+    """
+    k = -(-n // max(1, _CHUNK_ROWS // rows))
+    if k == 1 and n // 2 * rows >= _MIN_PART_ROWS:
+        k = 2
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _map_parts(fn, parts: list[slice], counter: FlopCounter | None) -> None:
+    """fn(part, part_counter) for every part, the parts on every core
+    (tensor.map_on_cores).
+
+    A counter's category is state that two threads must not switch at
+    once, so each part charges its own FlopCounter; their counts are
+    added to counter, category by category, before this returns.
+    """
+    counters = [None if counter is None else FlopCounter() for _ in parts]
+    map_on_cores(lambda pc: fn(*pc), zip(parts, counters))
+    if counter is not None:
+        for c in counters:
+            for name, n in c.by_category.items():
+                with counter.category(name):
+                    counter.add(n)
 
 
 def _window_slots(rows: int, cols: int, window: int,
@@ -230,12 +270,13 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     p holds per-token gate values (None disables gating entirely). The
     grid is zero-padded up to a window multiple, and a shifted pass rolls
     it by half a window first; pad slots read an appended zero row and are
-    never written back. Windows whose gate values are all zero are
-    bypassed when `bypass` is set. The computed windows run in chunks of
-    at most _CHUNK_ROWS rows, one stacked attn_residual and one gate per
-    chunk. Windows share no token, so neither the chunks nor their order
-    change a bit. Returns the new grid and the number of windows computed
-    and in total.
+    never written. Windows whose gate values are all zero are bypassed
+    when `bypass` is set. The computed windows run in parts of whole
+    windows (_parts), one stacked attn_residual and one gate per part,
+    the parts on every core. Windows share no token, so a part writes no
+    row that another reads, and neither the parts nor their order change
+    a bit. Returns the new grid and the number of windows computed and in
+    total.
     """
     if p is not None and p.size != grid.n_tokens:
         raise ValueError(
@@ -249,15 +290,17 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
         keep = gates.any(axis=1)
         slots, gates = slots[keep], gates[keep]
     t = np.vstack([grid.tokens, np.zeros((1, d))])
-    step = max(1, _CHUNK_ROWS // (window * window))
-    for w0 in range(0, len(slots), step):
-        idx = slots[w0:w0 + step]
+    real = slots < n
+
+    def part(w: slice, c: FlopCounter | None) -> None:
+        idx = slots[w]
         h = t[idx]
-        new = attn_residual(h, bw, counter)
+        new = attn_residual(h, bw, c)
         if gates is not None:
-            gate_combine(gates[w0:w0 + step, :, None], new, h, out=new)
-        t[idx] = new
-        t[n] = 0.0
+            gate_combine(gates[w, :, None], new, h, out=new)
+        t[idx[real[w]]] = new[real[w]]
+
+    _map_parts(part, _parts(len(slots), window * window), counter)
     return TokenGrid(grid.rows, grid.cols, d, t[:n]), len(slots), total
 
 
@@ -265,18 +308,26 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
                 window: int, shifted: bool, counter: FlopCounter | None = None,
                 bypass: bool = True) -> tuple[TokenGrid, int, int]:
     """Window attention sublayer followed by the FFN sublayer, both gated;
-    the counts are window_pass's."""
+    the counts are window_pass's.
+
+    The FFN runs on the rows with a nonzero gate (every row without
+    gating), in row parts (_parts) on every core.
+    """
     out, computed, total = window_pass(grid, p, bw, window, shifted, counter,
                                        bypass)
     t = out.tokens
-    if p is None:
-        t = ffn_residual(t, bw, counter)
-    else:
-        active = p > 0.0
-        if active.any():
-            h = t[active]
-            f = ffn_residual(h, bw, counter)
-            t[active] = gate_combine(p[active, None], f, h, out=f)
+    active = None if p is None else np.flatnonzero(p > 0.0)
+
+    def part(r: slice, c: FlopCounter | None) -> None:
+        idx = r if active is None else active[r]
+        h = t[idx]
+        f = ffn_residual(h, bw, c)
+        if p is not None:
+            gate_combine(p[idx, None], f, h, out=f)
+        t[idx] = f
+
+    n = len(t) if active is None else active.size
+    _map_parts(part, _parts(n, 1), counter)
     return TokenGrid(out.rows, out.cols, out.dim, t), computed, total
 
 

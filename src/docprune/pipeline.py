@@ -44,7 +44,7 @@ from .synthdoc import (LabeledImage, LayoutError, check_packable,
 # not called here, but bench/tracer.py wraps the name pipeline.make_corpus
 from .synthdoc import make_corpus  # noqa: F401
 from .tensor import (FlopCounter, Mlp2, SharedFlops, flop_category,
-                     map_on_cores, mlp2_forward, mlp2_init)
+                     map_on_cores, mlp2_forward, mlp2_init, one_blas_thread)
 
 SCHEMA_VERSION = 1
 DECODER_FLOPS_PER_TOKEN_SQ = 2 * 4096 * 32
@@ -122,6 +122,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.detector not in ("oracle", "mlp"):
             raise ConfigError(f"unknown detector variant {self.detector!r}")
+        for name in ("detector_weights", "ifm_weights"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"config field {name!r} is an empty path: "
+                                  "name a weight file, or give null")
         if self.detector == "oracle" and self.detector_weights is not None:
             raise ConfigError(
                 "config field 'detector_weights' is set, but detector "
@@ -228,7 +232,7 @@ def build_models(config: PipelineConfig) -> Models:
     rng = Rng(config.seed)
     if config.detector == "oracle":
         detector = oracle_detector(config.patch_size)
-    elif config.detector_weights:
+    elif config.detector_weights is not None:
         detector = _load_weights("detector_weights", config.detector_weights,
                                  load_detector)
     else:
@@ -238,7 +242,7 @@ def build_models(config: PipelineConfig) -> Models:
         raise ConfigError(
             f"detector patch size {detector.patch_size} does not match "
             f"config {config.patch_size}")
-    if config.ifm_weights:
+    if config.ifm_weights is not None:
         ifm = _load_weights("ifm_weights", config.ifm_weights, load_ifm)
     else:
         ifm = ifm_init(config.seed, config.llm_dim, config.ffn_ratio,
@@ -495,12 +499,18 @@ def _walk(configs: list[PipelineConfig]) -> list[RunReport]:
     as `prepare_ifm_samples` does, but bench/tracer.py keeps one span
     stack per process: spans of two documents in flight at once would
     nest into each other and charge one's FLOPs to the other's spans.
+    The cores are used below the spans instead: each encoder sublayer
+    maps its parts onto them. The walk holds OpenBLAS at one thread
+    throughout (`tensor.one_blas_thread`); switched back to its own
+    threads between sublayers, OpenBLAS's spinning second thread would
+    take the core that a part's worker needs.
     """
     config = configs[0]
     models = build_models(config)
     settings = [_Setting(cfg, FlopCounter()) for cfg in configs]
-    fractions = [_walk_doc(i, config, models, settings)
-                 for i in range(config.corpus_n)]
+    with one_blas_thread():
+        fractions = [_walk_doc(i, config, models, settings)
+                     for i in range(config.corpus_n)]
     pixel, patch = (float(np.mean(f)) for f in zip(*fractions))
     return [s.report(pixel, patch) for s in settings]
 

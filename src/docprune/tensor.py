@@ -15,12 +15,15 @@ The counts are exact integers and additive over composed operations; only
 relative comparisons between runs are meaningful.
 
 :func:`one_blas_thread` holds numpy's OpenBLAS at one thread process-wide
-for a block; :func:`map_on_cores` runs independent items, one per thread,
-on every available core inside such a hold. Training holds it for its
-whole loop and maps the elementwise row blocks of :func:`gelu`
-(``on_cores``) and of :func:`mlp2_backward` (always) onto cores, while
-every product stays one call on the calling thread, so trained bytes
-depend on neither the core count nor the BLAS thread count.
+for a block; :func:`map_on_cores` runs independent items on every
+available core inside such a hold, on the calling thread and on worker
+threads that start on first use and stay. A call inside a mapped item
+is the plain loop. Training holds the count for its whole loop and maps
+the elementwise row blocks of :func:`gelu` and of :func:`mlp2_backward`
+onto cores, while every product stays one call on the calling thread, so
+trained bytes depend on neither the core count nor the BLAS thread
+count. The encoder maps the parts of each sublayer (``encoder._parts``),
+and GELU blocks inside a part run inline.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import queue
+import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -146,53 +151,121 @@ def one_blas_thread():
         set_threads(old)
 
 
-def map_on_cores(fn, items) -> list:
-    """[fn(x) for x in items], computed on one thread per available core.
+class _Pool:
+    """The worker threads of map_on_cores: daemons started on first use,
+    one fewer than the most cores a call has seen, and kept for the life
+    of the process. A worker runs the tasks posted to it, one at a time,
+    and counts as inside a mapped item for all of its life."""
 
-    min(len(items), cores) threads, the caller one of them, take the items
-    in order; the results come back in input order. After an item fails no
-    further item is handed out, and once the running ones end the
-    exception of the lowest failing index is raised. The call runs inside
-    :func:`one_blas_thread`, so each item's products stay on its own core.
-    With one item or one core, or no OpenBLAS found, this is the plain
-    loop. fn must not write state that another item's call reads.
-    """
-    items = list(items)
-    n = min(len(items), len(os.sched_getaffinity(0)))
-    if n < 2 or _openblas() is None:
-        return [fn(x) for x in items]
-    import threading
-    results = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    cursor = iter(range(len(items)))
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.tasks = queue.SimpleQueue()
+        self.size = 0
 
-    def work():
+    def post(self, task, n: int) -> None:
+        """Post task n times, starting workers until there are n."""
+        with self.lock:
+            while self.size < n:
+                self.size += 1
+                threading.Thread(target=self._serve, daemon=True,
+                                 name=f"docprune-core-{self.size}").start()
+        for _ in range(n):
+            self.tasks.put(task)
+
+    def _serve(self) -> None:
+        _inside.item = True
         while True:
-            with lock:
-                i = None if errors else next(cursor, None)
+            self.tasks.get()()
+
+
+def _new_pool() -> None:
+    global _pool
+    _pool = _Pool()
+
+
+_inside = threading.local()     # .item: this thread runs a mapped item
+_new_pool()
+# a forked child has none of the parent's threads: it starts its own
+os.register_at_fork(after_in_child=_new_pool)
+
+
+class _Job:
+    """One map_on_cores call: the items, the cursor that hands them out,
+    the results and errors so far, and the workers that joined it."""
+
+    def __init__(self, fn, items: list):
+        self.fn, self.items = fn, items
+        self.results = [None] * len(items)
+        self.errors: dict[int, BaseException] = {}
+        self.cursor = iter(range(len(items)))
+        self.cond = threading.Condition()
+        self.helpers = 0
+        self.closed = False
+
+    def take(self) -> None:
+        """Run items as they are handed out, until none is left or one failed."""
+        while True:
+            with self.cond:
+                i = None if self.errors else next(self.cursor, None)
             if i is None:
                 return
             try:
-                results[i] = fn(items[i])
-            except BaseException as e:  # re-raised by the caller below
-                with lock:
-                    errors[i] = e
+                self.results[i] = self.fn(self.items[i])
+            except BaseException as e:  # re-raised by the caller
+                with self.cond:
+                    self.errors[i] = e
 
-    with one_blas_thread():
-        started = []
+    def help(self) -> None:
+        """A worker's share: take items unless the caller already closed."""
+        with self.cond:
+            if self.closed:
+                return
+            self.helpers += 1
         try:
-            for _ in range(n - 1):
-                t = threading.Thread(target=work)
-                t.start()
-                started.append(t)
-            work()
+            self.take()
         finally:
-            for t in started:
-                t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+            with self.cond:
+                self.helpers -= 1
+                self.cond.notify()
+
+    def close(self) -> None:
+        """Let no worker join any more, and wait for those that did."""
+        with self.cond:
+            self.closed = True
+            self.cond.wait_for(lambda: not self.helpers)
+
+
+def map_on_cores(fn, items) -> list:
+    """[fn(x) for x in items], computed on one thread per available core.
+
+    min(len(items), cores) threads, the caller and persistent workers,
+    take the items in order; the results come back in input order. After
+    an item fails no further item is handed out, and once the running
+    ones end the exception of the lowest failing index is raised. The call
+    runs inside :func:`one_blas_thread`, so each item's products stay on
+    its own core. With one item or one core, or no OpenBLAS found, this
+    is the plain loop, and so is a call made inside a mapped item, whose
+    cores the outer call keeps busy. fn must not write state that another
+    item's call reads.
+    """
+    items = list(items)
+    if getattr(_inside, "item", False):
+        return [fn(x) for x in items]
+    n = min(len(items), len(os.sched_getaffinity(0)))
+    if n < 2 or _openblas() is None:
+        return [fn(x) for x in items]
+    job = _Job(fn, items)
+    with one_blas_thread():
+        _pool.post(job.help, n - 1)
+        _inside.item = True
+        try:
+            job.take()
+        finally:
+            _inside.item = False
+            job.close()
+    if job.errors:
+        raise job.errors[min(job.errors)]
+    return job.results
 
 
 class FlopCounter:
@@ -372,14 +445,15 @@ def _gelu_prime(xb: np.ndarray, e: np.ndarray, out: np.ndarray) -> None:
 
 def gelu(x: np.ndarray, counter: FlopCounter | None = None,
          grad: np.ndarray | None = None,
-         out: np.ndarray | None = None, on_cores: bool = False) -> np.ndarray:
+         out: np.ndarray | None = None) -> np.ndarray:
     """Exact GELU, 0.5 * x * (1 + erf(x / sqrt(2))), walked in row blocks.
 
     A whole-array pass streams every temporary through memory; a block's
     temporaries stay in cache. When given, grad (shaped like x) receives
     gelu'(x) from the same erf block, and out (x itself allowed) receives
-    the result. on_cores maps the blocks with map_on_cores; every element
-    is computed the same way either way.
+    the result. The blocks are mapped on cores (map_on_cores): inside a
+    mapped item, or as one block, that is the plain loop. Every element
+    is computed the same way on any thread.
     """
     if counter is not None:
         counter.add(ELEMWISE_FLOPS * x.size)
@@ -394,11 +468,7 @@ def gelu(x: np.ndarray, counter: FlopCounter | None = None,
         np.multiply(0.5, xb, out=hb)
         hb *= e
 
-    if on_cores:
-        map_on_cores(block, _row_blocks(x))
-    else:
-        for r in _row_blocks(x):
-            block(r)
+    map_on_cores(block, _row_blocks(x))
     return h
 
 
@@ -448,16 +518,15 @@ def mlp2_init(rng, in_dim: int, hidden: int, out_dim: int) -> Mlp2:
 
 
 def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
-                 sigmoid_out: bool = False, spent: tuple | None = None,
-                 on_cores: bool = False):
+                 sigmoid_out: bool = False, spent: tuple | None = None):
     """Forward pass; returns (output, cache) where cache feeds the backward pass.
 
     The cache holds only what mlp2_backward reads: x, h and gelu'(z1).
     spent, when given, is an earlier cache for an x of this shape that is
     no longer needed; the pass writes over its two hidden-layer arrays
     instead of allocating new ones, so a training loop holds two of them
-    and faults in no fresh pages each epoch. on_cores runs the GELU's row
-    blocks on every core; the products stay whole on the calling thread.
+    and faults in no fresh pages each epoch. The GELU's row blocks run on
+    every core; the products stay whole on the calling thread.
     """
     _check_2d("x", x)
     if x.shape[1] != p.in_dim:
@@ -468,7 +537,7 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
     # blocks, and h overwrites z1, which nothing reads again
     if d is None:
         d = np.empty(z1.shape)
-    h = gelu(z1, counter, grad=d, out=z1, on_cores=on_cores)
+    h = gelu(z1, counter, grad=d, out=z1)
     z2 = linear(h, p.w2, p.b2, counter)
     out = sigmoid(z2, counter) if sigmoid_out else z2
     return out, (x, h, d, out)

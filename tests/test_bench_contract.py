@@ -17,7 +17,9 @@ The tracer keeps one span stack per process. `prepare_ifm_samples` runs
 its documents on several threads, which the traced set-up of
 `train-recipes` must survive; `run` and `sweep` must call `encode` on the
 calling thread only, so walking their documents on threads fails here
-until the tracer keeps its spans per thread.
+until the tracer keeps its spans per thread. Below the spans, the parts
+of an encoder sublayer do run on several threads (`attn_residual` is no
+span), and the span FLOPs must still reconcile.
 """
 
 import importlib.util
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from docprune import pipeline, tensor
+from docprune import encoder, pipeline, tensor
 from docprune.cli import build_parser
 from docprune.content_filter import train_detector
 
@@ -87,6 +89,20 @@ def test_traced_toy_workload_passes_its_checks(bench, monkeypatch, name):
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "encode", recorded_encode)
+    # the first window part waits (up to 5 s) for a part on a second
+    # thread, so the test does not rest on how the threads are scheduled
+    attn, attn_threads, both = encoder.attn_residual, set(), threading.Event()
+
+    def recorded_attn(*args, **kwargs):
+        first = not attn_threads
+        attn_threads.add(threading.get_ident())
+        if len(attn_threads) > 1:
+            both.set()
+        if first:
+            both.wait(timeout=5)
+        return attn(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "attn_residual", recorded_attn)
     setup = tracer.Tracer()
     with setup.installed():
         workload = workloads.WORKLOADS[name](3, toy)
@@ -100,8 +116,12 @@ def test_traced_toy_workload_passes_its_checks(bench, monkeypatch, name):
         if tensor._openblas() is not None:
             assert len(set(encode_threads)) == 2
         return
-    # the tracer's single span stack needs the walk on the calling thread
+    # the tracer's single span stack needs the walk on the calling thread;
+    # the window parts below its spans run on both cores
     assert encode_threads and set(encode_threads) == {threading.get_ident()}
+    if tensor._openblas() is not None:
+        assert threading.get_ident() in attn_threads
+        assert len(attn_threads) > 1
     # the per-stage and per-merge spans name the encoder's layers from the
     # blocks and merges the tracer looked up
     assert {f"encoder.s{n}.{kind}" for n in range(1, 5)

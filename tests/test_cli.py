@@ -206,6 +206,21 @@ def test_unreadable_weight_file_is_exit_2(tmp_path, capsys, field, case,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["detector_weights", "ifm_weights"])
+def test_empty_weight_path_is_exit_2(tmp_path, capsys, field):
+    # "" is no file: it must not run the seeded IFM, nor ask for the
+    # detector weights it names
+    path, out = _weights_config(tmp_path, field, ""), tmp_path / "out"
+    with pytest.raises(ConfigError,
+                       match=f"config field '{field}' is an empty path"):
+        PipelineConfig.from_dict(json.loads(path.read_text()))
+    for command in ("gen", "train-detector", "train-ifm", "run"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"config field '{field}' is an empty path" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
 def test_non_finite_ifm_weights_are_exit_2(tmp_path, capsys):
     # a NaN classifier scores no token relevant: the run must not report that
     weights, out = tmp_path / "ifm.hrvd", tmp_path / "out"

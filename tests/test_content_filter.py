@@ -15,7 +15,7 @@ from docprune.content_filter import (DetectorModel, binarize, detect,
                                      load_detector, mlp_detector,
                                      oracle_detector, save_detector,
                                      train_detector)
-from docprune.pipeline import PipelineConfig, run, sweep_schedule
+from docprune.pipeline import PipelineConfig, sweep_schedule
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
 from docprune.tensor import FlopCounter, mlp2_init
@@ -237,12 +237,12 @@ def test_fit_mlp2_holds_one_blas_thread_and_restores_it(monkeypatch, fail):
     assert inside == ([1] if fail else [1, 1, 1])
 
 
-def _gelu_threads(monkeypatch, wait: bool) -> set[int]:
-    """The threads that compute GELU blocks from now on. With wait, the
-    first block waits (up to 5 s) for a block on a second thread, so the
-    test does not rest on how the threads happen to be scheduled."""
+def _gelu_threads(monkeypatch) -> set[int]:
+    """The threads that compute GELU blocks from now on. The first block
+    waits (up to 5 s) for a block on a second thread, so the test does
+    not rest on how the threads happen to be scheduled."""
     seen, lock, both = set(), threading.Lock(), threading.Event()
-    onep, first = tensor._onep, [wait]
+    onep, first = tensor._onep, [True]
 
     def recorded(xb):
         with lock:
@@ -262,7 +262,7 @@ def test_training_runs_gelu_blocks_on_every_core(monkeypatch):
     if tensor._openblas() is None:
         pytest.skip("map_on_cores is the plain loop without OpenBLAS")
     _cores(monkeypatch, 2)
-    threads = _gelu_threads(monkeypatch, wait=True)
+    threads = _gelu_threads(monkeypatch)
     rng = Rng(4)
     # 3 row blocks of the hidden layer
     x = rng.uniforms(700 * 8, -1, 1).reshape(700, 8)
@@ -270,11 +270,3 @@ def test_training_runs_gelu_blocks_on_every_core(monkeypatch):
     fit_mlp2(mlp2_init(rng, 8, 256, 1), x, y, epochs=1, lr=0.1)
     assert len(threads) == 2
 
-
-def test_gelu_outside_training_stays_on_the_calling_thread(monkeypatch):
-    _cores(monkeypatch, 2)
-    threads = _gelu_threads(monkeypatch, wait=False)
-    run(PipelineConfig(image_size=128, patch_size=4, d0=16,
-                       depths=(1, 1, 2, 1), window=8, llm_dim=32,
-                       proj_hidden=64, corpus_n=1, seed=7))
-    assert threads == {threading.get_ident()}

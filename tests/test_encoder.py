@@ -2,10 +2,12 @@
 identity, unit gates match the ungated path bit for bit, and the window
 bypass is a pure optimization."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from docprune import encoder
+from docprune import encoder, tensor
 from docprune.encoder import (EncoderModel, attn_residual, block_init, encode,
                               encoder_init, ffn_residual, gate_combine,
                               gated_block, merge_patches, window_pass)
@@ -275,6 +277,106 @@ def test_sublayers_leave_their_inputs_unchanged():
         f(*args)
         after = [a for a in args if isinstance(a, np.ndarray)]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+# --- sublayer parts on cores -----------------------------------------------
+
+def _parts_grid_and_p0():
+    """A 32x32 grid at window 8 whose stage 1 has exactly 128 active tokens
+    (p0 0.9 on the top four rows, 0.1 elsewhere), so its FFN runs two
+    parts of exactly _MIN_PART_ROWS rows and 4 of its 16 windows are
+    computed. Stage 3 is one window, and at eps 0.95 every window of
+    stage 4 is bypassed."""
+    p0 = np.full((32, 32), 0.1)
+    p0[:4] = 0.9
+    return _grid(side=32, dim=16, seed=3), p0.ravel()
+
+
+def _recorded_maps(monkeypatch, wait: bool) -> list[tuple[int, set[int]]]:
+    """The part count and the threads of each encoder map_on_cores call
+    from now on. With wait, each part of a call of two or more waits (up
+    to 5 s) until a part runs on a second thread, so that the test does
+    not rest on how the threads happen to be scheduled."""
+    calls, real = [], encoder.map_on_cores
+
+    def recorded(fn, items):
+        items = list(items)
+        threads, lock, both = set(), threading.Lock(), threading.Event()
+        calls.append((len(items), threads))
+
+        def part(x):
+            with lock:
+                threads.add(threading.get_ident())
+                if len(threads) > 1:
+                    both.set()
+            if wait and len(items) > 1:
+                both.wait(timeout=5)
+            return fn(x)
+
+        return real(part, items)
+
+    monkeypatch.setattr(encoder, "map_on_cores", recorded)
+    return calls
+
+
+def _encode_record(model, grid, p0, **options):
+    counter = FlopCounter()
+    r = encode(model, grid, p0, (0.25, 0.25, 0.5, 0.95), counter=counter,
+               **options)
+    trace = [(e.stage, e.n_tokens, e.active, e.windows_total,
+              e.windows_computed, e.attn_flops, e.raw_entry.tobytes(),
+              e.binarized.tobytes()) for e in r.trace]
+    return (r.sequence.tobytes(), r.kept_indices.tobytes(), trace,
+            counter.by_category)
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"gated": False}, {"soft": True}, {"bypass": False}],
+    ids=["gated", "ungated", "soft", "no-bypass"])
+def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
+        monkeypatch, options):
+    if tensor._openblas() is None:
+        pytest.skip("map_on_cores is the plain loop without OpenBLAS")
+    model = _model(seed=4, d0=16, depths=(1, 1, 1, 1), window=8)
+    grid, p0 = _parts_grid_and_p0()
+    got = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(tensor.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        calls = _recorded_maps(monkeypatch, wait=cores > 1)
+        got[cores] = _encode_record(model, grid, p0, **options)
+        me = threading.get_ident()
+        assert all(len(threads) == min(n, cores) and (me in threads or not n)
+                   for n, threads in calls), (cores, calls)
+        assert max(n for n, _ in calls) > 1
+    assert got[2] == got[1]
+    # each part charges its own counter, and their sum is the whole's
+    monkeypatch.setattr(encoder, "_parts",
+                        lambda n, rows: [slice(0, n)] if n else [])
+    assert _encode_record(model, grid, p0, **options)[3] == got[1][3]
+    if not options:
+        trace = got[1][2]
+        assert [e[4] for e in trace] == [4, 2, 1, 0]  # windows computed
+        assert [e[2] for e in trace] == [128, 32, 8, 0]   # active tokens
+
+
+def test_parts_hold_whole_items_of_enough_rows():
+    assert encoder._parts(0, 64) == []
+    assert encoder._parts(1, 64) == [slice(0, 1)]
+    # at least two parts where each holds _MIN_PART_ROWS, none where not
+    assert encoder._parts(128, 1) == [slice(0, 64), slice(64, 128)]
+    assert encoder._parts(127, 1) == [slice(0, 127)]
+    assert encoder._parts(3, 64) == [slice(0, 1), slice(1, 3)]
+    # at most _CHUNK_ROWS rows a part, as evenly as can be
+    assert encoder._parts(50, 64) == [slice(0, 12), slice(12, 25),
+                                      slice(25, 37), slice(37, 50)]
+    for n, rows in ((4097, 1), (65, 16), (7, 100), (300, 9)):
+        parts = encoder._parts(n, rows)
+        sizes = [(r.stop - r.start) * rows for r in parts]
+        assert parts[0].start == 0 and parts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert max(sizes) <= max(rows, encoder._CHUNK_ROWS)
+        assert min(sizes) >= encoder._MIN_PART_ROWS
 
 
 # --- merges and probability propagation -----------------------------------

@@ -323,13 +323,12 @@ def _boundary_cases():
 
 @pytest.mark.parametrize("width,rows", _boundary_cases())
 def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, width, rows):
-    # two cores, so on_cores maps the blocks on two threads wherever
-    # numpy's OpenBLAS is found
+    # two cores, so the blocks map on two threads wherever numpy's
+    # OpenBLAS is found
     _cores(monkeypatch, 2)
     rng = Rng(rows * 7 + width)
     z = rng.uniforms(rows * width, -4, 4).reshape(rows, width)
     assert np.array_equal(gelu(z), _gelu_whole(z))
-    assert np.array_equal(gelu(z, on_cores=True), _gelu_whole(z))
     assert np.array_equal(gelu_grad(z), _gelu_grad_whole(z))
     assert np.array_equal(gelu(z.ravel()), _gelu_whole(z.ravel()))
 
@@ -343,13 +342,12 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, width, rows):
     dz1 = (dz2 @ p.w2.T) * _gelu_grad_whole(z1)
     want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
             "db2": dz2.sum(axis=0)}
-    for on_cores in (False, True):
-        out, cache = mlp2_forward(x, p, sigmoid_out=True, on_cores=on_cores)
-        assert np.array_equal(out, pred)
-        g = mlp2_backward(cache, p, y, pos_weight=2.0)
-        assert g.keys() == want.keys()
-        for key, ref in want.items():
-            assert np.array_equal(g[key], ref), (key, on_cores)
+    out, cache = mlp2_forward(x, p, sigmoid_out=True)
+    assert np.array_equal(out, pred)
+    g = mlp2_backward(cache, p, y, pos_weight=2.0)
+    assert g.keys() == want.keys()
+    for key, ref in want.items():
+        assert np.array_equal(g[key], ref), key
 
 
 def test_mlp2_forward_rejects_bad_input():
@@ -564,14 +562,20 @@ def _cores(monkeypatch, n: int, blas=None) -> None:
 
 def test_map_on_cores_returns_results_in_input_order(monkeypatch):
     # more threads than cores and a short switch interval, so a lost
-    # update of the shared cursor would skip or repeat an item
+    # update of the shared cursor would skip or repeat an item; item 0
+    # waits (up to 5 s) for a second thread, so that the caller cannot
+    # take every item before a worker wakes
     blas = _FakeBlas(2)
     _cores(monkeypatch, 8, blas)
-    seen, threads = [], set()
+    seen, threads, both = [], set(), threading.Event()
 
     def square(x):
         seen.append(x)
         threads.add(threading.get_ident())
+        if len(threads) > 1:
+            both.set()
+        elif x == 0:
+            both.wait(timeout=5)
         return x * x
 
     interval = sys.getswitchinterval()
@@ -663,3 +667,118 @@ def test_map_on_cores_is_the_plain_loop(monkeypatch, case):
     assert map_on_cores(double, items) == [2 * x for x in items]
     assert set(threads) == {threading.get_ident()}
     assert blas.log == []
+
+
+class _TwoThreads:
+    """An item function that returns 2 * x and records its thread. Until
+    a second thread has run an item, an item waits for one (up to 5 s),
+    so a test of two threads does not rest on how they are scheduled."""
+
+    def __init__(self):
+        self.threads, self.lock, self.both = set(), threading.Lock(), \
+            threading.Event()
+
+    def __call__(self, x):
+        with self.lock:
+            self.threads.add(threading.current_thread())
+            if len(self.threads) > 1:
+                self.both.set()
+        self.both.wait(timeout=5)
+        return 2 * x
+
+
+def test_map_on_cores_reuses_its_workers(monkeypatch):
+    _cores(monkeypatch, 2, _FakeBlas(2))
+    map_on_cores(abs, range(4))
+    before = threading.active_count()
+    counts, workers = [], set()
+    for _ in range(50):
+        fn = _TwoThreads()
+        assert map_on_cores(fn, range(4)) == [0, 2, 4, 6]
+        assert len(fn.threads) == 2
+        workers |= fn.threads - {threading.current_thread()}
+        counts.append(threading.active_count())
+    assert set(counts) == {before}
+    assert all(t.is_alive() and t.daemon for t in workers)
+
+
+def _in_thread(fn, timeout=30):
+    """fn() on a thread of its own; fails the test if it takes longer
+    than timeout seconds, which is how a deadlock shows."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    t.join(timeout=timeout)
+    assert not t.is_alive(), f"no result within {timeout} s"
+    assert out, "the call raised"
+    return out[0]
+
+
+def test_map_on_cores_runs_a_call_inside_an_item_inline(monkeypatch):
+    _cores(monkeypatch, 4, _FakeBlas(2))
+    map_on_cores(abs, range(4))     # three workers; two stay idle below
+    outer_fn = _TwoThreads()
+
+    def inner(y):
+        time.sleep(0.01)            # time for an idle worker to join
+        return y, threading.get_ident()
+
+    def outer(x):
+        pairs = map_on_cores(inner, range(4))
+        return (outer_fn(x), [y for y, _ in pairs], {t for _, t in pairs},
+                threading.get_ident())
+
+    got = _in_thread(lambda: map_on_cores(outer, range(2)))
+    assert len(outer_fn.threads) == 2       # inner calls on both threads
+    for x, (double, inner_ys, threads, me) in enumerate(got):
+        assert (double, inner_ys, threads) == (2 * x, [0, 1, 2, 3], {me})
+
+
+def test_a_failed_call_leaves_the_workers_to_the_next(monkeypatch):
+    _cores(monkeypatch, 2, _FakeBlas(2))
+
+    def fail(x):
+        raise KeyError(x)
+
+    for _ in range(3):
+        with pytest.raises(KeyError):
+            map_on_cores(fail, range(6))
+        fn = _TwoThreads()
+        assert _in_thread(lambda: map_on_cores(fn, range(6))) == [
+            0, 2, 4, 6, 8, 10]
+        assert len(fn.threads) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_maps_on_workers_of_its_own(monkeypatch):
+    _cores(monkeypatch, 2, _FakeBlas(2))
+    map_on_cores(abs, range(4))          # the parent's workers are running
+    pid = os.fork()
+    if pid == 0:                         # the child reports by exit code
+        code = 1
+        try:
+            fn = _TwoThreads()
+            code = int(not (map_on_cores(fn, range(6)) == [0, 2, 4, 6, 8, 10]
+                            and len(fn.threads) == 2))
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's map did not end in 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_importing_the_cli_starts_no_thread():
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import threading, docprune.cli; "
+         "print(threading.active_count())"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1"]
