@@ -18,14 +18,16 @@ The computed windows of a sublayer run in parts of whole windows,
 gathered by token index into stacks (W, window*window, d): one norm and
 one set of q/k/v/o products over a part's rows, and one stacked product
 each for the scores and the weighted values. No sum mixes two windows'
-rows, so a stack gives the bits and the FLOPs of one window at a time;
-only a 1-token window, a GEMV alone and part of a GEMM in a stack, rounds
-differently. The FFN runs on row parts of its active rows. The parts of
-a sublayer run on every core (`tensor.map_on_cores`), each charging a
-FlopCounter of its own that is added to the caller's before the sublayer
-returns. How a sublayer is cut depends on its window and row counts
-alone, never on the core count, so each product has one shape however
-many cores run it, and the bits do not depend on the core count.
+rows, so a stack gives the FLOPs of one window at a time, and its bits on
+OpenBLAS's AVX-512 GEMM kernels (its AVX2 Haswell ones round a product's
+last bit by row count); only a 1-token window, a GEMV alone and part of a
+GEMM in a stack, rounds differently. The FFN runs on row parts of its
+active rows. The parts of a sublayer run on every core
+(`tensor.map_on_cores`), each charging a FlopCounter of its own that is
+added to the caller's before the sublayer returns. How a sublayer is cut
+depends on its window and row counts alone, never on the core count, so
+each product has one shape however many cores run it, and the bits do
+not depend on the core count.
 
 Probabilities propagate through merges by taking the max over the four
 children on the RAW values; each stage re-binarizes the raw map against

@@ -56,6 +56,11 @@ FLOP_CATEGORIES = ("patch_embed", "detector", "encoder_norm",
 PROFILES = ("desk", "paper-scale")
 
 
+def sweep_schedule(c: float) -> tuple[float, ...]:
+    """The per-stage eps_c of the default two-tier schedule scaled by c."""
+    return (c, c, min(2 * c, 1.0), min(2 * c, 1.0))
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent pipeline configuration."""
 
@@ -74,7 +79,7 @@ class PipelineConfig:
     ffn_ratio: int = 2
     proj_hidden: int = 128
     llm_dim: int = 64
-    eps_c: tuple[float, ...] = (0.25, 0.25, 0.5, 0.5)
+    eps_c: tuple[float, ...] = sweep_schedule(0.25)
     eps_i: float = 0.5
     detector: str = "oracle"
     detector_weights: str | None = None
@@ -532,11 +537,6 @@ def write_report(report: RunReport, out_dir) -> Path:
     (out / "timings.json").write_text(
         json.dumps(report.timings_ms, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def sweep_schedule(c: float) -> tuple[float, ...]:
-    """The per-stage eps_c of the default two-tier schedule scaled by c."""
-    return (c, c, min(2 * c, 1.0), min(2 * c, 1.0))
 
 
 def sweep(config: PipelineConfig, settings: list[tuple[float, float]],

@@ -17,13 +17,14 @@ relative comparisons between runs are meaningful.
 :func:`one_blas_thread` holds numpy's OpenBLAS at one thread process-wide
 for a block; :func:`map_on_cores` runs independent items on every
 available core inside such a hold, on the calling thread and on worker
-threads that start on first use and stay. A call inside a mapped item
-is the plain loop. Training holds the count for its whole loop and maps
-the elementwise row blocks of :func:`gelu` and of :func:`mlp2_backward`
-onto cores, while every product stays one call on the calling thread, so
-trained bytes depend on neither the core count nor the BLAS thread
-count. The encoder maps the parts of each sublayer (``encoder._parts``),
-and GELU blocks inside a part run inline.
+threads that start on first use and stay. A call waits for its running
+items, not for workers; a call inside a mapped item is the plain loop.
+Training holds the count for its whole loop and maps the elementwise row
+blocks of :func:`gelu` and of :func:`mlp2_backward` onto cores, while
+every product stays one call on the calling thread, so trained bytes
+depend on neither the core count nor the BLAS thread count. The encoder
+maps the parts of each sublayer (``encoder._parts``), and GELU blocks
+inside a part run inline.
 """
 
 from __future__ import annotations
@@ -189,52 +190,6 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-class _Job:
-    """One map_on_cores call: the items, the cursor that hands them out,
-    the results and errors so far, and the workers that joined it."""
-
-    def __init__(self, fn, items: list):
-        self.fn, self.items = fn, items
-        self.results = [None] * len(items)
-        self.errors: dict[int, BaseException] = {}
-        self.cursor = iter(range(len(items)))
-        self.cond = threading.Condition()
-        self.helpers = 0
-        self.closed = False
-
-    def take(self) -> None:
-        """Run items as they are handed out, until none is left or one failed."""
-        while True:
-            with self.cond:
-                i = None if self.errors else next(self.cursor, None)
-            if i is None:
-                return
-            try:
-                self.results[i] = self.fn(self.items[i])
-            except BaseException as e:  # re-raised by the caller
-                with self.cond:
-                    self.errors[i] = e
-
-    def help(self) -> None:
-        """A worker's share: take items unless the caller already closed."""
-        with self.cond:
-            if self.closed:
-                return
-            self.helpers += 1
-        try:
-            self.take()
-        finally:
-            with self.cond:
-                self.helpers -= 1
-                self.cond.notify()
-
-    def close(self) -> None:
-        """Let no worker join any more, and wait for those that did."""
-        with self.cond:
-            self.closed = True
-            self.cond.wait_for(lambda: not self.helpers)
-
-
 def map_on_cores(fn, items) -> list:
     """[fn(x) for x in items], computed on one thread per available core.
 
@@ -247,6 +202,10 @@ def map_on_cores(fn, items) -> list:
     is the plain loop, and so is a call made inside a mapped item, whose
     cores the outer call keeps busy. fn must not write state that another
     item's call reads.
+
+    With its own take done, the caller waits until no item it handed out
+    still runs, never for a worker that took none; a worker that reaches
+    the posted take after the call ended finds nothing left and returns.
     """
     items = list(items)
     if getattr(_inside, "item", False):
@@ -254,18 +213,41 @@ def map_on_cores(fn, items) -> list:
     n = min(len(items), len(os.sched_getaffinity(0)))
     if n < 2 or _openblas() is None:
         return [fn(x) for x in items]
-    job = _Job(fn, items)
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    cursor = iter(range(len(items)))
+    cond = threading.Condition()
+    running = 0
+
+    def take() -> None:
+        nonlocal running
+        while True:
+            with cond:
+                i = None if errors else next(cursor, None)
+                if i is None:
+                    return
+                running += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:  # re-raised by the caller
+                with cond:
+                    errors[i] = e
+            with cond:
+                running -= 1
+                cond.notify()
+
     with one_blas_thread():
-        _pool.post(job.help, n - 1)
+        _pool.post(take, n - 1)
         _inside.item = True
         try:
-            job.take()
+            take()
         finally:
             _inside.item = False
-            job.close()
-    if job.errors:
-        raise job.errors[min(job.errors)]
-    return job.results
+            with cond:
+                cond.wait_for(lambda: not running)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class FlopCounter:

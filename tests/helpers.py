@@ -1,7 +1,8 @@
 """What the tests share and the program does not use: the default and
 all-zero per-stage content thresholds, an all-zero two-layer MLP, an
-untrained detector's weight file, a block run at a set OpenBLAS thread
-count, and decoders of the PGM and PBM files the program writes."""
+untrained detector's weight file, a faked core count, a block run at a
+set OpenBLAS thread count, and decoders of the PGM and PBM files the
+program writes."""
 
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,6 +28,12 @@ def detector_file(path, seed: int = 2, patch_size: int = 4) -> str:
     path, as a config's detector_weights names it."""
     save_detector(path, mlp_detector(seed, patch_size))
     return str(path)
+
+
+def fake_cores(monkeypatch, n: int) -> None:
+    """tensor.map_on_cores sees n available cores for the rest of the test."""
+    monkeypatch.setattr(tensor.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
 
 
 @contextmanager

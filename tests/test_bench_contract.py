@@ -33,6 +33,7 @@ import pytest
 from docprune import encoder, pipeline, tensor
 from docprune.cli import build_parser
 from docprune.content_filter import train_detector
+from helpers import fake_cores
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -81,7 +82,7 @@ def test_traced_toy_workload_passes_its_checks(bench, monkeypatch, name):
                          det_epochs=1)
     # two cores, so sample preparation runs its two documents on two
     # threads wherever numpy's OpenBLAS is found
-    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    fake_cores(monkeypatch, 2)
     encode, encode_threads = pipeline.encode, []
 
     def recorded_encode(*args, **kwargs):

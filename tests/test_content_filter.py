@@ -19,7 +19,7 @@ from docprune.pipeline import PipelineConfig, sweep_schedule
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
 from docprune.tensor import FlopCounter, mlp2_init
-from helpers import DEFAULT_EPS_C, blas_threads
+from helpers import DEFAULT_EPS_C, blas_threads, fake_cores
 
 
 @pytest.fixture(scope="module")
@@ -198,11 +198,6 @@ def _fit_700_rows() -> bytes:
     return b"".join(a.tobytes() for a in (mlp.w1, mlp.b1, mlp.w2, mlp.b2))
 
 
-def _cores(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(tensor.os, "sched_getaffinity",
-                        lambda pid: set(range(n)))
-
-
 def test_trained_bytes_depend_on_neither_blas_threads_nor_cores(monkeypatch):
     got = {}
     for threads in (1, 2):
@@ -210,7 +205,7 @@ def test_trained_bytes_depend_on_neither_blas_threads_nor_cores(monkeypatch):
             got[f"{threads} BLAS threads"] = _fit_700_rows()
     with blas_threads(2):
         for cores in (1, 2):
-            _cores(monkeypatch, cores)
+            fake_cores(monkeypatch, cores)
             got[f"{cores} cores"] = _fit_700_rows()
     assert len(set(got.values())) == 1, {
         k: hashlib.sha256(v).hexdigest()[:12] for k, v in got.items()}
@@ -261,7 +256,7 @@ def _gelu_threads(monkeypatch) -> set[int]:
 def test_training_runs_gelu_blocks_on_every_core(monkeypatch):
     if tensor._openblas() is None:
         pytest.skip("map_on_cores is the plain loop without OpenBLAS")
-    _cores(monkeypatch, 2)
+    fake_cores(monkeypatch, 2)
     threads = _gelu_threads(monkeypatch)
     rng = Rng(4)
     # 3 row blocks of the hidden layer

@@ -14,7 +14,7 @@ from docprune.encoder import (EncoderModel, attn_residual, block_init, encode,
 from docprune.patching import TokenGrid
 from docprune.rng import Rng
 from docprune.tensor import FlopCounter
-from helpers import DEFAULT_EPS_C, ZERO_EPS_C
+from helpers import DEFAULT_EPS_C, ZERO_EPS_C, fake_cores
 
 
 def _grid(side=16, dim=8, seed=0):
@@ -341,8 +341,7 @@ def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
     grid, p0 = _parts_grid_and_p0()
     got = {}
     for cores in (1, 2):
-        monkeypatch.setattr(tensor.os, "sched_getaffinity",
-                            lambda pid: set(range(cores)))
+        fake_cores(monkeypatch, cores)
         calls = _recorded_maps(monkeypatch, wait=cores > 1)
         got[cores] = _encode_record(model, grid, p0, **options)
         me = threading.get_ident()

@@ -4,9 +4,21 @@ Every report below is the sha256 of its canonical `to_json()`; the IFM
 training samples are hashed array by array in order, and trained weights
 as w1, b1, w2, b2 in little-endian float64. A change to any digest means
 the program computes something different, not just differently.
+
+The report digests are portable: the last test below recomputes them in
+subprocesses whose environment emulates another CPU or BLAS build. The
+float digests (IFM samples, trained weights) hold only on the kernels
+they were taken on: numpy's AVX-512 loops and OpenBLAS 0.3.31's AVX-512
+GEMM kernels.
 """
 
+import ctypes
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +53,11 @@ GRADED_SWEEP = [
     "66120c01e6dbb8f52c2d3610a4c507f8a8d6a0a63286b354fdc3156dc8b9aefd",
     "ba82da79991348dd73b5f37f4667ecbb3c3af5aca11193c8a128dd755f5ae375",
 ]
+
+# the SMALL runs whose config names no weight file
+CONFIG_RUNS = {"ungated": {"gated": False}, "soft": {"soft_gating": True},
+               "no_bypass": {"bypass": False},
+               "no_positions": {"use_positions": False}}
 
 SMALL_RUNS = {
     "ungated":
@@ -101,10 +118,7 @@ def test_graded_sweep_digests(det_weights):
 
 
 @pytest.mark.parametrize("name,overrides", [
-    ("ungated", {"gated": False}),
-    ("soft", {"soft_gating": True}),
-    ("no_bypass", {"bypass": False}),
-    ("no_positions", {"use_positions": False}),
+    *CONFIG_RUNS.items(),
     ("mlp_detector", {"detector": "mlp", "detector_weights": "det.hrvd"}),
 ])
 def test_small_run_digests(det_weights, name, overrides):
@@ -138,3 +152,97 @@ def test_trained_ifm_digest():
     ifm, curve = train_ifm(models.ifm, samples, epochs=10, lr=0.05,
                            pos_weight="auto")
     assert (_weights_sha(ifm.clf), repr(curve[-1])) == TRAINED_IFM
+
+
+# other CPUs and BLAS builds, emulated in the environment of a subprocess
+EMULATIONS = {
+    "default": {},
+    "one-blas-thread": {"OPENBLAS_NUM_THREADS": "1"},
+    "no-avx512-loops": {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "haswell-kernels": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+def _numpy_avx512() -> list[str]:
+    """The features of NPY_DISABLE_CPU_FEATURES above that numpy dispatches
+    loops for on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    names = EMULATIONS["no-avx512-loops"]["NPY_DISABLE_CPU_FEATURES"]
+    return [f for f in names.split() if f in umath.__cpu_dispatch__
+            and umath.__cpu_features__.get(f)]
+
+
+def _openblas_core() -> str | None:
+    """The CPU core name numpy's OpenBLAS picked its kernels for."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype, get.argtypes = ctypes.c_char_p, []
+                return get().decode()
+    return None
+
+
+def portable_digests(part: str) -> None:
+    """Print, as one JSON line, the report digests of one part ("sweep":
+    SWEEP_SEED7, "runs": CONFIG_RUNS) and what this process's numpy and
+    OpenBLAS run on."""
+    from docprune.tensor import _openblas
+    if part == "sweep":
+        reports, _ = sweep(PipelineConfig(seed=7), _parse_grid(DEFAULT_GRID))
+    else:
+        reports = [run(PipelineConfig(**{**SMALL, **o}))
+                   for o in CONFIG_RUNS.values()]
+    blas = _openblas()
+    print(json.dumps({"digests": [_sha(r.to_json()) for r in reports],
+                      "blas_threads": blas[0]() if blas else None,
+                      "avx512": _numpy_avx512(), "core": _openblas_core()}))
+
+
+@pytest.mark.parametrize("setting", EMULATIONS)
+def test_report_digests_hold_on_emulated_cpus(setting):
+    if setting == "no-avx512-loops" and not _numpy_avx512():
+        pytest.skip("numpy dispatches no AVX-512 loops on this CPU")
+    here = Path(__file__).resolve().parent
+    src = str(here.parent / "src")
+    env = dict(os.environ, **EMULATIONS[setting], PYTHONPATH=os.pathsep.join(
+        [src, str(here)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, test_golden; test_golden.portable_digests(sys.argv[1])"
+    # the two parts run at once
+    procs = [subprocess.Popen([sys.executable, "-c", code, part], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for part in ("sweep", "runs")]
+    try:
+        outs = [p.communicate(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    for p, (_, err) in zip(procs, outs):
+        assert p.returncode == 0, err
+    sweep_seen, runs_seen = (json.loads(out.splitlines()[-1])
+                             for out, _ in outs)
+    if setting == "one-blas-thread" and sweep_seen["blas_threads"] != 1:
+        pytest.skip(f"OpenBLAS read {sweep_seen['blas_threads']} threads "
+                    "under OPENBLAS_NUM_THREADS=1")
+    if setting == "no-avx512-loops" and sweep_seen["avx512"]:
+        pytest.skip("numpy kept its AVX-512 loops under "
+                    "NPY_DISABLE_CPU_FEATURES")
+    if setting == "haswell-kernels" and sweep_seen["core"] != "Haswell":
+        pytest.skip(f"OpenBLAS picked {sweep_seen['core']} kernels "
+                    "under OPENBLAS_CORETYPE=Haswell")
+    assert sweep_seen["digests"] == SWEEP_SEED7
+    assert runs_seen["digests"] == [SMALL_RUNS[n] for n in CONFIG_RUNS]

@@ -17,7 +17,7 @@ from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                render_masks, run, summary_row, sweep,
                                sweep_schedule, write_report)
 from docprune.synthdoc import make_corpus, patchify_any
-from helpers import detector_file, pbm_bits
+from helpers import detector_file, fake_cores, pbm_bits
 
 
 def _small_config(**overrides):
@@ -446,7 +446,7 @@ def test_prepare_ifm_samples_equal_a_serial_loop(monkeypatch):
                      cells[encoded.kept_indices].astype(np.float64)))
     # two cores, so the documents run on two threads wherever numpy's
     # OpenBLAS is found
-    monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0, 1})
+    fake_cores(monkeypatch, 2)
     groups, threads = pipeline._encoded_groups, set()
 
     def recorded(*args):

@@ -22,7 +22,7 @@ from docprune.tensor import (ELEMWISE_FLOPS, FlopCounter, LossCurve, Mlp2,
                              gelu_grad, layernorm, linear, map_on_cores,
                              matmul, mlp2_backward, mlp2_forward, mlp2_init,
                              sigmoid, softmax_rows)
-from helpers import blas_threads, mlp2_zeros
+from helpers import blas_threads, fake_cores, mlp2_zeros
 
 
 # --- matmul ---
@@ -554,8 +554,7 @@ class _FakeBlas:
 
 def _cores(monkeypatch, n: int, blas=None) -> None:
     """map_on_cores sees n cores and, when given, a fake OpenBLAS."""
-    monkeypatch.setattr(tensor.os, "sched_getaffinity",
-                        lambda pid: set(range(n)))
+    fake_cores(monkeypatch, n)
     if blas is not None:
         monkeypatch.setattr(tensor, "_openblas", lambda: (blas.get, blas.set))
 
@@ -747,6 +746,49 @@ def test_a_failed_call_leaves_the_workers_to_the_next(monkeypatch):
         assert _in_thread(lambda: map_on_cores(fn, range(6))) == [
             0, 2, 4, 6, 8, 10]
         assert len(fn.threads) == 2
+
+
+def test_a_call_waits_for_its_items_and_not_for_busy_workers(monkeypatch):
+    # a pool of two workers on 3 cores, both held inside items of another
+    # thread's call: the main thread's call runs its 4 items alone and
+    # returns, and each worker reaches the task it posted only afterwards
+    _cores(monkeypatch, 3, _FakeBlas(2))
+    monkeypatch.setattr(tensor, "_pool", tensor._Pool())
+    held, release, done = threading.Barrier(4, timeout=10), \
+        threading.Event(), threading.Event()
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+
+    def hold(x):
+        held.wait()
+        if threading.current_thread().name.startswith("docprune-core"):
+            release.wait(timeout=30)
+            done.set()
+        return x
+
+    other = []
+    caller = threading.Thread(
+        target=lambda: other.append(map_on_cores(hold, range(3))),
+        daemon=True)
+    caller.start()
+    held.wait()                         # each thread of that call holds an item
+    calls = []
+
+    def square(x):
+        calls.append(x)
+        return x * x
+
+    assert map_on_cores(square, range(4)) == [0, 1, 4, 9]
+    assert not done.is_set()            # returned while the workers were held
+    release.set()
+    caller.join(timeout=30)
+    assert not caller.is_alive() and other == [[0, 1, 2]]
+    # the workers meet here only once every task posted before has run
+    meet = threading.Barrier(3, timeout=30)
+    tensor._pool.post(meet.wait, 2)
+    meet.wait()
+    assert calls == [0, 1, 2, 3]
+    assert raised == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
