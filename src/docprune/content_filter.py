@@ -93,11 +93,11 @@ def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
     content_filter.bce_loss to check that a non-finite loss fails a run.
 
     The loop holds numpy's OpenBLAS at one thread (tensor.one_blas_thread,
-    restored on return or error) and runs the passes' elementwise row
-    blocks on every core. Products stay whole: at one BLAS thread
-    x.T @ dz1, a sum over every sample, rounds the same way on any
-    machine, so the trained bytes depend on neither the core count nor
-    the BLAS thread count.
+    restored on return or error) and runs the passes' row blocks on every
+    core: the forward's x @ w1 and GELU, the backward's scaling. Products
+    that sum over rows stay whole: at one BLAS thread x.T @ dz1, a sum
+    over every sample, rounds the same way on any machine, so the trained
+    bytes depend on neither the core count nor the BLAS thread count.
     """
     if pos_weight == "auto":
         pos = float(y.sum())

@@ -8,8 +8,9 @@ a 2x2 patch merge halves the grid in each dimension and doubles the
 channel dim.
 
 Each token carries a content probability. A gated sublayer computes
-h' = p * F(h) + (1 - p) * h per token, so binary p selects between full
-compute and exact identity. That exactness buys two optimizations that
+h' = p * F(h) + (1 - p) * h per token, and binary p selects: a token at
+p = 1 takes F(h) and one at p = 0 is not written, so it keeps h to the
+bit, a signed zero included. That exactness buys two optimizations that
 are bit-identical to the unoptimized path: windows whose gate values are
 all zero skip attention entirely, and the FFN runs only on rows with a
 nonzero gate.
@@ -48,8 +49,8 @@ import numpy as np
 from .content_filter import binarize
 from .patching import TokenGrid
 from .rng import Rng, init_uniform
-from .tensor import (FlopCounter, attention, flop_category, gelu, layernorm,
-                     linear, map_on_cores)
+from .tensor import (MIN_PRODUCT_ROWS, FlopCounter, attention, flop_category,
+                     gelu, layernorm, linear, map_on_cores)
 
 
 @dataclass
@@ -198,13 +199,13 @@ def ffn_residual(x: np.ndarray, bw: BlockWeights,
     return out
 
 
-def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Per-token convex combination p*F(h) + (1-p)*h; identity at p=0.
+def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-token convex combination p*F(h) + (1-p)*h, as a new array.
 
-    Into out when given; out may be fh, but not h.
+    The sublayers call it only for gates strictly between 0 and 1: at
+    p = 0 it can turn h's -0.0 into +0.0, and at p = 1 F(h)'s -0.0 too.
     """
-    out = np.multiply(p, fh, out=out)
+    out = p * fh
     out += (1.0 - p) * h
     return out
 
@@ -212,9 +213,6 @@ def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray,
 # rows per part of a sublayer at most: a part's windows share one set of
 # products, and its temporaries stay in cache
 _CHUNK_ROWS = 1024
-# rows per part at least: OpenBLAS takes other kernels at M <= 18, so a
-# smaller product could round its rows differently from a whole one
-_MIN_PART_ROWS = 64
 
 
 def _parts(n: int, rows: int) -> list[slice]:
@@ -222,11 +220,12 @@ def _parts(n: int, rows: int) -> list[slice]:
 
     The parts are as even as can be and as few as keep each within
     _CHUNK_ROWS rows (or one item), but two at least where each holds
-    _MIN_PART_ROWS rows. The cut depends on the counts alone, never on
-    the core count, so every product has one shape on any machine.
+    tensor.MIN_PRODUCT_ROWS rows. The cut depends on the counts alone,
+    never on the core count, so every product has one shape on any
+    machine.
     """
     k = -(-n // max(1, _CHUNK_ROWS // rows))
-    if k == 1 and n // 2 * rows >= _MIN_PART_ROWS:
+    if k == 1 and n // 2 * rows >= MIN_PRODUCT_ROWS:
         k = 2
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
@@ -272,13 +271,14 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     p holds per-token gate values (None disables gating entirely). The
     grid is zero-padded up to a window multiple, and a shifted pass rolls
     it by half a window first; pad slots read an appended zero row and are
-    never written. Windows whose gate values are all zero are bypassed
-    when `bypass` is set. The computed windows run in parts of whole
-    windows (_parts), one stacked attn_residual and one gate per part,
-    the parts on every core. Windows share no token, so a part writes no
-    row that another reads, and neither the parts nor their order change
-    a bit. Returns the new grid and the number of windows computed and in
-    total.
+    never written, and neither are gate-0 tokens. Windows whose gate
+    values are all zero are bypassed when `bypass` is set. The computed
+    windows run in parts of whole windows (_parts), one stacked
+    attn_residual per part, the parts on every core; gate_combine runs on
+    the rows whose gate lies strictly between 0 and 1. Windows share no
+    token, so a part writes no row that another reads, and neither the
+    parts nor their order change a bit. Returns the new grid and the
+    number of windows computed and in total.
     """
     if p is not None and p.size != grid.n_tokens:
         raise ValueError(
@@ -295,12 +295,16 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     real = slots < n
 
     def part(w: slice, c: FlopCounter | None) -> None:
-        idx = slots[w]
+        idx, write = slots[w], real[w]
         h = t[idx]
         new = attn_residual(h, bw, c)
         if gates is not None:
-            gate_combine(gates[w, :, None], new, h, out=new)
-        t[idx[real[w]]] = new[real[w]]
+            g = gates[w]
+            write = write & (g > 0.0)
+            soft = write & (g < 1.0)
+            if soft.any():
+                new[soft] = gate_combine(g[soft, None], new[soft], h[soft])
+        t[idx[write]] = new[write]
 
     _map_parts(part, _parts(len(slots), window * window), counter)
     return TokenGrid(grid.rows, grid.cols, d, t[:n]), len(slots), total
@@ -313,7 +317,8 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     the counts are window_pass's.
 
     The FFN runs on the rows with a nonzero gate (every row without
-    gating), in row parts (_parts) on every core.
+    gating), in row parts (_parts) on every core; gate_combine runs on
+    those whose gate is not 1.
     """
     out, computed, total = window_pass(grid, p, bw, window, shifted, counter,
                                        bypass)
@@ -325,7 +330,10 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
         h = t[idx]
         f = ffn_residual(h, bw, c)
         if p is not None:
-            gate_combine(p[idx, None], f, h, out=f)
+            g = p[idx]
+            soft = g < 1.0
+            if soft.any():
+                f[soft] = gate_combine(g[soft, None], f[soft], h[soft])
         t[idx] = f
 
     n = len(t) if active is None else active.size

@@ -19,12 +19,15 @@ for a block; :func:`map_on_cores` runs independent items on every
 available core inside such a hold, on the calling thread and on worker
 threads that start on first use and stay. A call waits for its running
 items, not for workers; a call inside a mapped item is the plain loop.
-Training holds the count for its whole loop and maps the elementwise row
-blocks of :func:`gelu` and of :func:`mlp2_backward` onto cores, while
-every product stays one call on the calling thread, so trained bytes
-depend on neither the core count nor the BLAS thread count. The encoder
-maps the parts of each sublayer (``encoder._parts``), and GELU blocks
-inside a part run inline.
+Training holds the count for its whole loop and maps row blocks onto
+cores: :func:`mlp2_forward`'s blocks each compute their rows of the first
+product and its GELU, and :func:`mlp2_backward`'s scale their rows of the
+GELU gradient. Each row of a product is its own dot product, so a block
+of at least MIN_PRODUCT_ROWS rows gives the whole product's bits; the
+products that sum over rows (``x.T @ dz1``, ``h.T @ dz2``) stay one call
+on the calling thread. So trained bytes depend on neither the core count
+nor the BLAS thread count. The encoder maps the parts of each sublayer
+(``encoder._parts``), and GELU blocks inside a part run inline.
 """
 
 from __future__ import annotations
@@ -47,11 +50,15 @@ ELEMWISE_FLOPS = 5
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
-# elements per row block of the GELU kernels and the backward's scaling:
-# 512 KB, so a block and its temporaries stay in L2. Serial timings are
-# flat from 4k to 64k elements; on cores, larger blocks mean fewer
-# hand-offs between threads
+# elements per row block of the GELU kernels, the MLP's first product and
+# the backward's scaling: 512 KB, so a block and its temporaries stay in
+# L2. Serial timings are flat from 4k to 64k elements; on cores, larger
+# blocks mean fewer hand-offs between threads
 _BLOCK = 65536
+# rows of a product block at least, unless the whole product has fewer:
+# OpenBLAS takes other kernels at M <= 18 and a GEMV at M = 1, so a
+# smaller block could round its rows differently from the whole product
+MIN_PRODUCT_ROWS = 64
 
 _ERF_MODULE = "scipy.special._special_ufuncs"
 
@@ -397,10 +404,16 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return matmul(weights, v, counter)
 
 
-def _row_blocks(a: np.ndarray):
-    """Slices of a's first axis holding whole rows, about _BLOCK elements each."""
-    step = max(1, _BLOCK // max(1, math.prod(a.shape[1:])))
-    return (slice(r, r + step) for r in range(0, len(a), step))
+def _row_blocks(a: np.ndarray) -> list[slice]:
+    """Slices of a's first axis holding whole rows, about _BLOCK elements
+    each and MIN_PRODUCT_ROWS rows at least; a shorter tail joins the
+    block before it. The cut depends on a's shape alone."""
+    n = len(a)
+    step = max(MIN_PRODUCT_ROWS, _BLOCK // max(1, math.prod(a.shape[1:])))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < MIN_PRODUCT_ROWS:
+        starts.pop()
+    return [slice(r, e) for r, e in zip(starts, starts[1:] + [n])]
 
 
 def _onep(xb: np.ndarray) -> np.ndarray:
@@ -507,19 +520,35 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
     spent, when given, is an earlier cache for an x of this shape that is
     no longer needed; the pass writes over its two hidden-layer arrays
     instead of allocating new ones, so a training loop holds two of them
-    and faults in no fresh pages each epoch. The GELU's row blocks run on
-    every core; the products stay whole on the calling thread.
+    and faults in no fresh pages each epoch.
+
+    The hidden layer runs in row blocks (_row_blocks) on every core: each
+    block computes its rows of x @ w1 + b1 and applies GELU to them while
+    they are in cache. Each row of a product is its own dot product, and
+    no block has fewer than MIN_PRODUCT_ROWS rows unless x has, so the
+    bits are those of the whole product. h @ w2 stays whole on the calling
+    thread. The FLOPs are charged here, once, as linear, gelu and linear
+    charge them.
     """
     _check_2d("x", x)
     if x.shape[1] != p.in_dim:
         raise ValueError(f"mlp2 input dim mismatch: x {x.shape}, w1 {p.w1.shape}")
-    buf, d = (None, None) if spent is None else spent[1:3]
-    z1 = linear(x, p.w1, p.b1, counter, buf)
-    # erf dominates training time: gelu'(z1) comes from the forward's erf
-    # blocks, and h overwrites z1, which nothing reads again
-    if d is None:
-        d = np.empty(z1.shape)
-    h = gelu(z1, counter, grad=d, out=z1)
+    shape = (len(x), p.w1.shape[1])
+    h, d = (np.empty(shape), np.empty(shape)) if spent is None else spent[1:3]
+    if h.shape != shape:
+        raise ValueError(f"spent cache is for a hidden layer of {h.shape}, "
+                         f"this pass needs {shape}")
+    if counter is not None:
+        counter.add(2 * x.size * h.shape[1] + h.size)
+        counter.add(ELEMWISE_FLOPS * h.size)
+
+    def block(r):
+        # erf dominates training time: gelu'(z1) comes from the forward's
+        # erf block, and h overwrites z1, which nothing reads again
+        hb = linear(x[r], p.w1, p.b1, out=h[r])
+        gelu(hb, grad=d[r], out=hb)
+
+    map_on_cores(block, _row_blocks(h))
     z2 = linear(h, p.w2, p.b2, counter)
     out = sigmoid(z2, counter) if sigmoid_out else z2
     return out, (x, h, d, out)

@@ -62,6 +62,25 @@ def test_unit_gate_matches_ungated():
     np.testing.assert_array_equal(gated.tokens, plain.tokens)
 
 
+def test_binary_gates_keep_signed_zeros_in_computed_windows():
+    # token 9 sits in the first window of an 8x8 grid at window 4, with
+    # gate 0 and -0.0 in every channel; its window is computed because
+    # its neighbours have gate 1. A blend would turn -0.0 into
+    # 0 * F(h) + (-0.0), which is +0.0 wherever F(h) > 0
+    grid = _grid(side=8)
+    grid.tokens[9] = -0.0
+    p = np.ones(grid.n_tokens)
+    p[9] = 0.0
+    bw = _block()
+    out, computed, _ = gated_block(grid, p, bw, window=4, shifted=False)
+    assert computed == 4
+    assert out.tokens[9].tobytes() == grid.tokens[9].tobytes()
+    # every other token took the ungated sublayers' output
+    plain, *_ = gated_block(grid, None, bw, window=4, shifted=False)
+    rest = np.arange(grid.n_tokens) != 9
+    assert out.tokens[rest].tobytes() == plain.tokens[rest].tobytes()
+
+
 def test_gate_combine_half_is_average():
     rng = Rng(2)
     h = rng.uniforms(40).reshape(10, 4)
@@ -284,7 +303,7 @@ def test_sublayers_leave_their_inputs_unchanged():
 def _parts_grid_and_p0():
     """A 32x32 grid at window 8 whose stage 1 has exactly 128 active tokens
     (p0 0.9 on the top four rows, 0.1 elsewhere), so its FFN runs two
-    parts of exactly _MIN_PART_ROWS rows and 4 of its 16 windows are
+    parts of exactly tensor.MIN_PRODUCT_ROWS rows and 4 of its 16 windows are
     computed. Stage 3 is one window, and at eps 0.95 every window of
     stage 4 is bypassed."""
     p0 = np.full((32, 32), 0.1)
@@ -362,7 +381,8 @@ def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
 def test_parts_hold_whole_items_of_enough_rows():
     assert encoder._parts(0, 64) == []
     assert encoder._parts(1, 64) == [slice(0, 1)]
-    # at least two parts where each holds _MIN_PART_ROWS, none where not
+    # at least two parts where each holds tensor.MIN_PRODUCT_ROWS, none
+    # where not
     assert encoder._parts(128, 1) == [slice(0, 64), slice(64, 128)]
     assert encoder._parts(127, 1) == [slice(0, 127)]
     assert encoder._parts(3, 64) == [slice(0, 1), slice(1, 3)]
@@ -375,7 +395,7 @@ def test_parts_hold_whole_items_of_enough_rows():
         assert parts[0].start == 0 and parts[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
         assert max(sizes) <= max(rows, encoder._CHUNK_ROWS)
-        assert min(sizes) >= encoder._MIN_PART_ROWS
+        assert min(sizes) >= tensor.MIN_PRODUCT_ROWS
 
 
 # --- merges and probability propagation -----------------------------------

@@ -350,9 +350,57 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, width, rows):
         assert np.array_equal(g[key], ref), key
 
 
+@pytest.mark.parametrize("width,rows", _boundary_cases())
+def test_row_blocks_hold_enough_rows(width, rows):
+    # the blocks cover the rows in order, and none has fewer than
+    # MIN_PRODUCT_ROWS rows unless the whole array has
+    blocks = tensor._row_blocks(np.empty((rows, width)))
+    assert blocks[0].start == 0 and blocks[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [r.stop - r.start for r in blocks]
+    assert min(sizes) >= min(rows, tensor.MIN_PRODUCT_ROWS)
+    assert max(sizes) < max(tensor.MIN_PRODUCT_ROWS,
+                             tensor._BLOCK // width) + tensor.MIN_PRODUCT_ROWS
+
+
+def test_forward_product_blocks_run_on_every_core(monkeypatch):
+    if tensor._openblas() is None:
+        pytest.skip("map_on_cores is the plain loop without OpenBLAS")
+    _cores(monkeypatch, 2)
+    rng = Rng(6)
+    # 700 rows at hidden width 256: row blocks of 256, 256 and 188 rows
+    x = rng.uniforms(700 * 8, -1, 1).reshape(700, 8)
+    p = mlp2_init(rng, 8, 256, 1)
+    blocks, lock, both = [], threading.Lock(), threading.Event()
+    real = tensor.linear
+
+    def recorded(a, w, *args, **kwargs):
+        if w is p.w1:
+            with lock:
+                blocks.append((len(a), threading.get_ident()))
+                waits = len(blocks) == 1
+                if len({t for _, t in blocks}) > 1:
+                    both.set()
+            if waits:   # up to 5 s, for a block on a second thread
+                both.wait(timeout=5)
+        return real(a, w, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "linear", recorded)
+    mlp2_forward(x, p, sigmoid_out=True)
+    assert sorted(n for n, _ in blocks) == [188, 256, 256]
+    assert len({t for _, t in blocks}) == 2
+
+
 def test_mlp2_forward_rejects_bad_input():
     with pytest.raises(ValueError, match="dim mismatch"):
         mlp2_forward(np.zeros((2, 5)), mlp2_zeros(6, 4, 1))
+
+
+def test_mlp2_forward_rejects_a_spent_cache_of_another_shape():
+    p = mlp2_zeros(6, 4, 1)
+    _, spent = mlp2_forward(np.zeros((3, 6)), p)
+    with pytest.raises(ValueError, match="spent cache"):
+        mlp2_forward(np.zeros((2, 6)), p, spent=spent)
 
 
 def test_backward_rejects_label_shape():
@@ -395,6 +443,26 @@ def test_flop_counter_additive_across_composition():
     h = gelu(z1, c2)
     linear(h, p.w2, p.b2, c3)
     assert c_both.total() == c1.total() + c2.total() + c3.total()
+
+
+@pytest.mark.parametrize("sigmoid_out", [False, True])
+def test_mlp2_forward_charges_its_parts_under_the_callers_category(
+        sigmoid_out):
+    # the hidden layer's blocks charge nothing themselves: the pass
+    # charges linear + gelu + linear (+ sigmoid) once, under the category
+    # that is current when it is called
+    x = Rng(32).uniforms(700 * 6).reshape(700, 6)
+    p = mlp2_init(Rng(33), 6, 256, 2)
+    got, want = FlopCounter(), FlopCounter()
+    with got.category("projector"):
+        mlp2_forward(x, p, got, sigmoid_out=sigmoid_out)
+    with want.category("projector"):
+        h = gelu(linear(x, p.w1, p.b1, want), want)
+        z2 = linear(h, p.w2, p.b2, want)
+        if sigmoid_out:
+            sigmoid(z2, want)
+    assert got.by_category == want.by_category
+    assert list(got.by_category) == ["projector"]
 
 
 def test_flop_counter_categories_nest():
