@@ -22,7 +22,7 @@ from . import weights_io
 from .patching import PatchEmbed, flatten_patches, patch_embed_init
 from .rng import Rng
 from .synthdoc import LabeledImage
-from .tensor import (FlopCounter, LossCurve, Mlp2, bce_loss, linear,
+from .tensor import (NO_FLOPS, FlopCounter, LossCurve, Mlp2, bce_loss, linear,
                      mlp2_backward, mlp2_forward, mlp2_init, one_blas_thread)
 
 # the learned detector's feature and hidden widths; load_detector takes
@@ -54,14 +54,14 @@ def mlp_detector(seed: int, patch_size: int) -> DetectorModel:
 
 
 def detector_features(model: DetectorModel, image: np.ndarray,
-                      counter: FlopCounter | None = None) -> np.ndarray:
+                      counter: FlopCounter = NO_FLOPS) -> np.ndarray:
     """The frozen private embedding of every patch of an image."""
     flat = flatten_patches(image, model.patch_size)
     return linear(flat, model.embed.weight, model.embed.bias, counter)
 
 
 def detect(model: DetectorModel, doc: LabeledImage,
-           counter: FlopCounter | None = None) -> np.ndarray:
+           counter: FlopCounter = NO_FLOPS) -> np.ndarray:
     """One content probability per patch token, as a 1-D float64 array."""
     if model.variant == "oracle":
         return doc.patch_labels(model.patch_size).astype(np.float64).ravel()
@@ -177,11 +177,10 @@ def load_detector(path) -> DetectorModel:
         ("meta", "embed_w", "embed_b", "w1", "b1", "w2", "b2"))
     weights_io.check_shapes(path, arrays, {"meta": (2,)})
     patch_size, feat = weights_io.meta_dims(path, arrays["meta"], 2)
-    hidden = arrays["b1"].shape[:1]      # the one dim meta does not fix
+    hidden = weights_io.width(path, arrays, "b1")   # meta does not fix it
     weights_io.check_shapes(path, arrays, {
         "embed_w": (patch_size * patch_size, feat), "embed_b": (feat,),
-        "b1": hidden, "w1": (feat, *hidden), "w2": (*hidden, 1),
-        "b2": (1,)})
+        "w1": (feat, hidden), "w2": (hidden, 1), "b2": (1,)})
     embed = PatchEmbed(patch_size, arrays["embed_w"], arrays["embed_b"])
     mlp = Mlp2(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"])
     return DetectorModel("mlp", patch_size, embed, mlp)

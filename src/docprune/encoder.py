@@ -15,20 +15,17 @@ are bit-identical to the unoptimized path: windows whose gate values are
 all zero skip attention entirely, and the FFN runs only on rows with a
 nonzero gate.
 
-The computed windows of a sublayer run in parts of whole windows,
-gathered by token index into stacks (W, window*window, d): one norm and
-one set of q/k/v/o products over a part's rows, and one stacked product
-each for the scores and the weighted values. No sum mixes two windows'
-rows, so a stack gives the FLOPs of one window at a time, and its bits on
-OpenBLAS's AVX-512 GEMM kernels (its AVX2 Haswell ones round a product's
-last bit by row count); only a 1-token window, a GEMV alone and part of a
-GEMM in a stack, rounds differently. The FFN runs on row parts of its
-active rows. The parts of a sublayer run on every core
-(`tensor.map_on_cores`), each charging a FlopCounter of its own that is
-added to the caller's before the sublayer returns. How a sublayer is cut
-depends on its window and row counts alone, never on the core count, so
-each product has one shape however many cores run it, and the bits do
-not depend on the core count.
+Both sublayers run in parts on every core (_gated_parts). A window
+sublayer's parts are stacks (W, window*window, d) of whole computed
+windows: one norm and one set of q/k/v/o products over a part's rows,
+and one stacked product each for the scores and the weighted values. No
+sum mixes two windows' rows, so a stack gives the FLOPs of one window at
+a time, and its bits on OpenBLAS's AVX-512 GEMM kernels (its AVX2 Haswell
+ones round a product's last bit by row count); only a 1-token window, a
+GEMV alone and part of a GEMM in a stack, rounds differently. An FFN's
+parts are rows of its active rows. A part charges the caller's counter
+as the plain loop would. How a sublayer is cut depends on its window and
+row counts alone, so the bits do not depend on the core count.
 
 Probabilities propagate through merges by taking the max over the four
 children on the RAW values; each stage re-binarizes the raw map against
@@ -42,6 +39,7 @@ the gating semantics, so it is fixed rather than configurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +47,7 @@ import numpy as np
 from .content_filter import binarize
 from .patching import TokenGrid
 from .rng import Rng, init_uniform
-from .tensor import (MIN_PRODUCT_ROWS, FlopCounter, attention, flop_category,
+from .tensor import (MIN_PRODUCT_ROWS, NO_FLOPS, FlopCounter, attention,
                      gelu, layernorm, linear, map_on_cores)
 
 
@@ -156,7 +154,7 @@ def encoder_init(seed: int, d0: int = 32, depths: tuple[int, ...] = (2, 2, 6, 2)
 
 
 def attn_residual(x: np.ndarray, bw: BlockWeights,
-                  counter: FlopCounter | None = None,
+                  counter: FlopCounter = NO_FLOPS,
                   cats: tuple[str, str] = ("encoder_norm", "encoder_attention")
                   ) -> np.ndarray:
     """x + attention(layernorm(x)): the attention half of a pre-norm block.
@@ -168,9 +166,9 @@ def attn_residual(x: np.ndarray, bw: BlockWeights,
     attention; the instruction filter charges both to its own category.
     """
     rows = x.reshape(-1, x.shape[-1])
-    with flop_category(counter, cats[0]):
+    with counter.category(cats[0]):
         a = layernorm(rows, bw.ln1_g, bw.ln1_b, counter=counter)
-    with flop_category(counter, cats[1]):
+    with counter.category(cats[1]):
         q, k, v = (linear(a, w, b, counter).reshape(x.shape)
                    for w, b in ((bw.wq, bw.bq), (bw.wk, bw.bk),
                                 (bw.wv, bw.bv)))
@@ -181,7 +179,7 @@ def attn_residual(x: np.ndarray, bw: BlockWeights,
 
 
 def ffn_residual(x: np.ndarray, bw: BlockWeights,
-                 counter: FlopCounter | None = None,
+                 counter: FlopCounter = NO_FLOPS,
                  cats: tuple[str, str] = ("encoder_norm", "encoder_ffn")
                  ) -> np.ndarray:
     """x + FFN(layernorm(x)), GELU hidden layer: the FFN half of a block.
@@ -189,9 +187,9 @@ def ffn_residual(x: np.ndarray, bw: BlockWeights,
     x is left unchanged; the hidden layer and the output reuse the
     buffers of the pass itself.
     """
-    with flop_category(counter, cats[0]):
+    with counter.category(cats[0]):
         a = layernorm(x, bw.ln2_g, bw.ln2_b, counter=counter)
-    with flop_category(counter, cats[1]):
+    with counter.category(cats[1]):
         z = linear(a, bw.w1, bw.b1, counter)
         gelu(z, counter, out=z)
         out = linear(z, bw.w2, bw.b2, counter, out=a)
@@ -230,21 +228,33 @@ def _parts(n: int, rows: int) -> list[slice]:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def _map_parts(fn, parts: list[slice], counter: FlopCounter | None) -> None:
-    """fn(part, part_counter) for every part, the parts on every core
-    (tensor.map_on_cores).
+def _gated_parts(sublayer, t: np.ndarray, n: int, idx: np.ndarray,
+                 gates: np.ndarray | None) -> None:
+    """t[idx] = sublayer(t[idx]) by gate, in parts of whole items (_parts:
+    idx[i] is a window's slots, or a row) on every core (map_on_cores).
 
-    A counter's category is state that two threads must not switch at
-    once, so each part charges its own FlopCounter; their counts are
-    added to counter, category by category, before this returns.
+    A row takes the result at gate 1, gate_combine's blend strictly between
+    0 and 1, and keeps its bits at 0; gates None is the ungated reference
+    path. Rows at index n and above are pad slots, read and never written.
+    Items share no row, so neither the parts nor their order change a bit.
     """
-    counters = [None if counter is None else FlopCounter() for _ in parts]
-    map_on_cores(lambda pc: fn(*pc), zip(parts, counters))
-    if counter is not None:
-        for c in counters:
-            for name, n in c.by_category.items():
-                with counter.category(name):
-                    counter.add(n)
+
+    def part(r: slice) -> None:
+        i = idx[r]
+        h = t[i]
+        new = sublayer(h)
+        write = i < n
+        if gates is not None:
+            g = gates[r]
+            write &= g > 0.0
+            soft = write & (g < 1.0)
+            if soft.any():
+                new[soft] = gate_combine(g[soft, None], new[soft], h[soft])
+        if not write.all():
+            i, new = i[write], new[write]
+        t[i] = new
+
+    map_on_cores(part, _parts(len(idx), math.prod(idx.shape[1:])))
 
 
 def _window_slots(rows: int, cols: int, window: int,
@@ -264,7 +274,7 @@ def _window_slots(rows: int, cols: int, window: int,
 
 
 def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
-                window: int, shifted: bool, counter: FlopCounter | None = None,
+                window: int, shifted: bool, counter: FlopCounter = NO_FLOPS,
                 bypass: bool = True) -> tuple[TokenGrid, int, int]:
     """One gated window-attention sublayer over the whole grid.
 
@@ -273,12 +283,8 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     it by half a window first; pad slots read an appended zero row and are
     never written, and neither are gate-0 tokens. Windows whose gate
     values are all zero are bypassed when `bypass` is set. The computed
-    windows run in parts of whole windows (_parts), one stacked
-    attn_residual per part, the parts on every core; gate_combine runs on
-    the rows whose gate lies strictly between 0 and 1. Windows share no
-    token, so a part writes no row that another reads, and neither the
-    parts nor their order change a bit. Returns the new grid and the
-    number of windows computed and in total.
+    windows go through _gated_parts, one stacked attn_residual per part.
+    Returns the new grid and the number of windows computed and in total.
     """
     if p is not None and p.size != grid.n_tokens:
         raise ValueError(
@@ -292,52 +298,25 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
         keep = gates.any(axis=1)
         slots, gates = slots[keep], gates[keep]
     t = np.vstack([grid.tokens, np.zeros((1, d))])
-    real = slots < n
-
-    def part(w: slice, c: FlopCounter | None) -> None:
-        idx, write = slots[w], real[w]
-        h = t[idx]
-        new = attn_residual(h, bw, c)
-        if gates is not None:
-            g = gates[w]
-            write = write & (g > 0.0)
-            soft = write & (g < 1.0)
-            if soft.any():
-                new[soft] = gate_combine(g[soft, None], new[soft], h[soft])
-        t[idx[write]] = new[write]
-
-    _map_parts(part, _parts(len(slots), window * window), counter)
+    _gated_parts(lambda h: attn_residual(h, bw, counter), t, n, slots, gates)
     return TokenGrid(grid.rows, grid.cols, d, t[:n]), len(slots), total
 
 
 def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
-                window: int, shifted: bool, counter: FlopCounter | None = None,
+                window: int, shifted: bool, counter: FlopCounter = NO_FLOPS,
                 bypass: bool = True) -> tuple[TokenGrid, int, int]:
     """Window attention sublayer followed by the FFN sublayer, both gated;
     the counts are window_pass's.
 
     The FFN runs on the rows with a nonzero gate (every row without
-    gating), in row parts (_parts) on every core; gate_combine runs on
-    those whose gate is not 1.
+    gating), through _gated_parts.
     """
     out, computed, total = window_pass(grid, p, bw, window, shifted, counter,
                                        bypass)
     t = out.tokens
-    active = None if p is None else np.flatnonzero(p > 0.0)
-
-    def part(r: slice, c: FlopCounter | None) -> None:
-        idx = r if active is None else active[r]
-        h = t[idx]
-        f = ffn_residual(h, bw, c)
-        if p is not None:
-            g = p[idx]
-            soft = g < 1.0
-            if soft.any():
-                f[soft] = gate_combine(g[soft, None], f[soft], h[soft])
-        t[idx] = f
-
-    n = len(t) if active is None else active.size
-    _map_parts(part, _parts(n, 1), counter)
+    rows = np.arange(len(t)) if p is None else np.flatnonzero(p > 0.0)
+    _gated_parts(lambda h: ffn_residual(h, bw, counter), t, len(t), rows,
+                 None if p is None else p[rows])
     return TokenGrid(out.rows, out.cols, out.dim, t), computed, total
 
 
@@ -351,7 +330,7 @@ def _child_max(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def merge_patches(grid: TokenGrid, merge: tuple[np.ndarray, np.ndarray],
-                  counter: FlopCounter | None = None) -> TokenGrid:
+                  counter: FlopCounter = NO_FLOPS) -> TokenGrid:
     """2x2 consolidation: the grid halves and the dim doubles.
 
     Merges carry tokens only; _stage_maps derives every stage's probability
@@ -361,7 +340,7 @@ def merge_patches(grid: TokenGrid, merge: tuple[np.ndarray, np.ndarray],
     t = grid.tokens.reshape(rows, cols, d)
     children = (t[0::2, 0::2], t[0::2, 1::2], t[1::2, 0::2], t[1::2, 1::2])
     cat = np.concatenate(children, axis=-1).reshape(-1, 4 * d)
-    with flop_category(counter, "encoder_merge"):
+    with counter.category("encoder_merge"):
         merged = linear(cat, merge[0], merge[1], counter)
     return TokenGrid(rows // 2, cols // 2, 2 * d, merged)
 
@@ -411,7 +390,7 @@ def mask_key(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
 def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
            eps_c: tuple[float, ...] = (0.0,) * 4, gated: bool = True,
            bypass: bool = True, soft: bool = False,
-           counter: FlopCounter | None = None) -> EncodeResult:
+           counter: FlopCounter = NO_FLOPS) -> EncodeResult:
     """Run all four stages and drop inactive tokens from the final grid.
 
     With gated=False the probability map is ignored and every token gets
@@ -428,19 +407,18 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
     for s, blocks in enumerate(model.blocks):
         raw, binp = maps[s]
         gate = (raw if soft else binp) if gated else None
-        attn0 = counter.get("encoder_attention") if counter is not None else 0
+        attn0 = counter.get("encoder_attention")
         computed = total = 0
         for j, bw in enumerate(blocks):
             cur, c, n = gated_block(cur, gate, bw, model.window,
                                     shifted=(j % 2 == 1), counter=counter,
                                     bypass=bypass and gated)
             computed, total = computed + c, total + n
-        attn_flops = (counter.get("encoder_attention") - attn0
-                      if counter is not None else 0)
         trace.append(StageTraceEntry(
             stage=s + 1, n_tokens=cur.n_tokens, active=int(binp.sum()),
             windows_total=total, windows_computed=computed,
-            attn_flops=attn_flops, raw_entry=raw, binarized=binp))
+            attn_flops=counter.get("encoder_attention") - attn0,
+            raw_entry=raw, binarized=binp))
         if s < len(model.merges):
             # merge= by keyword: the benchmark's tracer reads that argument
             cur = merge_patches(cur, merge=model.merges[s], counter=counter)

@@ -26,8 +26,8 @@ from .content_filter import fit_mlp2, recall_precision
 from .encoder import BlockWeights, attn_residual, block_init, ffn_residual
 from .rng import Rng
 from .synthdoc import REGION_KINDS, LabeledImage
-from .tensor import (FlopCounter, LossCurve, Mlp2, flop_category,
-                     mlp2_forward, mlp2_init)
+from .tensor import (NO_FLOPS, FlopCounter, LossCurve, Mlp2, mlp2_forward,
+                     mlp2_init)
 
 VOCAB_SIZE = 256
 MAX_INSTRUCTION_LEN = 32
@@ -163,7 +163,7 @@ def grid_positions(indices: np.ndarray, side: int, dim: int) -> np.ndarray:
 
 
 def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
-         counter: FlopCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
+         counter: FlopCounter = NO_FLOPS) -> tuple[np.ndarray, np.ndarray]:
     """Self-attention + FFN over [V; I]; returns the fused halves (V', I')."""
     if instr.shape[0] == 0:
         raise ValueError("instruction token matrix must be non-empty")
@@ -183,14 +183,14 @@ def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
 
 
 def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
-                  counter: FlopCounter | None = None) -> np.ndarray:
+                  counter: FlopCounter = NO_FLOPS) -> np.ndarray:
     """Increasing indices of the fused visual tokens scoring at least eps.
 
     The kept indices select rows of the projected tokens the IFM took in,
     not of the fused features: the decoder consumes the original projected
     tokens.
     """
-    with flop_category(counter, "ifm"):
+    with counter.category("ifm"):
         scores, _ = mlp2_forward(v_fused, model.clf, counter, sigmoid_out=True)
     return np.flatnonzero(scores.ravel() >= eps)
 
@@ -255,11 +255,11 @@ def load_ifm(path) -> IfmModel:
     weights_io.check_shapes(path, arrays, {"meta": (2,)})
     (dim,) = weights_io.meta_dims(path, arrays["meta"], 1)
     # hidden widths come from the biases, every other dim from meta
-    hidden, ffn = arrays["clf_b1"].shape[:1], arrays["fuse_b1"].shape[:1]
-    shapes = {"embed": (VOCAB_SIZE, dim), "clf_b1": hidden,
-              "clf_w1": (dim, *hidden), "clf_w2": (*hidden, 1),
-              "clf_b2": (1,), "fuse_b1": ffn, "fuse_w1": (dim, *ffn),
-              "fuse_w2": (*ffn, dim)}
+    hidden, ffn = (weights_io.width(path, arrays, n)
+                   for n in ("clf_b1", "fuse_b1"))
+    shapes = {"embed": (VOCAB_SIZE, dim), "clf_w1": (dim, hidden),
+              "clf_w2": (hidden, 1), "clf_b2": (1,), "fuse_b1": (ffn,),
+              "fuse_w1": (dim, ffn), "fuse_w2": (ffn, dim)}
     for n in fusion_names:
         shapes.setdefault(f"fuse_{n}", (dim, dim) if n[0] == "w" else (dim,))
     weights_io.check_shapes(path, arrays, shapes)

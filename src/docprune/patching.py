@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng, init_uniform
-from .tensor import FlopCounter, linear
+from .tensor import NO_FLOPS, FlopCounter, linear
 
 
 @dataclass
@@ -71,7 +71,7 @@ def flatten_patches(img: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def partition(img: np.ndarray, embed: PatchEmbed,
-              counter: FlopCounter | None = None) -> TokenGrid:
+              counter: FlopCounter = NO_FLOPS) -> TokenGrid:
     flat = flatten_patches(img, embed.patch_size)
     tokens = linear(flat, embed.weight, embed.bias, counter)
     g = img.shape[0] // embed.patch_size

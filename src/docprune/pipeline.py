@@ -43,8 +43,8 @@ from .synthdoc import (LabeledImage, LayoutError, check_packable,
                        content_fraction, corpus_doc, patchify_any)
 # not called here, but bench/tracer.py wraps the name pipeline.make_corpus
 from .synthdoc import make_corpus  # noqa: F401
-from .tensor import (FlopCounter, Mlp2, SharedFlops, flop_category,
-                     map_on_cores, mlp2_forward, mlp2_init, one_blas_thread)
+from .tensor import (NO_FLOPS, FlopCounter, Mlp2, SharedFlops, map_on_cores,
+                     mlp2_forward, mlp2_init, one_blas_thread)
 
 SCHEMA_VERSION = 1
 DECODER_FLOPS_PER_TOKEN_SQ = 2 * 4096 * 32
@@ -107,10 +107,18 @@ class PipelineConfig:
                 raise ConfigError(
                     f"config field {f.name!r} must be {_type_name(hint)}, "
                     f"got {value!r}")
+            values = value if isinstance(value, tuple) else (value,)
+            if hint in (float, tuple[float, ...]):
+                try:    # stored as floats, 0 writes the report of 0.0
+                    values = tuple(map(float, values))
+                except OverflowError as e:
+                    raise ConfigError(f"config field {f.name!r} is past the "
+                                      f"float range, got {value!r}") from e
+                object.__setattr__(self, f.name,
+                                   values[0] if hint is float else values)
             low = _INT_MIN.get(f.name, 1)
-            ints = value if isinstance(value, tuple) else (value,)
             if hint in (int, tuple[int, ...]) and low is not None and any(
-                    v < low for v in ints):
+                    v < low for v in values):
                 raise ConfigError(
                     f"config field {f.name!r} must be >= {low}, got {value!r}")
         if not 0.0 <= self.content_fraction <= 1.0:
@@ -319,7 +327,7 @@ class _Setting:
     """One threshold setting's share of a walk: its FLOPs, wall time and
     per-document rows."""
 
-    def __init__(self, config: PipelineConfig, counter: FlopCounter | None):
+    def __init__(self, config: PipelineConfig, counter: FlopCounter):
         self.config = config
         self.counter = counter
         self.timings = dict.fromkeys(("generate", "detect", "encode",
@@ -412,10 +420,11 @@ def _timed(settings: list[_Setting], key: str):
         s.timings[key] += ms
 
 
-def _shared(settings) -> FlopCounter | None:
-    """The counter of one step that the given settings share."""
-    counters = [s.counter for s in settings if s.counter is not None]
-    return SharedFlops(counters) if counters else None
+def _shared(settings) -> FlopCounter:
+    """The counter of one step that the given settings share: a lone
+    setting's own, or a SharedFlops over several."""
+    counters = [s.counter for s in settings]
+    return counters[0] if len(counters) == 1 else SharedFlops(counters)
 
 
 def _encoded_groups(models: Models, doc: LabeledImage,
@@ -430,14 +439,14 @@ def _encoded_groups(models: Models, doc: LabeledImage,
     IFM uses them) that the IFM takes in. The walk and
     `prepare_ifm_samples` both go through here. Every step is called
     through this module's globals, so a wrapper installed on a name (as
-    `bench/tracer.py` does) sees each call; a shared step gets a
-    `SharedFlops` over its settings' counters, which charges each of them
-    what a lone `run` charges.
+    `bench/tracer.py` does) sees each call; a step that several settings
+    share gets a `SharedFlops` over their counters, which charges each of
+    them what a lone `run` charges.
     """
     counter = _shared(settings)
-    with flop_category(counter, "patch_embed"):
+    with counter.category("patch_embed"):
         grid = partition(doc.image, models.embed, counter)
-    with _timed(settings, "detect"), flop_category(counter, "detector"):
+    with _timed(settings, "detect"), counter.category("detector"):
         probs = detect(models.detector, doc, counter)
     groups: dict[bytes, list[_Setting]] = {}
     for s in settings:
@@ -449,7 +458,7 @@ def _encoded_groups(models: Models, doc: LabeledImage,
             encoded = encode(models.encoder, grid, probs, cfg.eps_c,
                              gated=cfg.gated, bypass=cfg.bypass,
                              soft=cfg.soft_gating, counter=counter)
-        with _timed(members, "project"), flop_category(counter, "projector"):
+        with _timed(members, "project"), counter.category("projector"):
             projected, _ = mlp2_forward(encoded.sequence, models.projector,
                                         counter)
         with _timed(members, "ifm"):
@@ -658,7 +667,7 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
     def sample(i: int):
         doc = corpus[i]
         ((_, encoded, v_in),) = _encoded_groups(
-            models, doc, [_Setting(config, None)])
+            models, doc, [_Setting(config, NO_FLOPS)])
         _, relevance, instr = _instruction(config, models, doc, i)
         cells = patchify_any(relevance, config.patch_size * 8).ravel()
         return v_in, instr, cells[encoded.kept_indices].astype(np.float64)

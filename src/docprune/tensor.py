@@ -12,7 +12,9 @@ two documented conventions:
   element.
 
 The counts are exact integers and additive over composed operations; only
-relative comparisons between runs are meaningful.
+relative comparisons between runs are meaningful. A kernel's counter is
+:data:`NO_FLOPS`, which keeps no count, unless one is given. Any thread
+may charge a counter, and a mapped item charges what the plain loop would.
 
 :func:`one_blas_thread` holds numpy's OpenBLAS at one thread process-wide
 for a block; :func:`map_on_cores` runs independent items on every
@@ -39,7 +41,8 @@ import math
 import os
 import queue
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +211,7 @@ def map_on_cores(fn, items) -> list:
     its own core. With one item or one core, or no OpenBLAS found, this
     is the plain loop, and so is a call made inside a mapped item, whose
     cores the outer call keeps busy. fn must not write state that another
-    item's call reads.
+    item's call reads. An item runs in a copy of the caller's context.
 
     With its own take done, the caller waits until no item it handed out
     still runs, never for a worker that took none; a worker that reaches
@@ -243,8 +246,10 @@ def map_on_cores(fn, items) -> list:
                 running -= 1
                 cond.notify()
 
+    context = copy_context()
     with one_blas_thread():
-        _pool.post(take, n - 1)
+        # a context runs on one thread at a time: each task takes a copy
+        _pool.post(lambda: context.copy().run(take), n - 1)
         _inside.item = True
         try:
             take()
@@ -257,31 +262,46 @@ def map_on_cores(fn, items) -> list:
     return results
 
 
+_TALLY = threading.Lock()      # every counter's tally changes under it
+
+
 class FlopCounter:
-    """Exact integer FLOP tally, bucketed by category. Per run, not global."""
+    """Exact integer FLOP tally, bucketed by category. Per run, not global.
+
+    Any thread may charge it, each under its own context's category.
+    """
 
     def __init__(self):
         self.by_category: dict[str, int] = {}
-        self._current = "uncategorized"
+        self._current = ContextVar("category", default="uncategorized")
 
     def add(self, n: int) -> None:
-        c = self._current
-        self.by_category[c] = self.by_category.get(c, 0) + int(n)
+        name = self._current.get()
+        with _TALLY:
+            self.by_category[name] = self.by_category.get(name, 0) + int(n)
 
     @contextmanager
     def category(self, name: str):
-        prev = self._current
-        self._current = name
+        """Charge name inside the block; the innermost category wins."""
+        token = self._current.set(name)
         try:
             yield self
         finally:
-            self._current = prev
+            self._current.reset(token)
 
     def total(self) -> int:
         return sum(self.by_category.values())
 
     def get(self, name: str) -> int:
         return self.by_category.get(name, 0)
+
+
+class _NoFlops(FlopCounter):
+    def add(self, n: int) -> None:
+        pass
+
+
+NO_FLOPS = _NoFlops()   # every kernel's default counter: it keeps no count
 
 
 class SharedFlops(FlopCounter):
@@ -299,21 +319,15 @@ class SharedFlops(FlopCounter):
         self.counters = list(counters)
 
     def add(self, n: int) -> None:
-        cat, n = self._current, int(n)
-        super().add(n * len(self.counters))
-        for c in self.counters:
-            c.by_category[cat] = c.by_category.get(cat, 0) + n
+        name, n = self._current.get(), int(n)
+        with _TALLY:
+            self.by_category[name] = (self.by_category.get(name, 0)
+                                      + n * len(self.counters))
+            for c in self.counters:
+                c.by_category[name] = c.by_category.get(name, 0) + n
 
     def get(self, name: str) -> int:
         return super().get(name) // len(self.counters)
-
-
-def flop_category(counter: FlopCounter | None, name: str):
-    """counter.category(name), or a no-op context when counter is None.
-
-    Categories do not nest: the innermost context wins.
-    """
-    return counter.category(name) if counter is not None else nullcontext()
 
 
 def _check_2d(name: str, a: np.ndarray) -> None:
@@ -332,44 +346,41 @@ def _check_stacks(**operands: np.ndarray) -> None:
                                    for n, o in operands.items()))
 
 
-def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None,
+def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter = NO_FLOPS,
            out: np.ndarray | None = None) -> np.ndarray:
     """a @ b, into out when given; 3-D operands are stacks of products."""
     _check_stacks(a=a, b=b)
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    if counter is not None:
-        counter.add(2 * math.prod(a.shape) * b.shape[-1])
+    counter.add(2 * math.prod(a.shape) * b.shape[-1])
     return np.matmul(a, b, out=out)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-           counter: FlopCounter | None = None,
+           counter: FlopCounter = NO_FLOPS,
            out: np.ndarray | None = None) -> np.ndarray:
     """x @ w + b, into out when given, with the bias add costed as one FLOP
     per output element."""
     y = matmul(x, w, counter, out)
     y += b
-    if counter is not None:
-        counter.add(y.size)
+    counter.add(y.size)
     return y
 
 
-def softmax_rows(a: np.ndarray, counter: FlopCounter | None = None,
+def softmax_rows(a: np.ndarray, counter: FlopCounter = NO_FLOPS,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis of a 2-D or stacked 3-D array, into out
     (a itself allowed) when given."""
     _check_stacks(a=a)
     e = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    if counter is not None:
-        counter.add(ELEMWISE_FLOPS * a.size)
+    counter.add(ELEMWISE_FLOPS * a.size)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-              counter: FlopCounter | None = None) -> np.ndarray:
+              counter: FlopCounter = NO_FLOPS) -> np.ndarray:
     _check_2d("a", a)
     if gamma.shape != (a.shape[1],) or beta.shape != (a.shape[1],):
         raise ValueError(
@@ -380,8 +391,7 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     centred = a - a.mean(axis=1, keepdims=True)
     out = centred * centred
     var = np.add.reduce(out, axis=1, keepdims=True) / a.shape[1]
-    if counter is not None:
-        counter.add(ELEMWISE_FLOPS * a.size)
+    counter.add(ELEMWISE_FLOPS * a.size)
     np.multiply(gamma, centred, out=out)
     out /= np.sqrt(var + 1e-5)
     out += beta
@@ -389,7 +399,7 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-              counter: FlopCounter | None = None) -> np.ndarray:
+              counter: FlopCounter = NO_FLOPS) -> np.ndarray:
     """softmax(q.kT / sqrt(d)).v, single head; 3-D operands are a stack of
     independent attentions, one per leading index."""
     _check_stacks(q=q, k=k, v=v)
@@ -438,7 +448,7 @@ def _gelu_prime(xb: np.ndarray, e: np.ndarray, out: np.ndarray) -> None:
     out += u
 
 
-def gelu(x: np.ndarray, counter: FlopCounter | None = None,
+def gelu(x: np.ndarray, counter: FlopCounter = NO_FLOPS,
          grad: np.ndarray | None = None,
          out: np.ndarray | None = None) -> np.ndarray:
     """Exact GELU, 0.5 * x * (1 + erf(x / sqrt(2))), walked in row blocks.
@@ -450,8 +460,7 @@ def gelu(x: np.ndarray, counter: FlopCounter | None = None,
     mapped item, or as one block, that is the plain loop. Every element
     is computed the same way on any thread.
     """
-    if counter is not None:
-        counter.add(ELEMWISE_FLOPS * x.size)
+    counter.add(ELEMWISE_FLOPS * x.size)
     h = np.empty(x.shape) if out is None else out
 
     def block(r):
@@ -475,9 +484,8 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def sigmoid(x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    if counter is not None:
-        counter.add(ELEMWISE_FLOPS * x.size)
+def sigmoid(x: np.ndarray, counter: FlopCounter = NO_FLOPS) -> np.ndarray:
+    counter.add(ELEMWISE_FLOPS * x.size)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -512,7 +520,7 @@ def mlp2_init(rng, in_dim: int, hidden: int, out_dim: int) -> Mlp2:
     )
 
 
-def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
+def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter = NO_FLOPS,
                  sigmoid_out: bool = False, spent: tuple | None = None):
     """Forward pass; returns (output, cache) where cache feeds the backward pass.
 
@@ -527,8 +535,8 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
     they are in cache. Each row of a product is its own dot product, and
     no block has fewer than MIN_PRODUCT_ROWS rows unless x has, so the
     bits are those of the whole product. h @ w2 stays whole on the calling
-    thread. The FLOPs are charged here, once, as linear, gelu and linear
-    charge them.
+    thread. Each block charges its linear and gelu, under the caller's
+    category.
     """
     _check_2d("x", x)
     if x.shape[1] != p.in_dim:
@@ -538,15 +546,12 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter | None = None,
     if h.shape != shape:
         raise ValueError(f"spent cache is for a hidden layer of {h.shape}, "
                          f"this pass needs {shape}")
-    if counter is not None:
-        counter.add(2 * x.size * h.shape[1] + h.size)
-        counter.add(ELEMWISE_FLOPS * h.size)
 
     def block(r):
         # erf dominates training time: gelu'(z1) comes from the forward's
         # erf block, and h overwrites z1, which nothing reads again
-        hb = linear(x[r], p.w1, p.b1, out=h[r])
-        gelu(hb, grad=d[r], out=hb)
+        hb = linear(x[r], p.w1, p.b1, counter, out=h[r])
+        gelu(hb, counter, grad=d[r], out=hb)
 
     map_on_cores(block, _row_blocks(h))
     z2 = linear(h, p.w2, p.b2, counter)

@@ -116,6 +116,14 @@ def check_shapes(path, arrays: dict[str, np.ndarray],
                 f"{arrays[name].shape}, expected {want}")
 
 
+def width(path, arrays: dict[str, np.ndarray], name: str) -> int:
+    """The length of a named 1-D array: a hidden bias fixes its width."""
+    if arrays[name].ndim != 1:
+        raise ValueError(f"weight file {path}: array {name!r} has shape "
+                         f"{arrays[name].shape}, expected 1-D")
+    return len(arrays[name])
+
+
 def meta_dims(path, meta: np.ndarray, n: int) -> list[int]:
     """The first n entries of a (checked) meta array as positive ints."""
     dims = meta[:n]

@@ -368,7 +368,7 @@ def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
                    for n, threads in calls), (cores, calls)
         assert max(n for n, _ in calls) > 1
     assert got[2] == got[1]
-    # each part charges its own counter, and their sum is the whole's
+    # the parts, on any thread, charge what one part of the whole charges
     monkeypatch.setattr(encoder, "_parts",
                         lambda n, rows: [slice(0, n)] if n else [])
     assert _encode_record(model, grid, p0, **options)[3] == got[1][3]

@@ -1,7 +1,13 @@
-"""The package's own modules import each other at module level only: a
+"""Checks over the package's source.
+
+The package's own modules import each other at module level only: a
 relative import inside a function hides a dependency between modules,
 often an import cycle worked around. Lazy imports of the standard library
-and of third-party packages stay allowed; they keep start-up cheap."""
+and of third-party packages stay allowed; they keep start-up cheap.
+
+FLOP accounting has one path: a counter is never None (tensor.NO_FLOPS
+is the default that keeps no count), so no kernel branches on a missing
+counter."""
 
 import ast
 from pathlib import Path
@@ -9,13 +15,39 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "docprune"
 
 
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_relative_import_inside_a_function():
     lazy = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees():
         lazy += [f"{path.name}:{node.lineno}"
                  for fn in ast.walk(tree)
                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                  for node in ast.walk(fn)
                  if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert not lazy, f"relative imports inside functions: {lazy}"
+
+
+def test_no_counter_defaults_to_none():
+    found = []
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            pairs = [*zip(positional[len(positional) - len(a.defaults):],
+                          a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+            found += [f"{path.name}:{fn.lineno} {fn.name}"
+                      for arg, default in pairs
+                      if arg.arg == "counter"
+                      and isinstance(default, ast.Constant)
+                      and default.value is None]
+        found += [f"{path.name}:{node.lineno} flop_category"
+                  for node in ast.walk(tree)
+                  if "flop_category" in (getattr(node, f, None)
+                                         for f in ("name", "id", "attr"))]
+    assert not found, f"optional FLOP counters: {found}"

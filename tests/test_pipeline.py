@@ -357,6 +357,22 @@ def test_geometry_validated():
         PipelineConfig(depths=(2, 2, 6))
 
 
+def test_float_fields_spelled_as_integers_write_the_same_report():
+    # JSON gives 0 for 0.0; the report must not show which was written
+    ints = _small_config(eps_c=[0, 0, 1, 1], eps_i=1, content_fraction=0)
+    floats = _small_config(eps_c=(0.0, 0.0, 1.0, 1.0), eps_i=1.0,
+                           content_fraction=0.0)
+    assert run(ints).to_json() == run(floats).to_json()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("eps_i", 10**400), ("content_fraction", -10**400),
+    ("eps_c", [0, 0, 0, 10**400])])
+def test_float_fields_past_the_float_range_are_config_errors(name, value):
+    with pytest.raises(ConfigError, match=f"config field {name!r}"):
+        _small_config(**{name: value})
+
+
 def test_schedule_errors_become_config_errors():
     with pytest.raises(ConfigError, match="non-decreasing"):
         PipelineConfig(eps_c=(0.5, 0.25, 0.5, 0.5))
@@ -438,7 +454,7 @@ def test_prepare_ifm_samples_equal_a_serial_loop(monkeypatch):
     want = []
     for i, doc in enumerate(corpus):
         ((_, encoded, v_in),) = pipeline._encoded_groups(
-            models, doc, [pipeline._Setting(cfg, None)])
+            models, doc, [pipeline._Setting(cfg, tensor.NO_FLOPS)])
         spec, relevance = instruction_filter.instruction_target(
             doc, instr_rng.derive(i).state)
         cells = patchify_any(relevance, cfg.patch_size * 8).ravel()

@@ -17,11 +17,11 @@ from scipy.special import erf
 
 from docprune import tensor
 from docprune.rng import Rng
-from docprune.tensor import (ELEMWISE_FLOPS, FlopCounter, LossCurve, Mlp2,
-                             SharedFlops, attention, bce_loss, gelu,
-                             gelu_grad, layernorm, linear, map_on_cores,
-                             matmul, mlp2_backward, mlp2_forward, mlp2_init,
-                             sigmoid, softmax_rows)
+from docprune.tensor import (ELEMWISE_FLOPS, NO_FLOPS, FlopCounter,
+                             LossCurve, Mlp2, SharedFlops, attention,
+                             bce_loss, gelu, gelu_grad, layernorm, linear,
+                             map_on_cores, matmul, mlp2_backward,
+                             mlp2_forward, mlp2_init, sigmoid, softmax_rows)
 from helpers import blas_threads, fake_cores, mlp2_zeros
 
 
@@ -448,9 +448,8 @@ def test_flop_counter_additive_across_composition():
 @pytest.mark.parametrize("sigmoid_out", [False, True])
 def test_mlp2_forward_charges_its_parts_under_the_callers_category(
         sigmoid_out):
-    # the hidden layer's blocks charge nothing themselves: the pass
-    # charges linear + gelu + linear (+ sigmoid) once, under the category
-    # that is current when it is called
+    # the hidden layer's blocks, on any thread, charge their linear and
+    # gelu under the category that is current when the pass is called
     x = Rng(32).uniforms(700 * 6).reshape(700, 6)
     p = mlp2_init(Rng(33), 6, 256, 2)
     got, want = FlopCounter(), FlopCounter()
@@ -655,6 +654,67 @@ def test_map_on_cores_returns_results_in_input_order(monkeypatch):
     assert sorted(seen) == list(range(3000))
     assert len(threads) >= 2
     assert blas.log == [1, 2] and blas.n == 2
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_items_on_cores_charge_what_the_plain_loop_charges(monkeypatch,
+                                                           cores):
+    # on two cores the two named items are inside their own categories at
+    # once (a barrier, 5 s at most); items that name none charge under
+    # the caller's category, as they do in the plain loop
+    _cores(monkeypatch, cores, _FakeBlas(2))
+    counter, threads = FlopCounter(), set()
+    barrier = threading.Barrier(cores, timeout=5)
+
+    def item(x):
+        name, n = x
+        threads.add(threading.get_ident())
+        if name is None:
+            counter.add(n)
+            return
+        with counter.category(name):
+            barrier.wait()
+            counter.add(n)
+        counter.add(1)
+
+    with counter.category("caller"):
+        map_on_cores(item, [("a", 10), ("b", 20), (None, 3), (None, 4)])
+        counter.add(100)
+    counter.add(1000)
+    assert len(threads) == cores
+    assert counter.by_category == {"a": 10, "b": 20, "caller": 109,
+                                   "uncategorized": 1000}
+
+
+def test_concurrent_adds_lose_no_update():
+    # more threads than cores and a short switch interval, so a lost
+    # read-modify-write of a tally would show
+    counter = FlopCounter()
+    shared = SharedFlops([counter, FlopCounter()])
+
+    def charge():
+        with counter.category("own"), shared.category("shared"):
+            for _ in range(1000):
+                counter.add(1)
+                shared.add(1)
+                NO_FLOPS.add(1)
+
+    threads = [threading.Thread(target=charge, daemon=True)
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counter.by_category == {"own": 8000, "shared": 8000}
+    assert shared.by_category == {"shared": 16000}
+    assert shared.counters[1].by_category == {"shared": 8000}
+    assert NO_FLOPS.by_category == {}
 
 
 def test_map_on_cores_stops_at_a_failure_and_raises_the_lowest(monkeypatch):

@@ -185,6 +185,31 @@ def test_damaged_array_is_value_error_naming_it(tmp_path, kind, name, damage):
     assert f"array {name!r}" in str(err.value)
 
 
+def _write_rank0(path, name: str) -> None:
+    """Rewrite a weight file with array name stored as a rank-0 scalar,
+    which write_weights cannot write."""
+    kind, arrays = read_weights(path)
+    raw = MAGIC + struct.pack("<III", VERSION, kind, len(arrays))
+    for n, a in arrays.items():
+        a = np.array(a.flat[0]) if n == name else a
+        raw += (struct.pack("<H", len(n)) + n.encode() +
+                struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape) +
+                a.astype("<f8").tobytes())
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("detector", "b1"), ("ifm", "clf_b1"), ("ifm", "fuse_b1")])
+def test_rank0_hidden_bias_is_value_error_naming_it(tmp_path, kind, name):
+    # a hidden bias fixes its layer's width, so it must be 1-D
+    path, load = _saved_model(tmp_path, kind, 0)
+    _write_rank0(path, name)
+    assert read_weights(path)[1][name].shape == ()
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load(path)
+    assert f"array {name!r}" in str(err.value)
+
+
 @pytest.mark.parametrize("kind,name,bad", [
     ("detector", "w1", np.nan),
     ("detector", "embed_b", -np.inf),
