@@ -24,7 +24,7 @@ from .instruction_filter import evaluate_ifm, save_ifm, train_ifm
 from .pipeline import (PROFILES, ConfigError, PipelineConfig, build_models,
                        prepare_ifm_samples, render_masks, run, summary_row,
                        sweep, write_report, write_summary_csv)
-from .synthdoc import make_corpus, mean_content_fraction, save_corpus
+from .synthdoc import make_corpus, save_corpus
 
 DEFAULT_GRID = "0.25:0.25,0.25:0.5,0.5:0.25,0.5:0.5"
 
@@ -123,21 +123,25 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig.from_dict(base)
 
 
-def _config_and_corpus(args) -> tuple[PipelineConfig, list]:
-    """The config the flags describe, --n overriding its corpus_n, and the
-    corpus it describes."""
+def _corpus_config(args) -> PipelineConfig:
+    """The config the flags describe, --n overriding its corpus_n."""
     config = _load_config(args)
-    if args.n is not None:
-        config = replace(config, corpus_n=args.n)
+    return config if args.n is None else replace(config, corpus_n=args.n)
+
+
+def _config_and_corpus(args) -> tuple[PipelineConfig, list]:
+    """_corpus_config and the corpus it describes."""
+    config = _corpus_config(args)
     return config, make_corpus(config.corpus_n, config.content_fraction,
                                config.image_size, config.seed)
 
 
 def _cmd_gen(args) -> int:
-    _, docs = _config_and_corpus(args)
-    out = save_corpus(docs, args.out)
-    print(f"wrote {len(docs)} documents to {out} "
-          f"(mean content fraction {mean_content_fraction(docs):.3f})")
+    config = _corpus_config(args)
+    mean = save_corpus(config.corpus_n, config.content_fraction,
+                       config.image_size, config.seed, args.out)
+    print(f"wrote {config.corpus_n} documents to {Path(args.out)} "
+          f"(mean content fraction {mean:.3f})")
     return 0
 
 

@@ -254,6 +254,11 @@ def load_ifm(path) -> IfmModel:
          *(f"fuse_{n}" for n in fusion_names)))
     weights_io.check_shapes(path, arrays, {"meta": (2,)})
     (dim,) = weights_io.meta_dims(path, arrays["meta"], 1)
+    use_positions = arrays["meta"][1]
+    if use_positions not in (0.0, 1.0):
+        raise ValueError(f"weight file {path}: array 'meta' holds "
+                         f"{arrays['meta'].tolist()}; its use_positions "
+                         "flag must be 0.0 or 1.0")
     # hidden widths come from the biases, every other dim from meta
     hidden, ffn = (weights_io.width(path, arrays, n)
                    for n in ("clf_b1", "fuse_b1"))
@@ -267,4 +272,4 @@ def load_ifm(path) -> IfmModel:
     clf = Mlp2(arrays["clf_w1"], arrays["clf_b1"],
                arrays["clf_w2"], arrays["clf_b2"])
     return IfmModel(embed=arrays["embed"], fusion=fusion, clf=clf,
-                    use_positions=bool(arrays["meta"][1] > 0.5))
+                    use_positions=bool(use_positions))

@@ -117,10 +117,11 @@ def check_shapes(path, arrays: dict[str, np.ndarray],
 
 
 def width(path, arrays: dict[str, np.ndarray], name: str) -> int:
-    """The length of a named 1-D array: a hidden bias fixes its width."""
-    if arrays[name].ndim != 1:
+    """The length of a named 1-D array: a hidden bias fixes its width,
+    which is at least 1."""
+    if arrays[name].ndim != 1 or len(arrays[name]) < 1:
         raise ValueError(f"weight file {path}: array {name!r} has shape "
-                         f"{arrays[name].shape}, expected 1-D")
+                         f"{arrays[name].shape}, expected 1-D of length >= 1")
     return len(arrays[name])
 
 

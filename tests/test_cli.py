@@ -3,11 +3,13 @@ and artifacts landing where the flags say."""
 
 import json
 import shlex
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from docprune import synthdoc
 from docprune.cli import build_parser, main
 from docprune.instruction_filter import save_ifm
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
@@ -41,6 +43,24 @@ def test_gen_writes_corpus(tmp_path, config_file, capsys):
     assert (out / "doc_0000.pgm").exists()
     assert (out / "doc_0001.mask.pbm").exists()
     assert "wrote 2 documents" in capsys.readouterr().out
+
+
+def test_gen_holds_one_page_at_a_time(tmp_path, config_file, monkeypatch,
+                                      capsys):
+    pages, alive = [], []
+    real = synthdoc.generate
+
+    def tracking(spec):
+        doc = real(spec)
+        pages.append(weakref.ref(doc))
+        alive.append(sum(p() is not None for p in pages))
+        return doc
+
+    monkeypatch.setattr(synthdoc, "generate", tracking)
+    assert main(["gen", "--config", config_file, "--n", "4",
+                 "--out", str(tmp_path / "corpus")]) == 0
+    assert alive == [1, 1, 1, 1]
+    assert "wrote 4 documents" in capsys.readouterr().out
 
 
 def test_gen_deterministic_in_seed(tmp_path, config_file):
@@ -233,6 +253,22 @@ def test_non_finite_ifm_weights_are_exit_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(weights) in err and "'clf_w2' holds NaN or inf" in err
+    assert not out.exists()
+
+
+def test_zero_width_detector_is_exit_2(tmp_path, capsys):
+    # a detector of no hidden units loaded and ran on a constant content map
+    weights, out = tmp_path / "det.hrvd", tmp_path / "out"
+    detector_file(weights)
+    kind, arrays = read_weights(weights)
+    write_weights(weights, kind, dict(arrays, b1=arrays["b1"][:0],
+                                      w1=arrays["w1"][:, :0],
+                                      w2=arrays["w2"][:0]))
+    path = _weights_config(tmp_path, "detector_weights", weights)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'detector_weights'" in err
+    assert "array 'b1' has shape (0,)" in err
     assert not out.exists()
 
 

@@ -51,3 +51,24 @@ def test_no_counter_defaults_to_none():
                   if "flop_category" in (getattr(node, f, None)
                                          for f in ("name", "id", "attr"))]
     assert not found, f"optional FLOP counters: {found}"
+
+
+LAYOUT_TYPES = ("ContentRegion", "LayoutSpec")
+PLANNER = ("plan_layout", "_flow_rows", "_fill_column")
+
+
+def test_layouts_are_built_only_by_the_planner():
+    planned, elsewhere = [], []
+    for path, tree in _trees():
+        planner = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and path.name == "synthdoc.py" and fn.name in PLANNER
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+            ) in LAYOUT_TYPES:
+                where = planned if id(node) in planner else elsewhere
+                where.append(f"{path.name}:{node.lineno}")
+    assert planned, "the planner builds no layout"
+    assert not elsewhere, f"layouts built outside the planner: {elsewhere}"

@@ -174,8 +174,12 @@ def test_wrong_shape_is_value_error_naming_it(tmp_path, kind, seed):
     ("ifm", "meta", lambda a: np.array([np.inf, 1.0])),
     # the meta of IFM files that also stored eps_i: [dim, eps_i, positions]
     ("ifm", "meta", lambda a: np.array([a[0], 0.5, a[1]])),
+    # the use_positions flag is 0.0 or 1.0, never read by rounding
+    ("ifm", "meta", lambda a: np.array([a[0], 0.7])),
+    ("ifm", "meta", lambda a: np.array([a[0], -3.0])),
 ], ids=["w1-cut", "clf_w2-cut", "det-meta-short", "ifm-meta-short",
-        "meta-nan", "meta-zero", "meta-fraction", "meta-inf", "ifm-meta-old"])
+        "meta-nan", "meta-zero", "meta-fraction", "meta-inf", "ifm-meta-old",
+        "positions-0.7", "positions-neg3"])
 def test_damaged_array_is_value_error_naming_it(tmp_path, kind, name, damage):
     path, load = _saved_model(tmp_path, kind, 0)
     _, arrays = read_weights(path)
@@ -208,6 +212,23 @@ def test_rank0_hidden_bias_is_value_error_naming_it(tmp_path, kind, name):
     with pytest.raises(ValueError, match=re.escape(str(path))) as err:
         load(path)
     assert f"array {name!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("kind,bias,w_in,w_out", [
+    ("detector", "b1", "w1", "w2"),
+    ("ifm", "clf_b1", "clf_w1", "clf_w2"),
+    ("ifm", "fuse_b1", "fuse_w1", "fuse_w2")])
+def test_zero_width_hidden_layer_is_value_error_naming_it(tmp_path, kind,
+                                                          bias, w_in, w_out):
+    # a hidden layer of no units, its weights shaped to match: the model
+    # would load and then compute a constant
+    path, load = _saved_model(tmp_path, kind, 0)
+    _, arrays = read_weights(path)
+    _rewrite(path, **{bias: arrays[bias][:0], w_in: arrays[w_in][:, :0],
+                      w_out: arrays[w_out][:0]})
+    with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+        load(path)
+    assert f"array {bias!r} has shape (0,)" in str(err.value)
 
 
 @pytest.mark.parametrize("kind,name,bad", [
