@@ -24,8 +24,10 @@ a time, and its bits on OpenBLAS's AVX-512 GEMM kernels (its AVX2 Haswell
 ones round a product's last bit by row count); only a 1-token window, a
 GEMV alone and part of a GEMM in a stack, rounds differently. An FFN's
 parts are rows of its active rows. A part charges the caller's counter
-as the plain loop would. How a sublayer is cut depends on its window and
-row counts alone, so the bits do not depend on the core count.
+as the plain loop would; a stage's trace takes its attention FLOPs from
+its computed windows (window_attn_flops), never from a counter. How a
+sublayer is cut depends on its window and row counts alone, so the bits
+do not depend on the core count.
 
 Probabilities propagate through merges by taking the max over the four
 children on the RAW values; each stage re-binarizes the raw map against
@@ -176,6 +178,14 @@ def attn_residual(x: np.ndarray, bw: BlockWeights,
         out = linear(ctx, bw.wo, bw.bo, counter, out=a)
     out += rows
     return out.reshape(x.shape)
+
+
+def window_attn_flops(window: int, d: int) -> int:
+    """The attention FLOPs attn_residual charges a window of n = window^2
+    slots (pad slots too) of width d: Swin's cost (arXiv 2103.14030), q/k/v/o
+    with biases 8nd^2 + 4nd and scores and values 4n^2 d, plus softmax 5n^2."""
+    n = window * window
+    return 8 * n * d * d + 4 * n * d + 4 * n * n * d + 5 * n * n
 
 
 def ffn_residual(x: np.ndarray, bw: BlockWeights,
@@ -407,17 +417,16 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
     for s, blocks in enumerate(model.blocks):
         raw, binp = maps[s]
         gate = (raw if soft else binp) if gated else None
-        attn0 = counter.get("encoder_attention")
         computed = total = 0
         for j, bw in enumerate(blocks):
             cur, c, n = gated_block(cur, gate, bw, model.window,
                                     shifted=(j % 2 == 1), counter=counter,
-                                    bypass=bypass and gated)
+                                    bypass=bypass)
             computed, total = computed + c, total + n
         trace.append(StageTraceEntry(
             stage=s + 1, n_tokens=cur.n_tokens, active=int(binp.sum()),
             windows_total=total, windows_computed=computed,
-            attn_flops=counter.get("encoder_attention") - attn0,
+            attn_flops=computed * window_attn_flops(model.window, cur.dim),
             raw_entry=raw, binarized=binp))
         if s < len(model.merges):
             # merge= by keyword: the benchmark's tracer reads that argument

@@ -509,10 +509,10 @@ def _walk(configs: list[PipelineConfig]) -> list[RunReport]:
     setting before the next one is made.
 
     The documents are walked serially, on the calling thread. They are
-    independent, and `tensor.map_on_cores` could take them one per core
-    as `prepare_ifm_samples` does, but bench/tracer.py keeps one span
-    stack per process: spans of two documents in flight at once would
-    nest into each other and charge one's FLOPs to the other's spans.
+    independent and may charge one counter at once, so `map_on_cores`
+    could take them one per core; the one reason left not to is that
+    bench/tracer.py keeps one span stack per process: spans of two
+    documents in flight would nest and charge one's FLOPs to the other's.
     The cores are used below the spans instead: each encoder sublayer
     maps its parts onto them. The walk holds OpenBLAS at one thread
     throughout (`tensor.one_blas_thread`); switched back to its own

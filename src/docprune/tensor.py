@@ -24,12 +24,12 @@ items, not for workers; a call inside a mapped item is the plain loop.
 Training holds the count for its whole loop and maps row blocks onto
 cores: :func:`mlp2_forward`'s blocks each compute their rows of the first
 product and its GELU, and :func:`mlp2_backward`'s scale their rows of the
-GELU gradient. Each row of a product is its own dot product, so a block
-of at least MIN_PRODUCT_ROWS rows gives the whole product's bits; the
-products that sum over rows (``x.T @ dz1``, ``h.T @ dz2``) stay one call
-on the calling thread. So trained bytes depend on neither the core count
-nor the BLAS thread count. The encoder maps the parts of each sublayer
-(``encoder._parts``), and GELU blocks inside a part run inline.
+GELU gradient; :func:`gelu` walks its own blocks on the calling thread.
+Each row of a product is its own dot product, so a block of at least
+MIN_PRODUCT_ROWS rows gives the whole product's bits; the products that
+sum over rows (``x.T @ dz1``, ``h.T @ dz2``) stay one call on the calling
+thread. So trained bytes depend on neither the core count nor the BLAS
+thread count. The encoder maps its sublayers' parts (``encoder._parts``).
 """
 
 from __future__ import annotations
@@ -309,9 +309,7 @@ class SharedFlops(FlopCounter):
 
     Each add charges n to every run's counter, under this counter's
     current category, so each run is charged what computing alone would
-    cost it. This counter's own tally (by_category, total) is their sum;
-    get reads one run's share of it, which is exact because every add
-    charges each run the same n.
+    cost it. Its own tally (by_category, total, get) is their sum.
     """
 
     def __init__(self, counters):
@@ -325,9 +323,6 @@ class SharedFlops(FlopCounter):
                                       + n * len(self.counters))
             for c in self.counters:
                 c.by_category[name] = c.by_category.get(name, 0) + n
-
-    def get(self, name: str) -> int:
-        return super().get(name) // len(self.counters)
 
 
 def _check_2d(name: str, a: np.ndarray) -> None:
@@ -456,31 +451,25 @@ def gelu(x: np.ndarray, counter: FlopCounter = NO_FLOPS,
     A whole-array pass streams every temporary through memory; a block's
     temporaries stay in cache. When given, grad (shaped like x) receives
     gelu'(x) from the same erf block, and out (x itself allowed) receives
-    the result. The blocks are mapped on cores (map_on_cores): inside a
-    mapped item, or as one block, that is the plain loop. Every element
-    is computed the same way on any thread.
+    the result. The blocks run in order on the calling thread; the
+    training kernels that map row blocks on cores call gelu per block.
     """
     counter.add(ELEMWISE_FLOPS * x.size)
     h = np.empty(x.shape) if out is None else out
-
-    def block(r):
-        xb = x[r]
+    for r in _row_blocks(x):
+        xb, hb = x[r], h[r]
         e = _onep(xb)
         if grad is not None:
             _gelu_prime(xb, e, grad[r])
-        hb = h[r]
         np.multiply(0.5, xb, out=hb)
         hb *= e
-
-    map_on_cores(block, _row_blocks(x))
     return h
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """gelu'(x), walked in row blocks; training takes it from gelu(grad=)."""
+    """gelu'(x), from gelu's erf pass; training takes it from gelu(grad=)."""
     g = np.empty(x.shape)
-    for r in _row_blocks(x):
-        _gelu_prime(x[r], _onep(x[r]), g[r])
+    gelu(x, grad=g)
     return g
 
 

@@ -10,7 +10,8 @@ import pytest
 from docprune import encoder, tensor
 from docprune.encoder import (EncoderModel, attn_residual, block_init, encode,
                               encoder_init, ffn_residual, gate_combine,
-                              gated_block, merge_patches, window_pass)
+                              gated_block, merge_patches, window_attn_flops,
+                              window_pass)
 from docprune.patching import TokenGrid
 from docprune.rng import Rng
 from docprune.tensor import FlopCounter
@@ -283,6 +284,37 @@ def test_chunk_size_does_not_change_bytes_or_flops(monkeypatch):
             run.append((out.tokens.tobytes(), counts, counter.by_category))
         runs.append(run)
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("window,d", [(1, 8), (2, 16), (3, 24), (8, 32),
+                                      (5, 64)])
+def test_window_attn_flops_is_what_attn_residual_charges(window, d):
+    n, stack = window * window, 3
+    x = Rng(window).uniforms(stack * n * d, -1, 1).reshape(stack, n, d)
+    counter = FlopCounter()
+    attn_residual(x, _wide_block(d, d), counter)
+    assert counter.get("encoder_attention") == stack * window_attn_flops(
+        window, d)
+    if (window, d) == (8, 32):
+        assert window_attn_flops(window, d) == 1_077_248
+
+
+def test_encode_without_a_counter_returns_the_same_trace():
+    # attn_flops comes from the computed windows, not from a counter
+    model = _model(seed=3, d0=8, depths=(2, 1, 1, 1), window=4)
+    grid = _grid(side=16, dim=8, seed=4)
+    p0 = Rng(5).uniforms(grid.n_tokens)
+
+    def trace(**counter):
+        return [(e.stage, e.n_tokens, e.active, e.windows_total,
+                 e.windows_computed, e.attn_flops, e.raw_entry.tobytes(),
+                 e.binarized.tobytes())
+                for e in encode(model, grid, p0, DEFAULT_EPS_C,
+                                **counter).trace]
+
+    counted = trace(counter=FlopCounter())
+    assert all(e[5] > 0 for e in counted)
+    assert trace() == counted
 
 
 def test_sublayers_leave_their_inputs_unchanged():

@@ -25,6 +25,7 @@ import pytest
 
 from docprune.cli import DEFAULT_GRID, _parse_grid
 from docprune.content_filter import mlp_detector, train_detector
+from docprune.encoder import window_attn_flops
 from docprune.instruction_filter import train_ifm
 from docprune.pipeline import (PipelineConfig, build_models,
                                prepare_ifm_samples, run, sweep)
@@ -97,9 +98,24 @@ def _weights_sha(mlp) -> str:
     return h.hexdigest()
 
 
+def _assert_attention_closed_form(report) -> None:
+    """Each stage's attn_flops is its computed windows times the closed
+    form at the stage's width, and the stages sum to what the counter
+    charged encoder_attention."""
+    cfg = report.config
+    for st in report.stages:
+        width = cfg["d0"] * 2 ** (st["stage"] - 1)
+        assert st["attn_flops"] == st["windows_computed"] * window_attn_flops(
+            cfg["window"], width), st
+    assert (sum(st["attn_flops"] for st in report.stages)
+            == report.flops["by_category"]["encoder_attention"])
+
+
 def test_default_sweep_digests():
     reports, _ = sweep(PipelineConfig(seed=7), _parse_grid(DEFAULT_GRID))
     assert [_sha(r.to_json()) for r in reports] == SWEEP_SEED7
+    for r in reports:
+        _assert_attention_closed_form(r)
 
 
 @pytest.fixture()
@@ -115,6 +131,8 @@ def test_graded_sweep_digests(det_weights):
     cfg = PipelineConfig(**SMALL, detector="mlp", detector_weights=det_weights)
     reports, _ = sweep(cfg, GRADED_GRID)
     assert [_sha(r.to_json()) for r in reports] == GRADED_SWEEP
+    for r in reports:
+        _assert_attention_closed_form(r)
 
 
 @pytest.mark.parametrize("name,overrides", [
@@ -122,8 +140,9 @@ def test_graded_sweep_digests(det_weights):
     ("mlp_detector", {"detector": "mlp", "detector_weights": "det.hrvd"}),
 ])
 def test_small_run_digests(det_weights, name, overrides):
-    cfg = PipelineConfig(**{**SMALL, **overrides})
-    assert _sha(run(cfg).to_json()) == SMALL_RUNS[name]
+    report = run(PipelineConfig(**{**SMALL, **overrides}))
+    assert _sha(report.to_json()) == SMALL_RUNS[name]
+    _assert_attention_closed_form(report)
 
 
 def test_ifm_samples_digest():

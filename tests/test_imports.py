@@ -7,7 +7,9 @@ and of third-party packages stay allowed; they keep start-up cheap.
 
 FLOP accounting has one path: a counter is never None (tensor.NO_FLOPS
 is the default that keeps no count), so no kernel branches on a missing
-counter."""
+counter. A counter is only written while work runs: only the counter
+classes and pipeline._Setting.report read one, so work on any thread may
+charge it."""
 
 import ast
 from pathlib import Path
@@ -51,6 +53,39 @@ def test_no_counter_defaults_to_none():
                   if "flop_category" in (getattr(node, f, None)
                                          for f in ("name", "id", "attr"))]
     assert not found, f"optional FLOP counters: {found}"
+
+
+# (module, qualified class or function name) that may read a counter
+COUNTER_READERS = {("tensor.py", "FlopCounter"), ("tensor.py", "SharedFlops"),
+                   ("pipeline.py", "_Setting.report")}
+
+
+def _scopes(node, prefix=""):
+    """(qualified name, node) of every class and function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield prefix + child.name, child
+            yield from _scopes(child, f"{prefix}{child.name}.")
+
+
+def _is_counter(node) -> bool:
+    text = ast.unparse(node).lower()
+    return "counter" in text or "flops" in text
+
+
+def test_only_the_report_reads_a_counter():
+    found = []
+    for path, tree in _trees():
+        allowed = {id(node) for name, scope in _scopes(tree)
+                   if (path.name, name) in COUNTER_READERS
+                   for node in ast.walk(scope)}
+        for node in ast.walk(tree):
+            if id(node) in allowed or not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "by_category" or (
+                    node.attr in ("get", "total") and _is_counter(node.value)):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, f"counters read outside the report: {found}"
 
 
 LAYOUT_TYPES = ("ContentRegion", "LayoutSpec")
