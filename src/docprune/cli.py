@@ -27,6 +27,8 @@ from .pipeline import (PROFILES, ConfigError, PipelineConfig, build_models,
 from .synthdoc import make_corpus, save_corpus
 
 DEFAULT_GRID = "0.25:0.25,0.25:0.5,0.5:0.25,0.5:0.5"
+# peak bytes a pixel of making one page (synthdoc.corpus_doc, tracemalloc)
+_PAGE_BYTES_PER_PIXEL = 32
 
 
 def _resolve_seed(flag_seed: int | None, file_cfg: dict) -> int:
@@ -120,7 +122,15 @@ def _load_config(args) -> PipelineConfig:
     base.update(file_cfg)
     base["profile"] = profile
     base["seed"] = _resolve_seed(args.seed, file_cfg)
-    return PipelineConfig.from_dict(base)
+    config = PipelineConfig.from_dict(base)
+    # this machine's bound: kept out of PipelineConfig, so out of reports
+    need = _PAGE_BYTES_PER_PIXEL * config.image_size ** 2
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ConfigError(f"config field 'image_size' {config.image_size} "
+                          f"needs {need / 2**30:,.1f} GiB to make a page; "
+                          f"memory is {memory / 2**30:,.1f} GiB")
+    return config
 
 
 def _corpus_config(args) -> PipelineConfig:

@@ -23,11 +23,11 @@ sum mixes two windows' rows, so a stack gives the FLOPs of one window at
 a time, and its bits on OpenBLAS's AVX-512 GEMM kernels (its AVX2 Haswell
 ones round a product's last bit by row count); only a 1-token window, a
 GEMV alone and part of a GEMM in a stack, rounds differently. An FFN's
-parts are rows of its active rows. A part charges the caller's counter
-as the plain loop would; a stage's trace takes its attention FLOPs from
-its computed windows (window_attn_flops), never from a counter. How a
-sublayer is cut depends on its window and row counts alone, so the bits
-do not depend on the core count.
+parts are rows of its active rows; tensor.row_parts cuts both. A part
+charges the caller's counter as the plain loop would; a stage's trace
+takes its attention FLOPs from its computed windows (window_attn_flops),
+never from a counter. How a sublayer is cut depends on its counts and
+widths alone, so the bits do not depend on the core count.
 
 Probabilities propagate through merges by taking the max over the four
 children on the RAW values; each stage re-binarizes the raw map against
@@ -49,8 +49,8 @@ import numpy as np
 from .content_filter import binarize
 from .patching import TokenGrid
 from .rng import Rng, init_uniform
-from .tensor import (MIN_PRODUCT_ROWS, NO_FLOPS, FlopCounter, attention,
-                     gelu, layernorm, linear, map_on_cores)
+from .tensor import (NO_FLOPS, FlopCounter, attention, gelu, layernorm,
+                     linear, map_on_cores, row_parts)
 
 
 @dataclass
@@ -218,30 +218,11 @@ def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-# rows per part of a sublayer at most: a part's windows share one set of
-# products, and its temporaries stay in cache
-_CHUNK_ROWS = 1024
-
-
-def _parts(n: int, rows: int) -> list[slice]:
-    """n items of `rows` rows each, cut into parts of whole items.
-
-    The parts are as even as can be and as few as keep each within
-    _CHUNK_ROWS rows (or one item), but two at least where each holds
-    tensor.MIN_PRODUCT_ROWS rows. The cut depends on the counts alone,
-    never on the core count, so every product has one shape on any
-    machine.
-    """
-    k = -(-n // max(1, _CHUNK_ROWS // rows))
-    if k == 1 and n // 2 * rows >= MIN_PRODUCT_ROWS:
-        k = 2
-    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
-
-
 def _gated_parts(sublayer, t: np.ndarray, n: int, idx: np.ndarray,
-                 gates: np.ndarray | None) -> None:
-    """t[idx] = sublayer(t[idx]) by gate, in parts of whole items (_parts:
-    idx[i] is a window's slots, or a row) on every core (map_on_cores).
+                 gates: np.ndarray | None, width: int) -> None:
+    """t[idx] = sublayer(t[idx]) by gate, in parts of whole items
+    (idx[i] is a window's slots, or a row) on every core (map_on_cores),
+    cut by tensor.row_parts at width, the widest row a part writes.
 
     A row takes the result at gate 1, gate_combine's blend strictly between
     0 and 1, and keeps its bits at 0; gates None is the ungated reference
@@ -264,7 +245,7 @@ def _gated_parts(sublayer, t: np.ndarray, n: int, idx: np.ndarray,
             i, new = i[write], new[write]
         t[i] = new
 
-    map_on_cores(part, _parts(len(idx), math.prod(idx.shape[1:])))
+    map_on_cores(part, row_parts(len(idx), math.prod(idx.shape[1:]), width))
 
 
 def _window_slots(rows: int, cols: int, window: int,
@@ -308,7 +289,9 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
         keep = gates.any(axis=1)
         slots, gates = slots[keep], gates[keep]
     t = np.vstack([grid.tokens, np.zeros((1, d))])
-    _gated_parts(lambda h: attn_residual(h, bw, counter), t, n, slots, gates)
+    # a part's widest rows: a projection's (d) or a score's (window^2)
+    _gated_parts(lambda h: attn_residual(h, bw, counter), t, n, slots, gates,
+                 max(d, window * window))
     return TokenGrid(grid.rows, grid.cols, d, t[:n]), len(slots), total
 
 
@@ -326,7 +309,7 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     t = out.tokens
     rows = np.arange(len(t)) if p is None else np.flatnonzero(p > 0.0)
     _gated_parts(lambda h: ffn_residual(h, bw, counter), t, len(t), rows,
-                 None if p is None else p[rows])
+                 None if p is None else p[rows], bw.w1.shape[1])
     return TokenGrid(out.rows, out.cols, out.dim, t), computed, total
 
 

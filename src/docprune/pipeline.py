@@ -330,8 +330,8 @@ class _Setting:
     def __init__(self, config: PipelineConfig, counter: FlopCounter):
         self.config = config
         self.counter = counter
-        self.timings = dict.fromkeys(("generate", "detect", "encode",
-                                      "project", "ifm"), 0.0)
+        self.timings = dict.fromkeys(("generate", "patch_embed", "detect",
+                                      "encode", "project", "ifm"), 0.0)
         self.stages: list[dict] | None = None
         self.per_doc: list[dict] = []
 
@@ -444,7 +444,7 @@ def _encoded_groups(models: Models, doc: LabeledImage,
     them what a lone `run` charges.
     """
     counter = _shared(settings)
-    with counter.category("patch_embed"):
+    with _timed(settings, "patch_embed"), counter.category("patch_embed"):
         grid = partition(doc.image, models.embed, counter)
     with _timed(settings, "detect"), counter.category("detector"):
         probs = detect(models.detector, doc, counter)

@@ -21,15 +21,15 @@ for a block; :func:`map_on_cores` runs independent items on every
 available core inside such a hold, on the calling thread and on worker
 threads that start on first use and stay. A call waits for its running
 items, not for workers; a call inside a mapped item is the plain loop.
-Training holds the count for its whole loop and maps row blocks onto
-cores: :func:`mlp2_forward`'s blocks each compute their rows of the first
-product and its GELU, and :func:`mlp2_backward`'s scale their rows of the
-GELU gradient; :func:`gelu` walks its own blocks on the calling thread.
+One rule cuts rows into parts (:func:`row_parts`). The encoder maps its
+sublayers' parts onto cores; training holds the count for its whole loop
+and maps row blocks: :func:`mlp2_forward`'s compute their rows of the
+first product and its GELU, :func:`mlp2_backward`'s scale their rows of
+the GELU gradient, and :func:`gelu` walks its own on the calling thread.
 Each row of a product is its own dot product, so a block of at least
 MIN_PRODUCT_ROWS rows gives the whole product's bits; the products that
 sum over rows (``x.T @ dz1``, ``h.T @ dz2``) stay one call on the calling
-thread. So trained bytes depend on neither the core count nor the BLAS
-thread count. The encoder maps its sublayers' parts (``encoder._parts``).
+thread. So trained bytes depend on neither core nor BLAS thread count.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ ELEMWISE_FLOPS = 5
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
-# elements per row block of the GELU kernels, the MLP's first product and
-# the backward's scaling: 512 KB, so a block and its temporaries stay in
-# L2. Serial timings are flat from 4k to 64k elements; on cores, larger
-# blocks mean fewer hand-offs between threads
+# elements per part of row_parts, about: 512 KB, so a part and its
+# temporaries stay in L2. Serial timings of the GELU kernels are flat from
+# 4k to 64k elements; on cores, larger parts mean fewer hand-offs between
+# threads
 _BLOCK = 65536
-# rows of a product block at least, unless the whole product has fewer:
+# rows of a product part at least, unless the whole product has fewer:
 # OpenBLAS takes other kernels at M <= 18 and a GEMV at M = 1, so a
 # smaller block could round its rows differently from the whole product
 MIN_PRODUCT_ROWS = 64
@@ -409,16 +409,19 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return matmul(weights, v, counter)
 
 
-def _row_blocks(a: np.ndarray) -> list[slice]:
-    """Slices of a's first axis holding whole rows, about _BLOCK elements
-    each and MIN_PRODUCT_ROWS rows at least; a shorter tail joins the
-    block before it. The cut depends on a's shape alone."""
-    n = len(a)
-    step = max(MIN_PRODUCT_ROWS, _BLOCK // max(1, math.prod(a.shape[1:])))
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] < MIN_PRODUCT_ROWS:
-        starts.pop()
-    return [slice(r, e) for r, e in zip(starts, starts[1:] + [n])]
+def row_parts(n: int, rows: int, width: int) -> list[slice]:
+    """n items of `rows` rows each, every row `width` elements wide, cut
+    into even parts of whole items of about _BLOCK elements.
+
+    There are two parts at least wherever each would hold MIN_PRODUCT_ROWS
+    rows, and no part holds fewer unless the whole does; the parts differ
+    by one item at most. The cut depends on the counts alone, never on the
+    core count, so every product has one shape on any machine.
+    """
+    size = max(1, _BLOCK // max(1, rows * width))   # items in _BLOCK elements
+    most = n // -(-MIN_PRODUCT_ROWS // rows)    # parts of enough rows at most
+    k = min(max(-(-n // size), 2), most) if most else min(n, 1)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _onep(xb: np.ndarray) -> np.ndarray:
@@ -451,12 +454,12 @@ def gelu(x: np.ndarray, counter: FlopCounter = NO_FLOPS,
     A whole-array pass streams every temporary through memory; a block's
     temporaries stay in cache. When given, grad (shaped like x) receives
     gelu'(x) from the same erf block, and out (x itself allowed) receives
-    the result. The blocks run in order on the calling thread; the
-    training kernels that map row blocks on cores call gelu per block.
+    the result. Its row_parts blocks run in order on the calling thread;
+    the MLP kernels that map their blocks on cores call gelu per block.
     """
     counter.add(ELEMWISE_FLOPS * x.size)
     h = np.empty(x.shape) if out is None else out
-    for r in _row_blocks(x):
+    for r in row_parts(len(x), 1, math.prod(x.shape[1:])):
         xb, hb = x[r], h[r]
         e = _onep(xb)
         if grad is not None:
@@ -519,13 +522,13 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter = NO_FLOPS,
     instead of allocating new ones, so a training loop holds two of them
     and faults in no fresh pages each epoch.
 
-    The hidden layer runs in row blocks (_row_blocks) on every core: each
-    block computes its rows of x @ w1 + b1 and applies GELU to them while
-    they are in cache. Each row of a product is its own dot product, and
-    no block has fewer than MIN_PRODUCT_ROWS rows unless x has, so the
-    bits are those of the whole product. h @ w2 stays whole on the calling
-    thread. Each block charges its linear and gelu, under the caller's
-    category.
+    The hidden layer runs in even row blocks (row_parts, at its width) on
+    every core: each block computes its rows of x @ w1 + b1 and applies
+    GELU to them while they are in cache. Each row of a product is its own
+    dot product, and no block has fewer than MIN_PRODUCT_ROWS rows unless
+    x has, so the bits are those of the whole product. h @ w2 stays whole
+    on the calling thread. Each block charges its linear and gelu, under
+    the caller's category.
     """
     _check_2d("x", x)
     if x.shape[1] != p.in_dim:
@@ -542,7 +545,7 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter = NO_FLOPS,
         hb = linear(x[r], p.w1, p.b1, counter, out=h[r])
         gelu(hb, counter, grad=d[r], out=hb)
 
-    map_on_cores(block, _row_blocks(h))
+    map_on_cores(block, row_parts(len(h), 1, h.shape[1]))
     z2 = linear(h, p.w2, p.b2, counter)
     out = sigmoid(z2, counter) if sigmoid_out else z2
     return out, (x, h, d, out)
@@ -578,7 +581,7 @@ def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
     def scale(r):
         dz1[r] *= dz2[r] @ p.w2.T
 
-    map_on_cores(scale, _row_blocks(dz1))
+    map_on_cores(scale, row_parts(len(dz1), 1, dz1.shape[1]))
     dw1 = x.T @ dz1
     db1 = dz1.sum(axis=0)
     return {"dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2}

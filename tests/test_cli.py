@@ -3,6 +3,7 @@ and artifacts landing where the flags say."""
 
 import json
 import shlex
+import time
 import weakref
 from pathlib import Path
 
@@ -499,6 +500,19 @@ def test_image_size_past_the_float_range_is_exit_2(tmp_path, capsys, side):
     path.write_text(json.dumps({**SMALL_CONFIG, "image_size": side}))
     assert main(["gen", "--config", str(path), "--out", str(out)]) == 2
     assert "config field 'image_size' is too large" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_page_past_physical_memory_is_exit_2(tmp_path, capsys, command):
+    # valid to PipelineConfig; making one page would take 32 TB
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"image_size": 1000000}))
+    t0 = time.perf_counter()
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "config field 'image_size' 1000000 needs" in (
         capsys.readouterr().err)
     assert not out.exists()
 

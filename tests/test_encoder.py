@@ -274,8 +274,13 @@ def test_chunk_size_does_not_change_bytes_or_flops(monkeypatch):
     model = _model(seed=2, d0=16, depths=(2, 2, 1, 1), window=5)
     p0 = Rng(7).uniforms(grid.n_tokens)
     runs = []
-    for rows in (encoder._CHUNK_ROWS, 25, 25 * 25):   # default, 1, all
-        monkeypatch.setattr(encoder, "_CHUNK_ROWS", rows)
+    # tensor.row_parts at the default, at the smallest parts it allows
+    # (MIN_PRODUCT_ROWS rows), and at one part (MIN_PRODUCT_ROWS above
+    # every whole)
+    for block, least in ((tensor._BLOCK, tensor.MIN_PRODUCT_ROWS),
+                         (1, tensor.MIN_PRODUCT_ROWS), (1 << 40, 1 << 40)):
+        monkeypatch.setattr(tensor, "_BLOCK", block)
+        monkeypatch.setattr(tensor, "MIN_PRODUCT_ROWS", least)
         run = [_encode_bytes_and_flops(model, grid, p0)]
         for gate in ("none", "soft"):
             counter = FlopCounter()
@@ -401,33 +406,13 @@ def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
         assert max(n for n, _ in calls) > 1
     assert got[2] == got[1]
     # the parts, on any thread, charge what one part of the whole charges
-    monkeypatch.setattr(encoder, "_parts",
-                        lambda n, rows: [slice(0, n)] if n else [])
+    monkeypatch.setattr(encoder, "row_parts",
+                        lambda n, rows, width: [slice(0, n)] if n else [])
     assert _encode_record(model, grid, p0, **options)[3] == got[1][3]
     if not options:
         trace = got[1][2]
         assert [e[4] for e in trace] == [4, 2, 1, 0]  # windows computed
         assert [e[2] for e in trace] == [128, 32, 8, 0]   # active tokens
-
-
-def test_parts_hold_whole_items_of_enough_rows():
-    assert encoder._parts(0, 64) == []
-    assert encoder._parts(1, 64) == [slice(0, 1)]
-    # at least two parts where each holds tensor.MIN_PRODUCT_ROWS, none
-    # where not
-    assert encoder._parts(128, 1) == [slice(0, 64), slice(64, 128)]
-    assert encoder._parts(127, 1) == [slice(0, 127)]
-    assert encoder._parts(3, 64) == [slice(0, 1), slice(1, 3)]
-    # at most _CHUNK_ROWS rows a part, as evenly as can be
-    assert encoder._parts(50, 64) == [slice(0, 12), slice(12, 25),
-                                      slice(25, 37), slice(37, 50)]
-    for n, rows in ((4097, 1), (65, 16), (7, 100), (300, 9)):
-        parts = encoder._parts(n, rows)
-        sizes = [(r.stop - r.start) * rows for r in parts]
-        assert parts[0].start == 0 and parts[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-        assert max(sizes) <= max(rows, encoder._CHUNK_ROWS)
-        assert min(sizes) >= tensor.MIN_PRODUCT_ROWS
 
 
 # --- merges and probability propagation -----------------------------------

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from docprune import tensor
 from docprune.cli import DEFAULT_GRID, _parse_grid
 from docprune.content_filter import mlp_detector, train_detector
 from docprune.encoder import window_attn_flops
@@ -77,8 +78,8 @@ IFM_SAMPLES_4DOCS = (
     "ef1a7a857b41ccf0f3ce8f5070a39d271c8898c5a2db98266535580287f08ae3")
 
 # 10 epochs of each recipe; the hidden layers (1152 x 32 for the detector,
-# 160 x 256 for the IFM classifier) span several GELU row blocks. Equal
-# with one and two BLAS threads.
+# 160 x 256 for the IFM classifier) are each cut into two row blocks, which
+# the tests assert. Equal with one and two BLAS threads.
 TRAINED_DETECTOR = (
     "f32a424bf16b0240dd4fa55ec0a4e859e66aa376dabba318baba710c1511196d",
     "0.6918669662311357")
@@ -156,21 +157,40 @@ def test_ifm_samples_digest():
     assert h.hexdigest() == IFM_SAMPLES_4DOCS
 
 
-def test_trained_detector_digest():
+def _row_block_counts(monkeypatch) -> dict:
+    """{(rows, width): blocks} of each cut of rows one row an item, as the
+    MLP kernels cut their row blocks, from now on."""
+    counts, real = {}, tensor.row_parts
+
+    def recorded(n, rows, width):
+        parts = real(n, rows, width)
+        if rows == 1:
+            counts[n, width] = len(parts)
+        return parts
+
+    monkeypatch.setattr(tensor, "row_parts", recorded)
+    return counts
+
+
+def test_trained_detector_digest(monkeypatch):
     corpus = make_corpus(2, 0.5, 96, seed=3)
+    blocks = _row_block_counts(monkeypatch)
     det, curve = train_detector(mlp_detector(seed=3, patch_size=4), corpus,
                                 epochs=10, lr=0.05)
     assert (_weights_sha(det.mlp), repr(curve[-1])) == TRAINED_DETECTOR
+    assert blocks[1152, 32] == 2
 
 
-def test_trained_ifm_digest():
+def test_trained_ifm_digest(monkeypatch):
     cfg = PipelineConfig(seed=7, corpus_n=4)
     corpus = make_corpus(4, cfg.content_fraction, cfg.image_size, cfg.seed)
     models = build_models(cfg)
     samples = prepare_ifm_samples(cfg, corpus, models)
+    blocks = _row_block_counts(monkeypatch)
     ifm, curve = train_ifm(models.ifm, samples, epochs=10, lr=0.05,
                            pos_weight="auto")
     assert (_weights_sha(ifm.clf), repr(curve[-1])) == TRAINED_IFM
+    assert blocks[160, 256] == 2
 
 
 # other CPUs and BLAS builds, emulated in the environment of a subprocess

@@ -5,6 +5,9 @@ relative import inside a function hides a dependency between modules,
 often an import cycle worked around. Lazy imports of the standard library
 and of third-party packages stay allowed; they keep start-up cheap.
 
+Rows are cut into parts by one rule: slice() is called only in
+tensor.row_parts.
+
 FLOP accounting has one path: a counter is never None (tensor.NO_FLOPS
 is the default that keeps no count), so no kernel branches on a missing
 counter. A counter is only written while work runs: only the counter
@@ -107,3 +110,16 @@ def test_layouts_are_built_only_by_the_planner():
                 where.append(f"{path.name}:{node.lineno}")
     assert planned, "the planner builds no layout"
     assert not elsewhere, f"layouts built outside the planner: {elsewhere}"
+
+
+def test_only_row_parts_cuts_rows():
+    found = []
+    for path, tree in _trees():
+        rule = {id(node) for name, scope in _scopes(tree)
+                if (path.name, name) == ("tensor.py", "row_parts")
+                for node in ast.walk(scope)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "slice"
+                  and id(node) not in rule]
+    assert not found, f"rows cut outside tensor.row_parts: {found}"

@@ -105,7 +105,9 @@ def test_written_report_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     # timings are a sidecar, not part of the canonical report
     assert "timings_ms" not in json.loads(p1.read_text())
-    assert (tmp_path / "a" / "timings.json").exists()
+    timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+    assert set(timings) == {"generate", "patch_embed", "detect", "encode",
+                            "project", "ifm"}
 
 
 def test_seed_changes_report():

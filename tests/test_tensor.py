@@ -2,6 +2,7 @@
 oracles for the MLP gradients, and exactness of the FLOP accounting."""
 
 import importlib.machinery
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,8 @@ from docprune.tensor import (ELEMWISE_FLOPS, NO_FLOPS, FlopCounter,
                              LossCurve, Mlp2, SharedFlops, attention,
                              bce_loss, gelu, gelu_grad, layernorm, linear,
                              map_on_cores, matmul, mlp2_backward,
-                             mlp2_forward, mlp2_init, sigmoid, softmax_rows)
+                             mlp2_forward, mlp2_init, row_parts, sigmoid,
+                             softmax_rows)
 from helpers import blas_threads, fake_cores, mlp2_zeros
 
 
@@ -353,15 +355,27 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, width, rows):
 
 @pytest.mark.parametrize("width,rows", _boundary_cases())
 def test_row_blocks_hold_enough_rows(width, rows):
-    # the blocks cover the rows in order, and none has fewer than
-    # MIN_PRODUCT_ROWS rows unless the whole array has
-    blocks = tensor._row_blocks(np.empty((rows, width)))
-    assert blocks[0].start == 0 and blocks[-1].stop == rows
-    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-    sizes = [r.stop - r.start for r in blocks]
-    assert min(sizes) >= min(rows, tensor.MIN_PRODUCT_ROWS)
-    assert max(sizes) < max(tensor.MIN_PRODUCT_ROWS,
-                             tensor._BLOCK // width) + tensor.MIN_PRODUCT_ROWS
+    # row_parts, the one cut of rows into parts (the MLP kernels' row
+    # blocks, the encoder's sublayer parts), over `rows` rows in items of
+    # `item` rows, at this width and at one so wide that _BLOCK elements
+    # hold fewer than MIN_PRODUCT_ROWS rows: contiguous parts that cover
+    # the items and differ by one item at most, each of MIN_PRODUCT_ROWS
+    # rows at least unless the whole has fewer, two at least wherever
+    # that is allowed, and of about _BLOCK elements
+    for item, w in itertools.product((1, 9, 25, 64, 100, 4096),
+                                     (width, 4096 * width)):
+        assert row_parts(0, item, w) == []
+        n = -(-rows // item)
+        least = -(-tensor.MIN_PRODUCT_ROWS // item)   # items
+        parts = row_parts(n, item, w)
+        assert parts[0].start == 0 and parts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        sizes = [r.stop - r.start for r in parts]
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= least or parts == [slice(0, n)]
+        assert len(parts) >= 2 or n < 2 * least
+        assert max(sizes) <= max(1, tensor._BLOCK // (item * w),
+                                 2 * least - 1)
 
 
 def test_forward_product_blocks_run_on_every_core(monkeypatch):
@@ -369,7 +383,8 @@ def test_forward_product_blocks_run_on_every_core(monkeypatch):
         pytest.skip("map_on_cores is the plain loop without OpenBLAS")
     _cores(monkeypatch, 2)
     rng = Rng(6)
-    # 700 rows at hidden width 256: row blocks of 256, 256 and 188 rows
+    # 700 rows at hidden width 256: three even row blocks of about
+    # tensor._BLOCK elements
     x = rng.uniforms(700 * 8, -1, 1).reshape(700, 8)
     p = mlp2_init(rng, 8, 256, 1)
     blocks, lock, both = [], threading.Lock(), threading.Event()
@@ -388,7 +403,7 @@ def test_forward_product_blocks_run_on_every_core(monkeypatch):
 
     monkeypatch.setattr(tensor, "linear", recorded)
     mlp2_forward(x, p, sigmoid_out=True)
-    assert sorted(n for n, _ in blocks) == [188, 256, 256]
+    assert sorted(n for n, _ in blocks) == [233, 233, 234]
     assert len({t for _, t in blocks}) == 2
 
 
