@@ -411,20 +411,17 @@ class _Setting:
 
 
 @contextmanager
-def _timed(settings: list[_Setting], key: str):
-    """Add the block's wall ms to timings[key] of every setting given."""
+def _step(settings: list[_Setting], key: str):
+    """One run of a step that the given settings share; yields its counter:
+    a lone setting's own, or a SharedFlops over several, which charges each
+    setting what a lone `run` charges. On exit each setting gets the
+    block's wall ms added to timings[key]."""
+    counters = [s.counter for s in settings]
     t0 = time.perf_counter()
-    yield
+    yield counters[0] if len(counters) == 1 else SharedFlops(counters)
     ms = (time.perf_counter() - t0) * 1e3
     for s in settings:
         s.timings[key] += ms
-
-
-def _shared(settings) -> FlopCounter:
-    """The counter of one step that the given settings share: a lone
-    setting's own, or a SharedFlops over several."""
-    counters = [s.counter for s in settings]
-    return counters[0] if len(counters) == 1 else SharedFlops(counters)
 
 
 def _encoded_groups(models: Models, doc: LabeledImage,
@@ -439,29 +436,27 @@ def _encoded_groups(models: Models, doc: LabeledImage,
     IFM uses them) that the IFM takes in. The walk and
     `prepare_ifm_samples` both go through here. Every step is called
     through this module's globals, so a wrapper installed on a name (as
-    `bench/tracer.py` does) sees each call; a step that several settings
-    share gets a `SharedFlops` over their counters, which charges each of
-    them what a lone `run` charges.
+    `bench/tracer.py` does) sees each call, and each runs in a `_step`
+    over the settings that share it, which charges each of them what a
+    lone `run` charges.
     """
-    counter = _shared(settings)
-    with _timed(settings, "patch_embed"), counter.category("patch_embed"):
-        grid = partition(doc.image, models.embed, counter)
-    with _timed(settings, "detect"), counter.category("detector"):
-        probs = detect(models.detector, doc, counter)
+    with _step(settings, "patch_embed") as c, c.category("patch_embed"):
+        grid = partition(doc.image, models.embed, c)
+    with _step(settings, "detect") as c, c.category("detector"):
+        probs = detect(models.detector, doc, c)
     groups: dict[bytes, list[_Setting]] = {}
     for s in settings:
         key = mask_key(models.encoder, grid, probs, s.config.eps_c)
         groups.setdefault(key, []).append(s)
     for members in groups.values():
-        cfg, counter = members[0].config, _shared(members)
-        with _timed(members, "encode"):
+        cfg = members[0].config
+        with _step(members, "encode") as c:
             encoded = encode(models.encoder, grid, probs, cfg.eps_c,
                              gated=cfg.gated, bypass=cfg.bypass,
-                             soft=cfg.soft_gating, counter=counter)
-        with _timed(members, "project"), counter.category("projector"):
-            projected, _ = mlp2_forward(encoded.sequence, models.projector,
-                                        counter)
-        with _timed(members, "ifm"):
+                             soft=cfg.soft_gating, counter=c)
+        with _step(members, "project") as c, c.category("projector"):
+            projected, _ = mlp2_forward(encoded.sequence, models.projector, c)
+        with _step(members, "ifm"):
             v_in = projected
             if models.ifm.use_positions and projected.shape[0]:
                 v_in = projected + grid_positions(
@@ -482,20 +477,19 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
               settings: list[_Setting]):
     """Document i under every setting; returns its pixel and patch
     content fractions. The page lives only as long as this call."""
-    with _timed(settings, "generate"):
+    with _step(settings, "generate"):
         doc = corpus_doc(i, config.content_fraction, config.image_size,
                          config.seed)
     spec, _, instr = _instruction(config, models, doc, i)
     for members, encoded, v_in in _encoded_groups(models, doc, settings):
-        with _timed(members, "ifm"):
-            fused_v, _ = fuse(models.ifm, v_in, instr, _shared(members))
+        with _step(members, "ifm") as c:
+            fused_v, _ = fuse(models.ifm, v_in, instr, c)
         by_eps: dict[float, list[_Setting]] = {}
         for s in members:
             by_eps.setdefault(s.config.eps_i, []).append(s)
         for eps, group in by_eps.items():
-            with _timed(group, "ifm"):
-                kept = filter_tokens(models.ifm, fused_v, eps,
-                                     counter=_shared(group))
+            with _step(group, "ifm") as c:
+                kept = filter_tokens(models.ifm, fused_v, eps, counter=c)
             for s in group:
                 s.add_doc(i, doc.seed, encoded, spec, kept)
     return content_fraction(doc), content_fraction(doc, config.patch_size)

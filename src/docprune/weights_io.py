@@ -83,7 +83,11 @@ def read_weights(path) -> tuple[int, dict[str, np.ndarray]]:
         (ndim,) = struct.unpack("<B", take(1, f"array {name!r} rank"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"array {name!r} dims"))
         data = take(8 * math.prod(dims), f"array {name!r} data")
-        arr = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+        try:    # a rank above numpy's most dimensions (32 or 64)
+            arr = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+        except ValueError as e:
+            raise ValueError(f"weight file {path}: array {name!r} of rank "
+                             f"{ndim}: {e}") from e
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"weight file {path}: array {name!r} holds NaN "
                              "or inf")

@@ -8,10 +8,13 @@ of the encoder's blocks and the `merge` argument of `merge_patches`, which
 because nothing in it calls the name must fail here, not in the benchmark.
 So must a change to how often a sweep calls `encode`, once per distinct
 mask set of each document, which the benchmark's
-`sweep.distinct_encode_share` counts, and an encode whose FLOPs are not
-all charged inside the block and merge spans it contains. Its
-`train-recipes` workload copies the CLI's training recipes (lr,
-pos_weight, corpus size), which must stay equal to the parser's defaults.
+`sweep.distinct_encode_share` counts, an encode whose FLOPs are not
+all charged inside the block and merge spans it contains, and span FLOPs
+that do not reconcile with the reports (`harness.reconcile`: on a sweep,
+a shared step's span reads the sum over the settings that share it).
+Its `train-recipes` workload copies the CLI's training recipes (lr,
+pos_weight, corpus size), which must stay equal to the parser's
+defaults.
 
 The tracer keeps one span stack per process. `prepare_ifm_samples` runs
 its documents on several threads, which the traced set-up of
@@ -52,6 +55,19 @@ def bench():
     return _load("workloads"), _load("tracer")
 
 
+@pytest.fixture(scope="module")
+def reconcile():
+    # harness imports tracer and workloads by their plain names; they stay
+    # bound inside it once it is loaded
+    sys.path.insert(0, str(BENCH))
+    try:
+        return _load("harness").reconcile
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in ("tracer", "workloads"):
+            sys.modules.pop(name, None)
+
+
 def test_bench_recipes_copy_the_cli_defaults(bench):
     # the parser owns both training recipes; train-recipes copies them
     workloads, _ = bench
@@ -76,7 +92,8 @@ def test_tracer_installs_every_wrapped_name(bench):
 
 
 @pytest.mark.parametrize("name", ["run-desk", "sweep-desk", "train-recipes"])
-def test_traced_toy_workload_passes_its_checks(bench, monkeypatch, name):
+def test_traced_toy_workload_passes_its_checks(bench, reconcile, monkeypatch,
+                                              name):
     workloads, tracer = bench
     toy = workloads.Size(docs=2, ifm_docs=2, det_docs=1, ifm_epochs=1,
                          det_epochs=1)
@@ -110,7 +127,9 @@ def test_traced_toy_workload_passes_its_checks(bench, monkeypatch, name):
     t = tracer.Tracer()
     with t.installed():
         result = workload.op()
-    assert workload.inspect(result).problems == []
+    out = workload.inspect(result)
+    assert out.problems == []
+    assert reconcile(t.self_flops_total(), out.reports) == []
     if name == "train-recipes":
         assert setup.spans["pipeline.prepare_ifm_samples"].calls == 1
         assert len(encode_threads) == toy.ifm_docs
@@ -142,3 +161,4 @@ def test_traced_toy_workload_passes_its_checks(bench, monkeypatch, name):
         # the oracle binarizes every page alike at each threshold of the
         # default grid: one mask set, so one encode, per document
         assert t.encode_calls == toy.docs
+

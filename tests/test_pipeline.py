@@ -7,6 +7,7 @@ import threading
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,6 +263,30 @@ def test_sweep_runs_threshold_free_work_once_per_document(monkeypatch):
     for (c, i), rep in zip(DEFAULT_GRID, reports):
         direct = run(replace(cfg, eps_c=sweep_schedule(c), eps_i=i))
         assert rep.to_json() == direct.to_json()
+
+
+def test_a_shared_step_charges_each_setting_in_full(monkeypatch):
+    clock = iter([2.0, 2.25, 3.0, 3.5])
+    monkeypatch.setattr(pipeline, "time",
+                        SimpleNamespace(perf_counter=lambda: next(clock)))
+    settings = [pipeline._Setting(_small_config(), tensor.FlopCounter())
+                for _ in range(3)]
+    with settings[0].counter.category("decoder_stub"):
+        with pipeline._step(settings, "project") as c, \
+                c.category("projector"):
+            tensor.matmul(np.ones((2, 3)), np.ones((3, 4)), c)   # 48 FLOPs
+    # each setting is charged all of the work, under the step's category,
+    # and all its time; the step's counter reads their sum, which the
+    # benchmark's traced spans reconcile with the reports
+    assert c.by_category == {"projector": 3 * 48}
+    for s in settings:
+        assert s.counter.by_category == {"projector": 48}
+        assert s.timings["project"] == 250.0
+        assert sum(s.timings.values()) == 250.0
+    # a step of one setting charges that setting's own counter
+    with pipeline._step(settings[:1], "ifm") as c:
+        assert c is settings[0].counter
+    assert settings[0].timings["ifm"] == 500.0
 
 
 def test_run_holds_one_generated_page_at_a_time(monkeypatch):

@@ -86,13 +86,21 @@ def _damage(raw: bytes, how: str, seed: int, rng: Rng) -> bytes:
         # 0xff starts no utf-8 sequence; put it in the first array's name
         at = 18 + rng.randint(name_len)
         return raw[:at] + b"\xff" + raw[at + 1:]
+    # the first array's record ends after its rank, dims and data
+    (ndim,) = struct.unpack_from("<B", raw, 18 + name_len)
+    dims = struct.unpack_from(f"<{ndim}I", raw, 19 + name_len)
+    end = 19 + name_len + 4 * ndim + 8 * math.prod(dims)
     if how == "repeat":
         # the first array's record once more, counted in the header
-        (ndim,) = struct.unpack_from("<B", raw, 18 + name_len)
-        dims = struct.unpack_from(f"<{ndim}I", raw, 19 + name_len)
-        end = 19 + name_len + 4 * ndim + 8 * math.prod(dims)
         (count,) = struct.unpack_from("<I", raw, 12)
         return raw[:12] + struct.pack("<I", count + 1) + raw[16:] + raw[16:end]
+    if how == "huge_rank":
+        # the first array holds one value of a rank above numpy's 64, every
+        # dim 1, so its record is whole and only the rank is wrong
+        rank = 65 + rng.randint(191)
+        return (raw[:18 + name_len] + struct.pack(f"<B{rank}I", rank,
+                                                  *[1] * rank)
+                + bytes(8) + raw[end:])
     # huge_dim: the first array's first dim sits after the 16-byte file
     # header, its u16 name length, the name and its u8 rank
     at = 16 + 2 + name_len + 1
@@ -100,7 +108,7 @@ def _damage(raw: bytes, how: str, seed: int, rng: Rng) -> bytes:
 
 
 @pytest.mark.parametrize("how", ["cut", "trailing", "huge_dim", "bad_name",
-                                 "repeat"])
+                                 "repeat", "huge_rank"])
 @pytest.mark.parametrize("seed", range(5))
 def test_damaged_file_is_value_error_naming_it(tmp_path, how, seed):
     rng = Rng(seed).derive(how)
