@@ -75,20 +75,13 @@ class BlockWeights:
 
 @dataclass
 class EncoderModel:
-    """Four stages; stage s has depth len(blocks[s]), merges[s] follows it."""
+    """Four stages; stage s has depth len(blocks[s]), merges[s] follows it.
+
+    encoder_init builds it from a checked config's depths and window."""
 
     blocks: list[list[BlockWeights]]       # blocks[stage][block]
     merges: list[tuple[np.ndarray, np.ndarray]]  # (weight 4d x 2d, bias 2d)
     window: int
-
-    def __post_init__(self):
-        if len(self.blocks) != 4 or len(self.merges) != 3:
-            raise ValueError(f"encoder needs exactly 4 stages and 3 merges, "
-                             f"got {len(self.blocks)} and {len(self.merges)}")
-        if not all(self.blocks):
-            raise ValueError("every stage depth must be >= 1")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -277,9 +270,6 @@ def window_pass(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
     windows go through _gated_parts, one stacked attn_residual per part.
     Returns the new grid and the number of windows computed and in total.
     """
-    if p is not None and p.size != grid.n_tokens:
-        raise ValueError(
-            f"gate length {p.size} does not match {grid.n_tokens} tokens")
     n, d = grid.n_tokens, grid.dim
     slots = _window_slots(grid.rows, grid.cols, window,
                           window // 2 if shifted else 0)
@@ -315,8 +305,6 @@ def gated_block(grid: TokenGrid, p: np.ndarray | None, bw: BlockWeights,
 
 def _child_max(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Max over each 2x2 block of a row-major (rows, cols) map."""
-    if rows % 2 or cols % 2:
-        raise ValueError(f"cannot merge an odd grid: {rows}x{cols}")
     pm = p.reshape(rows, cols)
     return np.maximum.reduce([pm[0::2, 0::2], pm[0::2, 1::2],
                               pm[1::2, 0::2], pm[1::2, 1::2]]).ravel()
@@ -327,7 +315,7 @@ def merge_patches(grid: TokenGrid, merge: tuple[np.ndarray, np.ndarray],
     """2x2 consolidation: the grid halves and the dim doubles.
 
     Merges carry tokens only; _stage_maps derives every stage's probability
-    map, and with it checks that each merged grid is even.
+    map. The grid is even: the config makes the stage-1 side a multiple of 8.
     """
     rows, cols, d = grid.rows, grid.cols, grid.dim
     t = grid.tokens.reshape(rows, cols, d)

@@ -3,6 +3,8 @@
 Images are float arrays in [0, 1] and masks are boolean arrays. A mask
 is written True = white (content, kept), so `gen` and `render` draw the
 same polarity; PBM sets a bit for black, so `write_pbm` inverts.
+Both take 2-D arrays; any other fails unpacking its shape, before the file
+is opened.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import numpy as np
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    if img.ndim != 2:
-        raise ValueError(f"PGM expects a 2-D image, got shape {img.shape}")
     data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as f:
@@ -23,8 +23,6 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def write_pbm(path, mask: np.ndarray) -> None:
-    if mask.ndim != 2:
-        raise ValueError(f"PBM expects a 2-D mask, got shape {mask.shape}")
     h, w = mask.shape
     packed = np.packbits(np.logical_not(mask), axis=1)
     with open(path, "wb") as f:

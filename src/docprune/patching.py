@@ -4,6 +4,12 @@ Tokens are row-major over the patch grid; position (r, c) maps to index
 r * cols + c and back. The embedding is one linear map per flattened patch,
 which keeps the operation exactly linear in pixel values and its FLOP cost
 a single matmul.
+
+Geometry is checked once, when the config is built: a page is square at
+image_size, which patch_size divides (PipelineConfig.validate), so nothing
+here checks it again. A page of another shape fails in numpy's reshape.
+A TokenGrid is built only where its token matrix has just been computed
+(partition, and the encoder's passes and merges).
 """
 
 from __future__ import annotations
@@ -22,12 +28,6 @@ class TokenGrid:
     cols: int
     dim: int
     tokens: np.ndarray
-
-    def __post_init__(self):
-        if self.tokens.shape != (self.rows * self.cols, self.dim):
-            raise ValueError(
-                f"token matrix shape {self.tokens.shape} does not match "
-                f"{self.rows}x{self.cols} grid of dim {self.dim}")
 
     @property
     def n_tokens(self) -> int:
@@ -58,14 +58,7 @@ def patch_embed_init(rng: Rng, patch_size: int, dim: int) -> PatchEmbed:
 
 def flatten_patches(img: np.ndarray, patch_size: int) -> np.ndarray:
     """(g*g, patch*patch) matrix of flattened patches in row-major grid order."""
-    side = img.shape[0]
-    if img.ndim != 2 or img.shape[1] != side:
-        raise ValueError(f"expected a square 2-D image, got shape {img.shape}")
-    if side % patch_size != 0:
-        raise ValueError(
-            f"patch size {patch_size} does not divide image side {side}; "
-            "resize before partitioning, no implicit padding")
-    g = side // patch_size
+    g = img.shape[0] // patch_size
     patches = img.reshape(g, patch_size, g, patch_size).transpose(0, 2, 1, 3)
     return patches.reshape(g * g, patch_size * patch_size)
 

@@ -633,7 +633,7 @@ def write_summary_csv(rows: list[dict], path) -> Path:
 
 
 def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
-                        models: Models | None = None
+                        models: Models
                         ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Instruction-filter training samples: (visual tokens, instruction
     embedding, relevance labels), one triple per document.
@@ -655,8 +655,6 @@ def prepare_ifm_samples(config: PipelineConfig, corpus: list[LabeledImage],
                 f"document {i} is a {doc.image.shape[0]}x"
                 f"{doc.image.shape[1]} page, but config 'image_size' is "
                 f"{config.image_size}")
-    if models is None:
-        models = build_models(config)
 
     def sample(i: int):
         doc = corpus[i]

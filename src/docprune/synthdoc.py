@@ -16,6 +16,11 @@ line) is at least twice as wide as tall. Every region starts at x = 0 and
 rows run down the page, so no two overlap, and the placed area lands
 within FRACTION_TOLERANCE of the target. generate only paints the layout
 it is given.
+
+Geometry is checked once, when the config is built: patchify_any takes a
+square mask whose side its patch size divides, and make_corpus at least
+one document (corpus_n, or the CLI's --n). A mask of another shape fails
+in numpy's reshape.
 """
 
 from __future__ import annotations
@@ -86,10 +91,7 @@ class LabeledImage:
 
 
 def patchify_any(mask: np.ndarray, patch_size: int) -> np.ndarray:
-    side = mask.shape[0]
-    if side % patch_size != 0:
-        raise ValueError(f"patch size {patch_size} does not divide image side {side}")
-    g = side // patch_size
+    g = mask.shape[0] // patch_size
     return mask.reshape(g, patch_size, g, patch_size).any(axis=(1, 3))
 
 
@@ -302,8 +304,6 @@ def corpus_doc(i: int, fraction: float, size: int, seed: int) -> LabeledImage:
 
 def make_corpus(n: int, fraction: float, size: int, seed: int) -> list[LabeledImage]:
     """n independent documents, each deterministic in (seed, index)."""
-    if n < 1:
-        raise ValueError(f"corpus size must be >= 1, got {n}")
     return [corpus_doc(i, fraction, size, seed) for i in range(n)]
 
 

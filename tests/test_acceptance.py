@@ -74,7 +74,8 @@ def test_criterion_1_zero_threshold_equivalence():
         assert a["masks"] == b["masks"]
     # the projected tokens the IFM takes in; both add the same grid positions
     corpus = make_corpus(2, 0.5, 256, seed=7)
-    samples = [prepare_ifm_samples(cfg, corpus) for cfg in configs]
+    samples = [prepare_ifm_samples(cfg, corpus, build_models(cfg))
+               for cfg in configs]
     for (va, _, _), (vb, _, _) in zip(*samples):
         np.testing.assert_allclose(va, vb, rtol=1e-9, atol=1e-12)
     assert time.perf_counter() - t0 < 10.0

@@ -2,18 +2,21 @@
 identity, unit gates match the ungated path bit for bit, and the window
 bypass is a pure optimization."""
 
+import functools
+import itertools
 import threading
 
 import numpy as np
 import pytest
 
 from docprune import encoder, tensor
-from docprune.encoder import (EncoderModel, attn_residual, block_init, encode,
-                              encoder_init, ffn_residual, gate_combine,
-                              gated_block, merge_patches, window_attn_flops,
-                              window_pass)
-from docprune.patching import TokenGrid
+from docprune.encoder import (attn_residual, block_init, encode, encoder_init,
+                              ffn_residual, gate_combine, gated_block,
+                              merge_patches, window_attn_flops, window_pass)
+from docprune.patching import TokenGrid, flatten_patches
+from docprune.pipeline import ConfigError, PipelineConfig
 from docprune.rng import Rng
+from docprune.synthdoc import corpus_doc
 from docprune.tensor import FlopCounter
 from helpers import DEFAULT_EPS_C, ZERO_EPS_C, fake_cores
 
@@ -100,12 +103,6 @@ def test_soft_half_gate_halves_the_update():
     update = plain.tokens - grid.tokens
     np.testing.assert_allclose(soft.tokens, grid.tokens + 0.5 * update,
                                atol=1e-12)
-
-
-def test_gate_length_checked():
-    grid = _grid()
-    with pytest.raises(ValueError, match="gate length"):
-        window_pass(grid, np.zeros(5), _block(), window=4, shifted=False)
 
 
 # --- window bookkeeping ---------------------------------------------------
@@ -434,13 +431,6 @@ def test_merge_probabilities_match_maxpool_oracle():
     np.testing.assert_array_equal(merged, oracle)
 
 
-def test_merge_rejects_odd_grid():
-    # a 6x6 grid merges to 3x3, which the second merge cannot halve
-    grid = TokenGrid(6, 6, 8, np.zeros((36, 8)))
-    with pytest.raises(ValueError, match="odd grid"):
-        encode(_model(), grid, np.zeros(36))
-
-
 def test_encode_takes_one_child_max_per_merge(monkeypatch):
     # _stage_maps makes every stage's map; the merges take no child max
     calls = []
@@ -550,20 +540,64 @@ def test_encoder_init_deterministic():
     assert not np.array_equal(a.blocks[0][0].wq, c.blocks[0][0].wq)
 
 
-def test_encoder_requires_four_stages():
-    with pytest.raises(ValueError, match="4 stages and 3 merges, got 2 and 2"):
-        encoder_init(0, depths=(2, 2))
-    with pytest.raises(ValueError, match="4 stages and 3 merges, got 1 and 0"):
-        EncoderModel(blocks=[[_block()]], merges=[], window=4)
-    # a merge follows stages 1-3 and no other
-    model = _model()
-    with pytest.raises(ValueError, match="4 stages and 3 merges, got 4 and 4"):
-        EncoderModel(model.blocks, model.merges + model.merges[:1],
-                     model.window)
+# --- geometry is checked once, when the config is built -------------------
+
+STAGE_DEPTHS = list(itertools.product((1, 2, 3), repeat=4))
+# packable on every page side the sweep takes (0.5 is not at 56 px)
+SWEEP_FRACTION = 0.25
 
 
-def test_stage_config_validation():
-    with pytest.raises(ValueError, match="depth"):
-        encoder_init(0, d0=8, depths=(1, 0, 1, 1), window=4)
-    with pytest.raises(ValueError, match="window"):
-        encoder_init(0, d0=8, depths=(1, 1, 1, 1), window=0)
+def _accepted_configs(side):
+    """Every config PipelineConfig builds on this page side, over each
+    patch size, window 1 to the grid side and stage depths 1-3 in turn."""
+    depths = itertools.cycle(STAGE_DEPTHS)
+    for patch in range(1, side + 1):
+        try:
+            PipelineConfig(image_size=side, patch_size=patch,
+                           content_fraction=SWEEP_FRACTION, window=1)
+        except ConfigError:
+            continue
+        for window in range(1, side // patch + 1):
+            yield PipelineConfig(image_size=side, patch_size=patch, d0=1,
+                                 depths=next(depths), window=window,
+                                 ffn_ratio=1, content_fraction=SWEEP_FRACTION)
+
+
+@functools.cache
+def _sweep_model(depths):
+    """encoder_init's stages and merges depend on the depths alone, and it
+    keeps the window it is given, so one build per depths tuple serves."""
+    return encoder_init(0, 1, depths, 1, 1)
+
+
+@pytest.mark.parametrize("side", [*range(8, 257, 8), 1536])
+def test_a_built_config_fixes_the_geometry_the_helpers_assume(side):
+    # what EncoderModel, _child_max, flatten_patches and patchify_any take
+    # as given, shown for every config that builds
+    doc = corpus_doc(0, SWEEP_FRACTION, side, seed=0)
+    assert doc.image.shape == doc.content_mask.shape == (side, side)
+    patches = set()
+    for cfg in _accepted_configs(side):
+        model = _sweep_model(cfg.depths)
+        assert [len(b) for b in model.blocks] == list(cfg.depths)
+        assert min(cfg.depths) >= 1 and len(model.merges) == 3
+        assert cfg.window >= 1
+        if cfg.patch_size in patches:
+            continue
+        patches.add(cfg.patch_size)
+        assert side % cfg.patch_size == side % (cfg.patch_size * 8) == 0
+        g = cfg.grid_side
+        for _ in model.merges:
+            assert g % 2 == 0
+            g //= 2
+        assert flatten_patches(doc.image, cfg.patch_size).shape == (
+            cfg.grid_side ** 2, cfg.patch_size ** 2)
+        assert doc.patch_labels(cfg.patch_size * 8).shape == (g, g)
+        grid = TokenGrid(cfg.grid_side, cfg.grid_side, cfg.d0,
+                         np.empty((cfg.grid_side ** 2, cfg.d0)))
+        maps = encoder._stage_maps(model, grid, np.zeros(grid.n_tokens),
+                                   cfg.eps_c)
+        for s, (raw, binarized) in enumerate(maps):
+            assert raw.shape == binarized.shape == (
+                (cfg.grid_side >> s) ** 2,)
+    assert patches

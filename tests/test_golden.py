@@ -150,7 +150,7 @@ def test_ifm_samples_digest():
     cfg = PipelineConfig(**{**SMALL, "corpus_n": 4})
     corpus = make_corpus(4, cfg.content_fraction, cfg.image_size, cfg.seed)
     h = hashlib.sha256()
-    for sample in prepare_ifm_samples(cfg, corpus):
+    for sample in prepare_ifm_samples(cfg, corpus, build_models(cfg)):
         for a in sample:
             h.update(repr(a.shape).encode())
             h.update(a.tobytes())

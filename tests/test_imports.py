@@ -8,6 +8,11 @@ and of third-party packages stay allowed; they keep start-up cheap.
 Rows are cut into parts by one rule: slice() is called only in
 tensor.row_parts.
 
+A model or grid is built only where its parts were just made, so neither
+checks its own shapes: EncoderModel only in encoder.encoder_init (from a
+checked config), TokenGrid only in patching.partition and the encoder's
+window_pass, gated_block and merge_patches (from the tokens each computed).
+
 FLOP accounting has one path: a counter is never None (tensor.NO_FLOPS
 is the default that keeps no count), so no kernel branches on a missing
 counter. A counter is only written while work runs: only the counter
@@ -91,25 +96,48 @@ def test_only_the_report_reads_a_counter():
     assert not found, f"counters read outside the report: {found}"
 
 
+def _builds(types, builders) -> tuple[list[str], list[str]]:
+    """Where a call builds one of types: (inside, outside) the functions
+    builders names as (module, qualified name)."""
+    inside, outside = [], []
+    for path, tree in _trees():
+        allowed = {id(node) for name, scope in _scopes(tree)
+                   if (path.name, name) in builders
+                   for node in ast.walk(scope)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+            ) in types:
+                where = inside if id(node) in allowed else outside
+                where.append(f"{path.name}:{node.lineno}")
+    return inside, outside
+
+
 LAYOUT_TYPES = ("ContentRegion", "LayoutSpec")
 PLANNER = ("plan_layout", "_flow_rows", "_fill_column")
 
 
 def test_layouts_are_built_only_by_the_planner():
-    planned, elsewhere = [], []
-    for path, tree in _trees():
-        planner = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef)
-                   and path.name == "synthdoc.py" and fn.name in PLANNER
-                   for node in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)
-            ) in LAYOUT_TYPES:
-                where = planned if id(node) in planner else elsewhere
-                where.append(f"{path.name}:{node.lineno}")
+    planned, elsewhere = _builds(LAYOUT_TYPES,
+                                 {("synthdoc.py", fn) for fn in PLANNER})
     assert planned, "the planner builds no layout"
     assert not elsewhere, f"layouts built outside the planner: {elsewhere}"
+
+
+# type -> the (module, function) pairs that may build one
+BUILDERS = {
+    "EncoderModel": {("encoder.py", "encoder_init")},
+    "TokenGrid": {("patching.py", "partition"), ("encoder.py", "window_pass"),
+                  ("encoder.py", "gated_block"),
+                  ("encoder.py", "merge_patches")},
+}
+
+
+def test_models_and_grids_are_built_only_by_their_builders():
+    for kind, builders in BUILDERS.items():
+        built, elsewhere = _builds((kind,), builders)
+        assert built, f"no {kind} is built"
+        assert not elsewhere, f"{kind} built outside {builders}: {elsewhere}"
 
 
 def test_only_row_parts_cuts_rows():

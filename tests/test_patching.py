@@ -6,7 +6,7 @@ import pytest
 
 from docprune.content_filter import detect, oracle_detector
 from docprune.encoder import encode, encoder_init
-from docprune.patching import (PatchEmbed, TokenGrid, flatten_patches,
+from docprune.patching import (PatchEmbed, flatten_patches,
                                partition, patch_embed_init)
 from docprune.rng import Rng
 from docprune.synthdoc import generate, plan_layout
@@ -71,13 +71,6 @@ def test_flatten_is_a_bijection():
     np.testing.assert_array_equal(back, img)
 
 
-def test_indivisible_patch_size_rejected():
-    with pytest.raises(ValueError, match="does not divide"):
-        flatten_patches(np.zeros((100, 100)), 16)
-    with pytest.raises(ValueError, match="square"):
-        flatten_patches(np.zeros((64, 32)), 4)
-
-
 def test_partition_flop_cost_is_one_linear():
     counter = FlopCounter()
     partition(np.zeros((64, 64)), _embed(4, 32), counter)
@@ -96,11 +89,6 @@ def test_grid_index_round_trip():
         np.testing.assert_allclose(grid.tokens[r * grid.cols + c],
                                    patch @ embed.weight + embed.bias,
                                    rtol=1e-12, atol=1e-12)
-
-
-def test_grid_shape_validation():
-    with pytest.raises(ValueError, match="does not match"):
-        TokenGrid(rows=2, cols=2, dim=3, tokens=np.zeros((5, 3)))
 
 
 def _probe_encode(p0):

@@ -461,7 +461,7 @@ def test_prepare_ifm_samples_shapes():
     cfg = _small_config(corpus_n=2)
     # the corpus the config generates
     corpus = make_corpus(2, 0.5, 128, seed=7)
-    samples = prepare_ifm_samples(cfg, corpus)
+    samples = prepare_ifm_samples(cfg, corpus, build_models(cfg))
     rep = run(cfg)
     assert len(samples) == 2
     for (v, instr, labels), d in zip(samples, rep.per_doc):
@@ -519,13 +519,14 @@ def test_prepare_ifm_samples_reject_pages_of_another_size(monkeypatch, side):
     with pytest.raises(ValueError,
                        match=f"document 1 is a {side}x{side} page, but "
                              "config 'image_size' is 256"):
-        prepare_ifm_samples(cfg, corpus)
+        prepare_ifm_samples(cfg, corpus, build_models(cfg))
     assert encoded == []
 
 
 def test_prepare_ifm_samples_blank_page():
     cfg = _small_config(corpus_n=1, content_fraction=0.0)
     corpus = make_corpus(1, 0.0, 128, seed=7)
-    ((v, instr, labels),) = prepare_ifm_samples(cfg, corpus)
+    ((v, instr, labels),) = prepare_ifm_samples(cfg, corpus,
+                                                build_models(cfg))
     assert v.shape == (0, cfg.llm_dim) and labels.shape == (0,)
     assert instr.shape == (1, cfg.llm_dim)

