@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .content_filter import (evaluate_detector, mlp_detector, save_detector,
                              train_detector)
-from .instruction_filter import evaluate_ifm, save_ifm, train_ifm
+from .instruction_filter import VOCAB_SIZE, evaluate_ifm, save_ifm, train_ifm
 from .pipeline import (PROFILES, ConfigError, PipelineConfig, build_models,
                        prepare_ifm_samples, render_masks, run, summary_row,
                        sweep, write_report, write_summary_csv)
@@ -29,6 +29,30 @@ from .synthdoc import make_corpus, save_corpus
 DEFAULT_GRID = "0.25:0.25,0.25:0.5,0.5:0.25,0.5:0.5"
 # peak bytes a pixel of making one page (synthdoc.corpus_doc, tracemalloc)
 _PAGE_BYTES_PER_PIXEL = 32
+# the config fields that size the weights build_models makes
+_WEIGHT_FIELDS = ("patch_size", "d0", "depths", "ffn_ratio", "proj_hidden",
+                  "llm_dim")
+
+
+def _weight_bytes(patch_size: int, d0: int, depths: tuple[int, ...],
+                  ffn_ratio: int, proj_hidden: int, llm_dim: int) -> int:
+    """Bytes of the float64 weights build_models makes for these config
+    fields: the patch embed, the encoder's blocks and merges, the projector
+    and the IFM. The detector's are not sized by the config: the oracle
+    has none, and an mlp detector's come from its file."""
+    def block(d):       # encoder.block_init
+        return (4 + 2 * ffn_ratio) * d * d + (9 + ffn_ratio) * d
+
+    def mlp(n_in, hidden, n_out):     # tensor.mlp2_init
+        return (n_in + 1) * hidden + (hidden + 1) * n_out
+
+    widths = [d0 << s for s in range(len(depths))]
+    n = (patch_size ** 2 + 1) * d0
+    n += sum(depth * block(d) for depth, d in zip(depths, widths))
+    n += sum(8 * d * d + 2 * d for d in widths[:-1])    # 4d -> 2d merges
+    n += mlp(widths[-1], proj_hidden, llm_dim)
+    n += VOCAB_SIZE * llm_dim + block(llm_dim) + mlp(llm_dim, 4 * llm_dim, 1)
+    return 8 * n
 
 
 def _resolve_seed(flag_seed: int | None, file_cfg: dict) -> int:
@@ -123,12 +147,22 @@ def _load_config(args) -> PipelineConfig:
     base["profile"] = profile
     base["seed"] = _resolve_seed(args.seed, file_cfg)
     config = PipelineConfig.from_dict(base)
-    # this machine's bound: kept out of PipelineConfig, so out of reports
+    # this machine's bounds: kept out of PipelineConfig, so out of reports
     need = _PAGE_BYTES_PER_PIXEL * config.image_size ** 2
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
         raise ConfigError(f"config field 'image_size' {config.image_size} "
                           f"needs {need / 2**30:,.1f} GiB to make a page; "
+                          f"memory is {memory / 2**30:,.1f} GiB")
+    sizes = {name: getattr(config, name) for name in _WEIGHT_FIELDS}
+    need = _weight_bytes(**sizes)
+    if need > memory:
+        # the field that adds the most bytes over its desk default
+        desk = PipelineConfig()
+        name = min(_WEIGHT_FIELDS, key=lambda f: _weight_bytes(
+            **{**sizes, f: getattr(desk, f)}))
+        raise ConfigError(f"config field {name!r} {sizes[name]} makes "
+                          f"{need / 2**30:,.1f} GiB of model weights; "
                           f"memory is {memory / 2**30:,.1f} GiB")
     return config
 

@@ -15,19 +15,22 @@ are bit-identical to the unoptimized path: windows whose gate values are
 all zero skip attention entirely, and the FFN runs only on rows with a
 nonzero gate.
 
-Both sublayers run in parts on every core (_gated_parts). A window
-sublayer's parts are stacks (W, window*window, d) of whole computed
-windows: one norm and one set of q/k/v/o products over a part's rows,
-and one stacked product each for the scores and the weighted values. No
-sum mixes two windows' rows, so a stack gives the FLOPs of one window at
-a time, and its bits on OpenBLAS's AVX-512 GEMM kernels (its AVX2 Haswell
-ones round a product's last bit by row count); only a 1-token window, a
-GEMV alone and part of a GEMM in a stack, rounds differently. An FFN's
-parts are rows of its active rows; tensor.row_parts cuts both. A part
-charges the caller's counter as the plain loop would; a stage's trace
-takes its attention FLOPs from its computed windows (window_attn_flops),
-never from a counter. How a sublayer is cut depends on its counts and
-widths alone, so the bits do not depend on the core count.
+Both sublayers run in parts (_gated_parts), on every core once a
+sublayer has tensor.MIN_MAPPED_PARTS of them and in order on the calling
+thread below that: a 256-px page's sublayers run in order, a 1536-px
+page's on cores. A window sublayer's parts are stacks (W, window*window,
+d) of whole computed windows: one norm and one set of q/k/v/o products
+over a part's rows, and one stacked product each for the scores and the
+weighted values. No sum mixes two windows' rows, so a stack gives the
+FLOPs of one window at a time, and its bits on OpenBLAS's AVX-512 GEMM
+kernels (its AVX2 Haswell ones round a product's last bit by row count);
+only a 1-token window, a GEMV alone and part of a GEMM in a stack, rounds
+differently. An FFN's parts are rows of its active rows; tensor.row_parts
+cuts both. A part charges the caller's counter as the plain loop would;
+a stage's trace takes its attention FLOPs from its computed windows
+(window_attn_flops), never from a counter. How a sublayer is cut, and
+whether its parts are mapped, depends on its counts and widths alone, so
+the bits do not depend on the core count.
 
 Probabilities propagate through merges by taking the max over the four
 children on the RAW values; each stage re-binarizes the raw map against
@@ -49,8 +52,8 @@ import numpy as np
 from .content_filter import binarize
 from .patching import TokenGrid
 from .rng import Rng, init_uniform
-from .tensor import (NO_FLOPS, FlopCounter, attention, gelu, layernorm,
-                     linear, map_on_cores, row_parts)
+from .tensor import (MIN_MAPPED_PARTS, NO_FLOPS, FlopCounter, attention,
+                     gelu, layernorm, linear, map_on_cores, row_parts)
 
 
 @dataclass
@@ -214,8 +217,10 @@ def gate_combine(p: np.ndarray, fh: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _gated_parts(sublayer, t: np.ndarray, n: int, idx: np.ndarray,
                  gates: np.ndarray | None, width: int) -> None:
     """t[idx] = sublayer(t[idx]) by gate, in parts of whole items
-    (idx[i] is a window's slots, or a row) on every core (map_on_cores),
-    cut by tensor.row_parts at width, the widest row a part writes.
+    (idx[i] is a window's slots, or a row) cut by tensor.row_parts at
+    width, the widest row a part writes. MIN_MAPPED_PARTS parts or more
+    go on every core (map_on_cores); fewer run in order on the calling
+    thread, where a worker would cost memory for little time.
 
     A row takes the result at gate 1, gate_combine's blend strictly between
     0 and 1, and keeps its bits at 0; gates None is the ungated reference
@@ -238,7 +243,12 @@ def _gated_parts(sublayer, t: np.ndarray, n: int, idx: np.ndarray,
             i, new = i[write], new[write]
         t[i] = new
 
-    map_on_cores(part, row_parts(len(idx), math.prod(idx.shape[1:]), width))
+    parts = row_parts(len(idx), math.prod(idx.shape[1:]), width)
+    if len(parts) >= MIN_MAPPED_PARTS:
+        map_on_cores(part, parts)
+    else:
+        for r in parts:
+            part(r)
 
 
 def _window_slots(rows: int, cols: int, window: int,

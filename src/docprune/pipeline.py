@@ -507,11 +507,13 @@ def _walk(configs: list[PipelineConfig]) -> list[RunReport]:
     could take them one per core; the one reason left not to is that
     bench/tracer.py keeps one span stack per process: spans of two
     documents in flight would nest and charge one's FLOPs to the other's.
-    The cores are used below the spans instead: each encoder sublayer
-    maps its parts onto them. The walk holds OpenBLAS at one thread
-    throughout (`tensor.one_blas_thread`); switched back to its own
-    threads between sublayers, OpenBLAS's spinning second thread would
-    take the core that a part's worker needs.
+    The cores are used below the spans instead: an encoder sublayer of
+    `tensor.MIN_MAPPED_PARTS` parts or more (a high-resolution page's)
+    maps its parts onto them, and a smaller one runs them in order. The
+    walk holds OpenBLAS at one thread throughout
+    (`tensor.one_blas_thread`); switched back to its own threads between
+    sublayers, OpenBLAS's spinning second thread would take the core that
+    a part's worker needs.
     """
     config = configs[0]
     models = build_models(config)

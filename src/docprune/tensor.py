@@ -21,11 +21,13 @@ for a block; :func:`map_on_cores` runs independent items on every
 available core inside such a hold, on the calling thread and on worker
 threads that start on first use and stay. A call waits for its running
 items, not for workers; a call inside a mapped item is the plain loop.
-One rule cuts rows into parts (:func:`row_parts`). The encoder maps its
-sublayers' parts onto cores; training holds the count for its whole loop
-and maps row blocks: :func:`mlp2_forward`'s compute their rows of the
-first product and its GELU, :func:`mlp2_backward`'s scale their rows of
-the GELU gradient, and :func:`gelu` walks its own on the calling thread.
+One rule cuts rows into parts (:func:`row_parts`). The encoder maps a
+sublayer's parts onto cores when there are MIN_MAPPED_PARTS of them
+(high-resolution pages) and runs fewer in order; training holds the
+count for its whole loop and maps row blocks: :func:`mlp2_forward`'s
+compute their rows of the first product and its GELU,
+:func:`mlp2_backward`'s scale their rows of the GELU gradient, and
+:func:`gelu` walks its own on the calling thread.
 Each row of a product is its own dot product, so a block of at least
 MIN_PRODUCT_ROWS rows gives the whole product's bits; the products that
 sum over rows (``x.T @ dz1``, ``h.T @ dz2``) stay one call on the calling
@@ -62,6 +64,17 @@ _BLOCK = 65536
 # OpenBLAS takes other kernels at M <= 18 and a GEMV at M = 1, so a
 # smaller block could round its rows differently from the whole product
 MIN_PRODUCT_ROWS = 64
+# parts of an encoder sublayer at least, for map_on_cores to take them;
+# fewer run in order on the calling thread. A 256-px page's sublayers
+# have 4 parts at most (1-3 at seed 7). On a 2-vCPU VM whose second core
+# comes and goes, a worker there gained run-desk time only while that
+# core was free, took about 40% more CPU time, and raised the peak by
+# about 2 MB (an idle one 0.25 MB; a single malloc arena kept the 2 MB).
+# A 1536-px page's sublayers have 8-154 parts (seed 7): mapped, two such
+# pages run in 3.3-4.1 s against 5.0-6.6 s in order. At 1024 px,
+# sublayers of 5-6 parts ran no slower mapped. A count decides, never
+# the core count, so bits hold
+MIN_MAPPED_PARTS = 5
 
 _ERF_MODULE = "scipy.special._special_ufuncs"
 

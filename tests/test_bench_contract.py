@@ -20,9 +20,10 @@ The tracer keeps one span stack per process. `prepare_ifm_samples` runs
 its documents on several threads, which the traced set-up of
 `train-recipes` must survive; `run` and `sweep` must call `encode` on the
 calling thread only, so walking their documents on threads fails here
-until the tracer keeps its spans per thread. Below the spans, the parts
-of an encoder sublayer do run on several threads (`attn_residual` is no
-span), and the span FLOPs must still reconcile.
+until the tracer keeps its spans per thread. A desk page's encoder
+sublayers have too few parts to map (`tensor.MIN_MAPPED_PARTS`), so
+every `attn_residual` call of a toy `run` or `sweep` is on the calling
+thread too.
 """
 
 import importlib.util
@@ -107,17 +108,10 @@ def test_traced_toy_workload_passes_its_checks(bench, reconcile, monkeypatch,
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "encode", recorded_encode)
-    # the first window part waits (up to 5 s) for a part on a second
-    # thread, so the test does not rest on how the threads are scheduled
-    attn, attn_threads, both = encoder.attn_residual, set(), threading.Event()
+    attn, attn_threads = encoder.attn_residual, set()
 
     def recorded_attn(*args, **kwargs):
-        first = not attn_threads
         attn_threads.add(threading.get_ident())
-        if len(attn_threads) > 1:
-            both.set()
-        if first:
-            both.wait(timeout=5)
         return attn(*args, **kwargs)
 
     monkeypatch.setattr(encoder, "attn_residual", recorded_attn)
@@ -136,12 +130,11 @@ def test_traced_toy_workload_passes_its_checks(bench, reconcile, monkeypatch,
         if tensor._openblas() is not None:
             assert len(set(encode_threads)) == 2
         return
-    # the tracer's single span stack needs the walk on the calling thread;
-    # the window parts below its spans run on both cores
-    assert encode_threads and set(encode_threads) == {threading.get_ident()}
-    if tensor._openblas() is not None:
-        assert threading.get_ident() in attn_threads
-        assert len(attn_threads) > 1
+    # the tracer's single span stack needs the walk on the calling thread,
+    # and a desk page's window parts run in order below its spans
+    me = threading.get_ident()
+    assert encode_threads and set(encode_threads) == {me}
+    assert attn_threads == {me}
     # the per-stage and per-merge spans name the encoder's layers from the
     # blocks and merges the tracer looked up
     assert {f"encoder.s{n}.{kind}" for n in range(1, 5)

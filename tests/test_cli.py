@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, config layering, seed resolution,
 and artifacts landing where the flags say."""
 
+import dataclasses
 import json
 import shlex
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from docprune import synthdoc
+from docprune import cli, synthdoc
 from docprune.cli import build_parser, main
 from docprune.instruction_filter import save_ifm
 from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
@@ -514,6 +515,47 @@ def test_page_past_physical_memory_is_exit_2(tmp_path, capsys, command):
     assert time.perf_counter() - t0 < 1.0
     assert "config field 'image_size' 1000000 needs" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _nbytes(obj) -> int:
+    """Summed nbytes of the arrays in a model's dataclasses, each float64."""
+    if isinstance(obj, np.ndarray):
+        assert obj.dtype == np.float64
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(_nbytes(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_nbytes, obj))
+    return 0
+
+
+@pytest.mark.parametrize("config", [
+    PipelineConfig(), PipelineConfig.paper_scale(),
+    PipelineConfig(**SMALL_CONFIG),
+    PipelineConfig(image_size=64, patch_size=8, d0=8, depths=(1, 3, 1, 2),
+                   ffn_ratio=3, proj_hidden=40, llm_dim=24,
+                   use_positions=False)],
+    ids=["desk", "paper-scale", "small", "odd-widths"])
+def test_weight_bytes_are_the_bytes_build_models_makes(config):
+    sizes = {name: getattr(config, name) for name in cli._WEIGHT_FIELDS}
+    assert cli._weight_bytes(**sizes) == _nbytes(build_models(config))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d0", 4096), ("proj_hidden", 10**8), ("llm_dim", 5 * 10**7),
+    ("ffn_ratio", 10**7), ("depths", [1, 1, 10**8, 1])])
+def test_model_past_physical_memory_is_exit_2(tmp_path, capsys, field,
+                                              value):
+    # valid to PipelineConfig; its weights alone would take 100 GB or more
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({field: value}))
+    t0 = time.perf_counter()
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert f"config field {field!r} " in err and "of model weights" in err
     assert not out.exists()
 
 

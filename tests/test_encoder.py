@@ -392,6 +392,8 @@ def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
         pytest.skip("map_on_cores is the plain loop without OpenBLAS")
     model = _model(seed=4, d0=16, depths=(1, 1, 1, 1), window=8)
     grid, p0 = _parts_grid_and_p0()
+    # the grid's sublayers have 2 parts at most: map every one of them
+    monkeypatch.setattr(encoder, "MIN_MAPPED_PARTS", 2)
     got = {}
     for cores in (1, 2):
         fake_cores(monkeypatch, cores)
@@ -410,6 +412,34 @@ def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
         trace = got[1][2]
         assert [e[4] for e in trace] == [4, 2, 1, 0]  # windows computed
         assert [e[2] for e in trace] == [128, 32, 8, 0]   # active tokens
+
+
+def test_a_sublayer_maps_its_parts_from_min_mapped_parts_on(monkeypatch):
+    # ungated at window 8, a 96x96 grid cuts stage 1's attention into 9
+    # parts and its FFN into 5, and stage 2's sublayers into 3 parts each
+    model = _model(seed=4, d0=16, depths=(1, 1, 1, 1), window=8)
+    grid = _grid(side=96, dim=16, seed=3)
+    p0 = np.ones(grid.n_tokens)
+    cut, real = encoder.MIN_MAPPED_PARTS, encoder.row_parts
+    chosen = {}
+    for cores in (1, 2, 4):
+        fake_cores(monkeypatch, cores)
+        counts = []
+
+        def recorded(n, rows, width):
+            parts = real(n, rows, width)
+            counts.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(encoder, "row_parts", recorded)
+        calls = _recorded_maps(monkeypatch, wait=cores == 2)
+        encode(model, grid, p0, gated=False)
+        assert [n for n, _ in calls] == [n for n in counts if n >= cut]
+        assert counts[:4] == [9, 5, 3, 3] and cut in counts[:2]
+        if cores == 2 and tensor._openblas() is not None:
+            assert all(len(threads) == 2 for _, threads in calls)
+        chosen[cores] = [n >= cut for n in counts]
+    assert chosen[1] == chosen[2] == chosen[4]
 
 
 # --- merges and probability propagation -----------------------------------

@@ -959,13 +959,24 @@ def test_a_forked_child_maps_on_workers_of_its_own(monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def test_importing_the_cli_starts_no_thread():
+def _threads_after(code: str) -> list[str]:
+    """What a fresh interpreter prints as its thread count after code."""
     src = str(Path(tensor.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     res = subprocess.run(
-        [sys.executable, "-c", "import threading, docprune.cli; "
+        [sys.executable, "-c", f"import threading; {code}; "
          "print(threading.active_count())"],
         capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["1"]
+    return res.stdout.split()
+
+
+def test_importing_the_cli_starts_no_thread():
+    assert _threads_after("import docprune.cli") == ["1"]
+
+
+def test_a_desk_run_starts_no_thread():
+    # a desk page's encoder sublayers have too few parts to map
+    assert _threads_after("from docprune.pipeline import PipelineConfig, "
+                          "run; run(PipelineConfig(corpus_n=2))") == ["1"]
