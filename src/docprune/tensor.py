@@ -18,9 +18,9 @@ may charge a counter, and a mapped item charges what the plain loop would.
 
 :func:`one_blas_thread` holds numpy's OpenBLAS at one thread process-wide
 for a block; :func:`map_on_cores` runs independent items on every
-available core inside such a hold, on the calling thread and on worker
-threads that start on first use and stay. A call waits for its running
-items, not for workers; a call inside a mapped item is the plain loop.
+available core inside such a hold, on the calling thread and on threads
+it starts for the call and joins before it returns; a call inside a
+mapped item is the plain loop.
 One rule cuts rows into parts (:func:`row_parts`). The encoder maps a
 sublayer's parts onto cores when there are MIN_MAPPED_PARTS of them
 (high-resolution pages) and runs fewer in order; training holds the
@@ -41,7 +41,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import queue
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
@@ -67,9 +66,9 @@ MIN_PRODUCT_ROWS = 64
 # parts of an encoder sublayer at least, for map_on_cores to take them;
 # fewer run in order on the calling thread. A 256-px page's sublayers
 # have 4 parts at most (1-3 at seed 7). On a 2-vCPU VM whose second core
-# comes and goes, a worker there gained run-desk time only while that
-# core was free, took about 40% more CPU time, and raised the peak by
-# about 2 MB (an idle one 0.25 MB; a single malloc arena kept the 2 MB).
+# comes and goes, a second thread there gained run-desk time only while
+# that core was free, took about 40% more CPU time, and raised the peak
+# by about 2 MB (a single malloc arena kept the 2 MB).
 # A 1536-px page's sublayers have 8-154 parts (seed 7): mapped, two such
 # pages run in 3.3-4.1 s against 5.0-6.6 s in order. At 1024 px,
 # sublayers of 5-6 parts ran no slower mapped. A count decides, never
@@ -175,60 +174,23 @@ def one_blas_thread():
         set_threads(old)
 
 
-class _Pool:
-    """The worker threads of map_on_cores: daemons started on first use,
-    one fewer than the most cores a call has seen, and kept for the life
-    of the process. A worker runs the tasks posted to it, one at a time,
-    and counts as inside a mapped item for all of its life."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.tasks = queue.SimpleQueue()
-        self.size = 0
-
-    def post(self, task, n: int) -> None:
-        """Post task n times, starting workers until there are n."""
-        with self.lock:
-            while self.size < n:
-                self.size += 1
-                threading.Thread(target=self._serve, daemon=True,
-                                 name=f"docprune-core-{self.size}").start()
-        for _ in range(n):
-            self.tasks.put(task)
-
-    def _serve(self) -> None:
-        _inside.item = True
-        while True:
-            self.tasks.get()()
-
-
-def _new_pool() -> None:
-    global _pool
-    _pool = _Pool()
-
-
 _inside = threading.local()     # .item: this thread runs a mapped item
-_new_pool()
-# a forked child has none of the parent's threads: it starts its own
-os.register_at_fork(after_in_child=_new_pool)
 
 
 def map_on_cores(fn, items) -> list:
     """[fn(x) for x in items], computed on one thread per available core.
 
-    min(len(items), cores) threads, the caller and persistent workers,
-    take the items in order; the results come back in input order. After
-    an item fails no further item is handed out, and once the running
-    ones end the exception of the lowest failing index is raised. The call
-    runs inside :func:`one_blas_thread`, so each item's products stay on
-    its own core. With one item or one core, or no OpenBLAS found, this
-    is the plain loop, and so is a call made inside a mapped item, whose
-    cores the outer call keeps busy. fn must not write state that another
-    item's call reads. An item runs in a copy of the caller's context.
-
-    With its own take done, the caller waits until no item it handed out
-    still runs, never for a worker that took none; a worker that reaches
-    the posted take after the call ended finds nothing left and returns.
+    min(len(items), cores) threads, the caller and threads started for
+    this call, take the items in order; the results come back in input
+    order. After an item fails no further item is handed out, and once
+    the running ones end the exception of the lowest failing index is
+    raised. The call runs inside :func:`one_blas_thread`, so each item's
+    products stay on its own core. With one item or one core, or no
+    OpenBLAS found, this is the plain loop, and so is a call made inside
+    a mapped item, whose cores the outer call keeps busy. fn must not
+    write state that another item's call reads. An item runs in a copy of
+    the caller's context. The call joins every thread it started before
+    it returns, so none outlives it and a forked child inherits none.
     """
     items = list(items)
     if getattr(_inside, "item", False):
@@ -239,37 +201,35 @@ def map_on_cores(fn, items) -> list:
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
     cursor = iter(range(len(items)))
-    cond = threading.Condition()
-    running = 0
+    lock = threading.Lock()
 
     def take() -> None:
-        nonlocal running
+        _inside.item = True
         while True:
-            with cond:
+            with lock:
                 i = None if errors else next(cursor, None)
-                if i is None:
-                    return
-                running += 1
+            if i is None:
+                return
             try:
                 results[i] = fn(items[i])
             except BaseException as e:  # re-raised by the caller
-                with cond:
+                with lock:
                     errors[i] = e
-            with cond:
-                running -= 1
-                cond.notify()
 
-    context = copy_context()
+    threads = []
     with one_blas_thread():
-        # a context runs on one thread at a time: each task takes a copy
-        _pool.post(lambda: context.copy().run(take), n - 1)
-        _inside.item = True
         try:
+            for k in range(1, n):
+                # a context runs on one thread at a time: each takes a copy
+                t = threading.Thread(target=copy_context().run, args=(take,),
+                                     daemon=True, name=f"docprune-core-{k}")
+                t.start()
+                threads.append(t)
             take()
         finally:
             _inside.item = False
-            with cond:
-                cond.wait_for(lambda: not running)
+            for t in threads:
+                t.join()
     if errors:
         raise errors[min(errors)]
     return results

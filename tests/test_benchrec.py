@@ -57,8 +57,24 @@ def test_wins_and_the_claim_rule(benchrec):
     assert s["operations"]["b"] == {"runs_failed": 0, "attempted": 200,
                                     "failed": 0}
     text = benchrec.report(s, "header")
-    assert "9/10  gain" in text and "4/10" in text
+    assert "9/10   -2.98%  gain" in text and "4/10" in text
     assert "4/10  gain" not in text
+
+
+def test_relative_change_of_the_medians(benchrec):
+    # op_s medians 1.25 -> 1.1: B's change is -12%. None is stated where
+    # A's median is 0 (ops_per_s, 0 -> 3) or only A reads the metric
+    pairs = [{"a": _run(op_s=a, ops_per_s=0.0, extra=1.0),
+              "b": _run(op_s=b, ops_per_s=3.0)}
+             for a, b in [(1.0, 1.1), (1.5, 1.1), (1.25, 1.0), (1.25, 1.2)]]
+    s = benchrec.summarize(pairs, BETTER)
+    assert s["op_s"]["change"] == pytest.approx(-0.12)
+    assert "change" not in s["ops_per_s"] and "change" not in s["extra"]
+    rows = benchrec.report(s, "header").splitlines()
+    assert rows[1].split()[-1] == "(B-A)/A"
+    extra, op_s, ops_per_s = (r.split() for r in rows[2:5])
+    assert (extra[-1], op_s[-1], ops_per_s[-2:]) == ("-", "-12.00%",
+                                                      ["-", "gain"])
 
 
 def test_a_higher_is_better_metric_wins_upwards(benchrec):

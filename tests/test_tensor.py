@@ -831,19 +831,26 @@ class _TwoThreads:
         return 2 * x
 
 
-def test_map_on_cores_reuses_its_workers(monkeypatch):
+def test_no_thread_outlives_a_call(monkeypatch):
+    # 50 calls and then one whose item 2 fails: after each, the thread
+    # that ran items besides the caller has ended
     _cores(monkeypatch, 2, _FakeBlas(2))
-    map_on_cores(abs, range(4))
-    before = threading.active_count()
-    counts, workers = [], set()
-    for _ in range(50):
-        fn = _TwoThreads()
-        assert map_on_cores(fn, range(4)) == [0, 2, 4, 6]
-        assert len(fn.threads) == 2
-        workers |= fn.threads - {threading.current_thread()}
-        counts.append(threading.active_count())
-    assert set(counts) == {before}
-    assert all(t.is_alive() and t.daemon for t in workers)
+    for k in range(51):
+        fn, before = _TwoThreads(), threading.active_count()
+        if k < 50:
+            assert map_on_cores(fn, range(4)) == [0, 2, 4, 6]
+        else:
+
+            def fail(x):
+                if fn(x) == 4:
+                    raise KeyError(x)
+
+            with pytest.raises(KeyError):
+                map_on_cores(fail, range(6))
+        assert threading.active_count() == before
+        (other,) = fn.threads - {threading.current_thread()}
+        assert other.name == "docprune-core-1" and other.daemon
+        assert not other.is_alive()
 
 
 def _in_thread(fn, timeout=30):
@@ -859,12 +866,13 @@ def _in_thread(fn, timeout=30):
 
 
 def test_map_on_cores_runs_a_call_inside_an_item_inline(monkeypatch):
+    # 4 cores and 2 outer items: two cores stay free, and still each
+    # inner call runs on the thread of its outer item
     _cores(monkeypatch, 4, _FakeBlas(2))
-    map_on_cores(abs, range(4))     # three workers; two stay idle below
     outer_fn = _TwoThreads()
 
     def inner(y):
-        time.sleep(0.01)            # time for an idle worker to join
+        time.sleep(0.01)            # time for another thread to join
         return y, threading.get_ident()
 
     def outer(x):
@@ -894,21 +902,17 @@ def test_a_failed_call_leaves_the_workers_to_the_next(monkeypatch):
 
 
 def test_a_call_waits_for_its_items_and_not_for_busy_workers(monkeypatch):
-    # a pool of two workers on 3 cores, both held inside items of another
-    # thread's call: the main thread's call runs its 4 items alone and
-    # returns, and each worker reaches the task it posted only afterwards
+    # one call holds each of its 3 items on 3 cores: a second call, from
+    # another thread, still runs its 4 items on threads of its own and
+    # returns while the first call's threads stay held
     _cores(monkeypatch, 3, _FakeBlas(2))
-    monkeypatch.setattr(tensor, "_pool", tensor._Pool())
-    held, release, done = threading.Barrier(4, timeout=10), \
-        threading.Event(), threading.Event()
+    held, release = threading.Barrier(4, timeout=10), threading.Event()
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
 
     def hold(x):
         held.wait()
-        if threading.current_thread().name.startswith("docprune-core"):
-            release.wait(timeout=30)
-            done.set()
+        release.wait(timeout=30)
         return x
 
     other = []
@@ -917,22 +921,12 @@ def test_a_call_waits_for_its_items_and_not_for_busy_workers(monkeypatch):
         daemon=True)
     caller.start()
     held.wait()                         # each thread of that call holds an item
-    calls = []
-
-    def square(x):
-        calls.append(x)
-        return x * x
-
-    assert map_on_cores(square, range(4)) == [0, 1, 4, 9]
-    assert not done.is_set()            # returned while the workers were held
+    fn = _TwoThreads()
+    assert _in_thread(lambda: map_on_cores(fn, range(4))) == [0, 2, 4, 6]
+    assert len(fn.threads) >= 2 and not other   # the other call is held
     release.set()
     caller.join(timeout=30)
     assert not caller.is_alive() and other == [[0, 1, 2]]
-    # the workers meet here only once every task posted before has run
-    meet = threading.Barrier(3, timeout=30)
-    tensor._pool.post(meet.wait, 2)
-    meet.wait()
-    assert calls == [0, 1, 2, 3]
     assert raised == []
 
 
@@ -980,3 +974,17 @@ def test_a_desk_run_starts_no_thread():
     # a desk page's encoder sublayers have too few parts to map
     assert _threads_after("from docprune.pipeline import PipelineConfig, "
                           "run; run(PipelineConfig(corpus_n=2))") == ["1"]
+
+
+def test_training_leaves_no_thread_behind():
+    # on 2 faked cores the 2 documents' samples are prepared on two
+    # threads; the training that follows leaves no thread either
+    assert _threads_after(
+        "import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "from docprune.pipeline import PipelineConfig, build_models, "
+        "prepare_ifm_samples; from docprune.synthdoc import make_corpus; "
+        "from docprune.instruction_filter import train_ifm; "
+        "c = PipelineConfig(image_size=128, corpus_n=2); "
+        "m = build_models(c); s = prepare_ifm_samples(c, make_corpus("
+        "2, c.content_fraction, 128, c.seed), m); "
+        "train_ifm(m.ifm, s, 2, 0.05)") == ["1"]

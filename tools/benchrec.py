@@ -13,14 +13,14 @@ result line is kept verbatim, with the load average before and after it
 and the CPU seconds of the child and its set-up probes
 (``RUSAGE_CHILDREN``).
 
-Printed per metric: each side's median and quartiles, and the pairs B
-wins out of those where both sides read the metric (ties count for
-neither). "gain" marks a metric where B wins at least nine tenths of
-the pairs and its median is better than A's by more than A's
-interquartile range. ``--label X`` also writes ``BENCH_X.json`` at the
-root of this repository: every run, the summary and a calibration
-(single-thread float64 GEMM GFLOP/s, and how much faster two such loops
-on two threads run than one).
+Printed per metric: each side's median and quartiles, the pairs B wins
+out of those where both sides read the metric (ties count for neither)
+and the relative change of the medians, (B - A) / A. "gain" marks a
+metric where B wins at least nine tenths of the pairs and its median is
+better than A's by more than A's interquartile range. ``--label X``
+also writes ``BENCH_X.json`` at the root of this repository: every run,
+the summary and a calibration (single-thread float64 GEMM GFLOP/s, and
+how much faster two such loops on two threads run than one).
 
 The script times and writes only its own processes and files, removes
 its directories when it ends and leaves no process running.
@@ -116,7 +116,8 @@ def metric_values(run: dict) -> dict[str, float]:
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's quartiles, B's wins over the pairs where
-    both sides read it, and whether B's gain meets the claim rule.
+    both sides read it, the relative change of the medians (B - A) / A
+    where A's median is not 0, and whether B's gain meets the claim rule.
 
     pairs holds {"a": run, "b": run}; better maps a metric to "lower" or
     "higher" (a metric it lacks gets no wins and no gain)."""
@@ -132,6 +133,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         both = [(a[name], b[name]) for a, b in values
                 if name in a and name in b]
         sign = {"lower": -1, "higher": 1}.get(better.get(name))
+        if "a" in entry and "b" in entry and entry["a"]["median"]:
+            a, b = entry["a"]["median"], entry["b"]["median"]
+            entry["change"] = (b - a) / a
         entry["pairs"] = len(both)
         entry["better"] = better.get(name)
         if sign is not None and both:
@@ -153,16 +157,17 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def report(summary: dict, header: str) -> str:
     rows = [header, f"{'metric':<14} {'A median [q1, q3]':>28} "
-            f"{'B median [q1, q3]':>28} {'B wins':>8}"]
+            f"{'B median [q1, q3]':>28} {'B wins':>8} {'(B-A)/A':>8}"]
     for name, e in summary.items():
         if name == "operations":
             continue
         cells = [f"{e[s]['median']:.4g} [{e[s]['q1']:.4g}, {e[s]['q3']:.4g}]"
                  if s in e else "-" for s in "ab"]
         wins = f"{e['wins']}/{e['pairs']}" if "wins" in e else "-"
+        change = f"{e['change']:+.2%}" if "change" in e else "-"
         gain = "  gain" if e.get("gain") else ""
         rows.append(f"{name:<14} {cells[0]:>28} {cells[1]:>28} "
-                    f"{wins:>8}{gain}")
+                    f"{wins:>8} {change:>8}{gain}")
     ops = summary["operations"]
     rows.append("operations failed/attempted: " + ", ".join(
         f"{s.upper()} {ops[s]['failed']}/{ops[s]['attempted']}"
