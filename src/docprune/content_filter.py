@@ -66,8 +66,7 @@ def detect(model: DetectorModel, doc: LabeledImage,
     if model.variant == "oracle":
         return doc.patch_labels(model.patch_size).astype(np.float64).ravel()
     feats = detector_features(model, doc.image, counter)
-    probs, _ = mlp2_forward(feats, model.mlp, counter, sigmoid_out=True)
-    return probs.ravel()
+    return mlp2_forward(feats, model.mlp, counter, sigmoid_out=True).ravel()
 
 
 def binarize(p: np.ndarray, eps: float) -> np.ndarray:
@@ -103,13 +102,14 @@ def fit_mlp2(mlp: Mlp2, x: np.ndarray, y: np.ndarray, epochs: int, lr: float,
         pos = float(y.sum())
         pos_weight = (y.size - pos) / pos if pos > 0 else 1.0
     curve = LossCurve()
-    cache = None
+    # h and gelu'(z1), written over by every epoch's pass
+    hidden = (np.empty((len(x), mlp.w1.shape[1])),
+              np.empty((len(x), mlp.w1.shape[1])))
     with one_blas_thread():
         for _ in range(epochs):
-            # the last epoch's cache is spent: this pass writes over it
-            pred, cache = mlp2_forward(x, mlp, sigmoid_out=True, spent=cache)
+            pred = mlp2_forward(x, mlp, sigmoid_out=True, hidden=hidden)
             curve.append(bce_loss(pred, y, pos_weight))
-            g = mlp2_backward(cache, mlp, y, pos_weight)
+            g = mlp2_backward(x, mlp, hidden, pred, y, pos_weight)
             mlp.w1 -= lr * g["dw1"]
             mlp.b1 -= lr * g["db1"]
             mlp.w2 -= lr * g["dw2"]

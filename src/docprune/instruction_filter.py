@@ -149,10 +149,6 @@ def _ladder(pos: np.ndarray, dim: int) -> np.ndarray:
     return pe
 
 
-def _sinusoid(n: int, dim: int) -> np.ndarray:
-    return _ladder(np.arange(n, dtype=np.float64), dim)
-
-
 def grid_positions(indices: np.ndarray, side: int, dim: int) -> np.ndarray:
     """2D positional encoding for grid cells: half the dims encode the row,
     half the column, each with the usual sin/cos ladder."""
@@ -176,7 +172,7 @@ def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
     if model.use_positions:
         # order stamp for the instruction rows; visual tokens arrive with
         # spatial encodings already added upstream
-        x[nv:] += _sinusoid(x.shape[0], model.dim)[nv:]
+        x[nv:] += _ladder(np.arange(nv, len(x), dtype=np.float64), model.dim)
     x = attn_residual(x, model.fusion, counter, ("ifm", "ifm"))
     x = ffn_residual(x, model.fusion, counter, ("ifm", "ifm"))
     return x[:nv], x[nv:]
@@ -191,7 +187,7 @@ def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
     tokens.
     """
     with counter.category("ifm"):
-        scores, _ = mlp2_forward(v_fused, model.clf, counter, sigmoid_out=True)
+        scores = mlp2_forward(v_fused, model.clf, counter, sigmoid_out=True)
     return np.flatnonzero(scores.ravel() >= eps)
 
 

@@ -455,7 +455,7 @@ def _encoded_groups(models: Models, doc: LabeledImage,
                              gated=cfg.gated, bypass=cfg.bypass,
                              soft=cfg.soft_gating, counter=c)
         with _step(members, "project") as c, c.category("projector"):
-            projected, _ = mlp2_forward(encoded.sequence, models.projector, c)
+            projected = mlp2_forward(encoded.sequence, models.projector, c)
         with _step(members, "ifm"):
             v_in = projected
             if models.ifm.use_positions and projected.shape[0]:

@@ -27,7 +27,8 @@ sublayer's parts onto cores when there are MIN_MAPPED_PARTS of them
 count for its whole loop and maps row blocks: :func:`mlp2_forward`'s
 compute their rows of the first product and its GELU,
 :func:`mlp2_backward`'s scale their rows of the GELU gradient, and
-:func:`gelu` walks its own on the calling thread.
+:func:`gelu` walks its own on the calling thread. An MLP forward computes
+gelu' only in training, into the (h, gelu') arrays its loop allocates once.
 Each row of a product is its own dot product, so a block of at least
 MIN_PRODUCT_ROWS rows gives the whole product's bits; the products that
 sum over rows (``x.T @ dz1``, ``h.T @ dz2``) stay one call on the calling
@@ -427,8 +428,9 @@ def gelu(x: np.ndarray, counter: FlopCounter = NO_FLOPS,
     A whole-array pass streams every temporary through memory; a block's
     temporaries stay in cache. When given, grad (shaped like x) receives
     gelu'(x) from the same erf block, and out (x itself allowed) receives
-    the result. Its row_parts blocks run in order on the calling thread;
-    the MLP kernels that map their blocks on cores call gelu per block.
+    the result. Its row_parts blocks run in order on the calling thread,
+    also inside the MLP kernels' mapped blocks: the two-part floor halves
+    those, and so GELU's 3 temporaries (training peaked higher without).
     """
     counter.add(ELEMWISE_FLOPS * x.size)
     h = np.empty(x.shape) if out is None else out
@@ -486,14 +488,14 @@ def mlp2_init(rng, in_dim: int, hidden: int, out_dim: int) -> Mlp2:
 
 
 def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter = NO_FLOPS,
-                 sigmoid_out: bool = False, spent: tuple | None = None):
-    """Forward pass; returns (output, cache) where cache feeds the backward pass.
+                 sigmoid_out: bool = False, hidden: tuple | None = None):
+    """Forward pass; returns the output alone.
 
-    The cache holds only what mlp2_backward reads: x, h and gelu'(z1).
-    spent, when given, is an earlier cache for an x of this shape that is
-    no longer needed; the pass writes over its two hidden-layer arrays
-    instead of allocating new ones, so a training loop holds two of them
-    and faults in no fresh pages each epoch.
+    hidden, given by a training loop, is a pair of (len(x), hidden width)
+    arrays that the pass fills with h and gelu'(z1), which mlp2_backward
+    reads; the loop allocates them once, so it faults in no fresh pages
+    each epoch. Without it the pass allocates h alone and computes no
+    gelu': inference reads the output only.
 
     The hidden layer runs in even row blocks (row_parts, at its width) on
     every core: each block computes its rows of x @ w1 + b1 and applies
@@ -506,22 +508,17 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter = NO_FLOPS,
     _check_2d("x", x)
     if x.shape[1] != p.in_dim:
         raise ValueError(f"mlp2 input dim mismatch: x {x.shape}, w1 {p.w1.shape}")
-    shape = (len(x), p.w1.shape[1])
-    h, d = (np.empty(shape), np.empty(shape)) if spent is None else spent[1:3]
-    if h.shape != shape:
-        raise ValueError(f"spent cache is for a hidden layer of {h.shape}, "
-                         f"this pass needs {shape}")
+    h, d = hidden or (np.empty((len(x), p.w1.shape[1])), None)
 
     def block(r):
         # erf dominates training time: gelu'(z1) comes from the forward's
         # erf block, and h overwrites z1, which nothing reads again
         hb = linear(x[r], p.w1, p.b1, counter, out=h[r])
-        gelu(hb, counter, grad=d[r], out=hb)
+        gelu(hb, counter, grad=None if d is None else d[r], out=hb)
 
     map_on_cores(block, row_parts(len(h), 1, h.shape[1]))
     z2 = linear(h, p.w2, p.b2, counter)
-    out = sigmoid(z2, counter) if sigmoid_out else z2
-    return out, (x, h, d, out)
+    return sigmoid(z2, counter) if sigmoid_out else z2
 
 
 def bce_loss(pred: np.ndarray, y: np.ndarray, pos_weight: float = 1.0) -> float:
@@ -532,17 +529,20 @@ def bce_loss(pred: np.ndarray, y: np.ndarray, pos_weight: float = 1.0) -> float:
     return float(np.mean(w * per))
 
 
-def mlp2_backward(cache, p: Mlp2, y: np.ndarray, pos_weight: float = 1.0):
+def mlp2_backward(x: np.ndarray, p: Mlp2, hidden: tuple, pred: np.ndarray,
+                  y: np.ndarray, pos_weight: float = 1.0) -> dict:
     """Analytic gradients of mean weighted BCE for a sigmoid-headed Mlp2.
 
-    For sigmoid + BCE the head gradient collapses to w*(pred - y)/n, which
-    is what makes these gradients finite-difference checkable to 1e-4.
-    Returns dict with dw1, db1, dw2, db2. Consumes the cache: the cached
-    gelu'(z1) is scaled in place into dz1, one row block at a time, on
-    every core (`map_on_cores`). The products and the sums over rows stay
-    whole: split, x.T @ dz1 would add its rows in another order.
+    x, hidden and pred are a training forward pass's input, its filled
+    (h, gelu'(z1)) pair and its output. For sigmoid + BCE the head
+    gradient collapses to w*(pred - y)/n, which is what makes these
+    gradients finite-difference checkable to 1e-4. Returns dict with dw1,
+    db1, dw2, db2. Consumes gelu'(z1): it is scaled in place into dz1, one
+    row block at a time, on every core (`map_on_cores`). The products and
+    the sums over rows stay whole: split, x.T @ dz1 would add its rows in
+    another order.
     """
-    x, h, dz1, pred = cache
+    h, dz1 = hidden
     if pred.shape != y.shape:
         raise ValueError(f"label shape mismatch: pred {pred.shape}, y {y.shape}")
     n = y.size

@@ -23,8 +23,8 @@ from docprune.pipeline import (PipelineConfig, build_models,
                                prepare_ifm_samples, run, sweep)
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
-from docprune.tensor import bce_loss, mlp2_backward, mlp2_forward
-from helpers import DEFAULT_EPS_C
+from docprune.tensor import bce_loss, mlp2_forward
+from helpers import DEFAULT_EPS_C, mlp2_pass
 
 
 def _recipe(command: str):
@@ -174,16 +174,15 @@ def _numeric_grad(x, mlp, y, pw, param, idx, h=1e-5):
     arr = getattr(mlp, param)
     old = arr[idx]
     arr[idx] = old + h
-    hi = bce_loss(mlp2_forward(x, mlp, sigmoid_out=True)[0], y, pw)
+    hi = bce_loss(mlp2_forward(x, mlp, sigmoid_out=True), y, pw)
     arr[idx] = old - h
-    lo = bce_loss(mlp2_forward(x, mlp, sigmoid_out=True)[0], y, pw)
+    lo = bce_loss(mlp2_forward(x, mlp, sigmoid_out=True), y, pw)
     arr[idx] = old
     return (hi - lo) / (2.0 * h)
 
 
 def _check_grads(x, mlp, y, pw):
-    pred, cache = mlp2_forward(x, mlp, sigmoid_out=True)
-    g = mlp2_backward(cache, mlp, y, pw)
+    _, g = mlp2_pass(x, mlp, y, pw)
     hidden = mlp.w1.shape[1]
     coords = [("w1", (3 % x.shape[1], 5 % hidden)), ("b1", (2 % hidden,)),
               ("w2", (7 % hidden, 0)), ("b2", (0,))]

@@ -2,7 +2,6 @@
 keep the boundary, and the learned head trains by plain gradient descent."""
 
 import hashlib
-import threading
 import tracemalloc
 from contextlib import nullcontext
 
@@ -19,7 +18,7 @@ from docprune.pipeline import PipelineConfig, sweep_schedule
 from docprune.rng import Rng
 from docprune.synthdoc import generate, make_corpus, plan_layout
 from docprune.tensor import FlopCounter, mlp2_init
-from helpers import DEFAULT_EPS_C, blas_threads, fake_cores
+from helpers import DEFAULT_EPS_C, SecondThread, blas_threads, fake_cores
 
 
 @pytest.fixture(scope="module")
@@ -232,25 +231,35 @@ def test_fit_mlp2_holds_one_blas_thread_and_restores_it(monkeypatch, fail):
     assert inside == ([1] if fail else [1, 1, 1])
 
 
-def _gelu_threads(monkeypatch) -> set[int]:
-    """The threads that compute GELU blocks from now on. The first block
-    waits (up to 5 s) for a block on a second thread, so the test does
-    not rest on how the threads happen to be scheduled."""
-    seen, lock, both = set(), threading.Lock(), threading.Event()
-    onep, first = tensor._onep, [True]
-
-    def recorded(xb):
-        with lock:
-            seen.add(threading.get_ident())
-            if len(seen) > 1:
-                both.set()
-            waits, first[0] = first[0], False
-        if waits:
-            both.wait(timeout=5)
-        return onep(xb)
-
+def _gelu_threads(monkeypatch) -> set:
+    """The threads that compute GELU blocks from now on; the first block
+    waits for a block on a second thread."""
+    recorded = SecondThread(tensor._onep)
     monkeypatch.setattr(tensor, "_onep", recorded)
-    return seen
+    return recorded.threads
+
+
+def test_fit_mlp2_computes_gelu_prime_on_every_epoch(monkeypatch):
+    # each epoch's forward fills the loop's gelu'(z1) before its loss
+    primes, at_loss = [], []
+    prime, loss = tensor._gelu_prime, content_filter.bce_loss
+
+    def counted(*args):
+        primes.append(len(args[0]))
+        return prime(*args)
+
+    def epoch_loss(*args):
+        at_loss.append(len(primes))
+        return loss(*args)
+
+    monkeypatch.setattr(tensor, "_gelu_prime", counted)
+    monkeypatch.setattr(content_filter, "bce_loss", epoch_loss)
+    rng = Rng(6)
+    x = rng.uniforms(40 * 4, -1, 1).reshape(40, 4)
+    y = (rng.uniforms(40) > 0.5).astype(float).reshape(40, 1)
+    fit_mlp2(mlp2_init(rng, 4, 8, 1), x, y, epochs=3, lr=0.1)
+    assert len(at_loss) == 3 and 0 < at_loss[0] < at_loss[1] < at_loss[2]
+    assert sum(primes) == 3 * 40
 
 
 def test_training_runs_gelu_blocks_on_every_core(monkeypatch):

@@ -18,7 +18,7 @@ from docprune.pipeline import ConfigError, PipelineConfig
 from docprune.rng import Rng
 from docprune.synthdoc import corpus_doc
 from docprune.tensor import FlopCounter
-from helpers import DEFAULT_EPS_C, ZERO_EPS_C, fake_cores
+from helpers import DEFAULT_EPS_C, ZERO_EPS_C, SecondThread, fake_cores
 
 
 def _grid(side=16, dim=8, seed=0):
@@ -354,18 +354,8 @@ def _recorded_maps(monkeypatch, wait: bool) -> list[tuple[int, set[int]]]:
 
     def recorded(fn, items):
         items = list(items)
-        threads, lock, both = set(), threading.Lock(), threading.Event()
-        calls.append((len(items), threads))
-
-        def part(x):
-            with lock:
-                threads.add(threading.get_ident())
-                if len(threads) > 1:
-                    both.set()
-            if wait and len(items) > 1:
-                both.wait(timeout=5)
-            return fn(x)
-
+        part = SecondThread(fn, wait and len(items) > 1)
+        calls.append((len(items), part.threads))
         return real(part, items)
 
     monkeypatch.setattr(encoder, "map_on_cores", recorded)
@@ -399,7 +389,7 @@ def test_sublayer_parts_run_on_two_cores_with_the_bytes_of_one(
         fake_cores(monkeypatch, cores)
         calls = _recorded_maps(monkeypatch, wait=cores > 1)
         got[cores] = _encode_record(model, grid, p0, **options)
-        me = threading.get_ident()
+        me = threading.current_thread()
         assert all(len(threads) == min(n, cores) and (me in threads or not n)
                    for n, threads in calls), (cores, calls)
         assert max(n for n, _ in calls) > 1

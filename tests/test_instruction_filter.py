@@ -188,7 +188,7 @@ def test_all_relevant_labels_learned(model):
     model, curve = train_ifm(model, samples, epochs=50, lr=0.5, pos_weight=1.0)
     assert curve[-1] < curve[0]
     vp, _ = fuse(model, samples[0][0], samples[0][1])
-    scores, _ = mlp2_forward(vp, model.clf, sigmoid_out=True)
+    scores = mlp2_forward(vp, model.clf, sigmoid_out=True)
     assert scores.mean() > 0.9
 
 
@@ -213,7 +213,7 @@ def test_evaluate_separable_data(model):
     labelled = []
     for v, instr, _ in samples:
         vp, _ = fuse(model, v, instr)
-        scores, _ = mlp2_forward(vp, model.clf, sigmoid_out=True)
+        scores = mlp2_forward(vp, model.clf, sigmoid_out=True)
         labelled.append((v, instr, (scores >= 0.5).astype(np.float64)))
     stats = evaluate_ifm(model, labelled, eps=0.5)
     assert stats == {"recall": 1.0, "precision": 1.0}
@@ -244,8 +244,8 @@ def test_save_load_round_trip(tmp_path, model):
     b, _ = fuse(back, v, instr)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
-        mlp2_forward(a, model.clf, sigmoid_out=True)[0],
-        mlp2_forward(b, back.clf, sigmoid_out=True)[0])
+        mlp2_forward(a, model.clf, sigmoid_out=True),
+        mlp2_forward(b, back.clf, sigmoid_out=True))
     save_ifm(path, ifm_init(seed=3, dim=DIM, use_positions=False))
     assert load_ifm(path).use_positions is False
 

@@ -3,7 +3,6 @@ byte-identically for a fixed (config, seed), and show pruning actually
 cutting compute on half-blank pages."""
 
 import json
-import threading
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
@@ -18,7 +17,7 @@ from docprune.pipeline import (ConfigError, PipelineConfig, build_models,
                                render_masks, run, summary_row, sweep,
                                sweep_schedule, write_report)
 from docprune.synthdoc import make_corpus, patchify_any
-from helpers import detector_file, fake_cores, pbm_bits
+from helpers import SecondThread, detector_file, fake_cores, pbm_bits
 
 
 def _small_config(**overrides):
@@ -130,6 +129,23 @@ def test_report_config_reproduces_its_run(tmp_path, overrides):
     text = run(_small_config(**overrides)).to_json()
     config = PipelineConfig.from_dict(json.loads(text)["config"])
     assert run(config).to_json() == text
+
+
+def test_a_run_computes_no_gelu_prime(monkeypatch, tmp_path):
+    # the detector, the projector and the IFM classifier are inference
+    # forwards: gelu'(z1) is read by training alone
+    cfg = _small_config(corpus_n=1, detector="mlp",
+                        detector_weights=detector_file(tmp_path / "det.hrvd"))
+    calls, prime = [], tensor._gelu_prime
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return prime(*args)
+
+    monkeypatch.setattr(tensor, "_gelu_prime", counted)
+    rep = json.loads(run(cfg).to_json())
+    assert rep["config"]["detector"] == "mlp"
+    assert calls == []
 
 
 # --- masks --------------------------------------------------------------------
@@ -488,14 +504,11 @@ def test_prepare_ifm_samples_equal_a_serial_loop(monkeypatch):
         want.append((v_in, pipeline.embed_instruction(models.ifm, spec),
                      cells[encoded.kept_indices].astype(np.float64)))
     # two cores, so the documents run on two threads wherever numpy's
-    # OpenBLAS is found
+    # OpenBLAS is found; the first waits for a second thread
     fake_cores(monkeypatch, 2)
-    groups, threads = pipeline._encoded_groups, set()
-
-    def recorded(*args):
-        threads.add(threading.get_ident())
-        return groups(*args)
-
+    recorded = SecondThread(pipeline._encoded_groups,
+                            tensor._openblas() is not None)
+    threads = recorded.threads
     monkeypatch.setattr(pipeline, "_encoded_groups", recorded)
     got = prepare_ifm_samples(cfg, corpus, models)
     if tensor._openblas() is not None:

@@ -2,6 +2,7 @@
 oracles for the MLP gradients, and exactness of the FLOP accounting."""
 
 import importlib.machinery
+import inspect
 import itertools
 import json
 import math
@@ -21,10 +22,10 @@ from docprune.rng import Rng
 from docprune.tensor import (ELEMWISE_FLOPS, NO_FLOPS, FlopCounter,
                              LossCurve, Mlp2, SharedFlops, attention,
                              bce_loss, gelu, gelu_grad, layernorm, linear,
-                             map_on_cores, matmul, mlp2_backward,
-                             mlp2_forward, mlp2_init, row_parts, sigmoid,
-                             softmax_rows)
-from helpers import blas_threads, fake_cores, mlp2_zeros
+                             map_on_cores, matmul, mlp2_forward, mlp2_init,
+                             row_parts, sigmoid, softmax_rows)
+from helpers import (SecondThread, blas_threads, fake_cores, mlp2_pass,
+                     mlp2_zeros)
 
 
 # --- matmul ---
@@ -216,7 +217,7 @@ def test_stacked_shapes_are_checked_by_operand():
 
 def test_mlp2_zero_network_scores_half():
     x = Rng(20).uniforms(18).reshape(3, 6)
-    out, _ = mlp2_forward(x, mlp2_zeros(6, 8, 1), sigmoid_out=True)
+    out = mlp2_forward(x, mlp2_zeros(6, 8, 1), sigmoid_out=True)
     np.testing.assert_allclose(out, np.full((3, 1), 0.5))
 
 
@@ -224,8 +225,7 @@ def test_bce_head_gradient_closed_form():
     # prediction 0.5, label 1: dL/db2 = (pred - y) / n = -0.5
     x = np.zeros((1, 6))
     p = mlp2_zeros(6, 8, 1)
-    pred, cache = mlp2_forward(x, p, sigmoid_out=True)
-    g = mlp2_backward(cache, p, np.array([[1.0]]))
+    _, g = mlp2_pass(x, p, np.array([[1.0]]))
     np.testing.assert_allclose(g["db2"], [-0.5])
 
 
@@ -244,9 +244,9 @@ def test_bce_pos_weight_scales_positive_term():
 def _fd_grad(x, p, y, param, idx, pw, h=1e-5):
     arr = getattr(p, param)
     arr[idx] += h
-    up = bce_loss(mlp2_forward(x, p, sigmoid_out=True)[0], y, pw)
+    up = bce_loss(mlp2_forward(x, p, sigmoid_out=True), y, pw)
     arr[idx] -= 2 * h
-    down = bce_loss(mlp2_forward(x, p, sigmoid_out=True)[0], y, pw)
+    down = bce_loss(mlp2_forward(x, p, sigmoid_out=True), y, pw)
     arr[idx] += h
     return (up - down) / (2 * h)
 
@@ -258,8 +258,7 @@ def test_gradients_match_finite_differences(seed):
     y = (rng.uniforms(5) > 0.5).astype(float).reshape(5, 1)
     p = mlp2_init(rng, 6, 7, 1)
     pw = 1.0 if seed % 2 == 0 else 2.5
-    _, cache = mlp2_forward(x, p, sigmoid_out=True)
-    g = mlp2_backward(cache, p, y, pos_weight=pw)
+    _, g = mlp2_pass(x, p, y, pos_weight=pw)
     checks = [("w1", (2, 3), "dw1"), ("b1", (1,), "db1"),
               ("w2", (4, 0), "dw2"), ("b2", (0,), "db2")]
     for param, idx, key in checks:
@@ -292,11 +291,8 @@ def test_backward_reuses_forward_erf_exactly(rows, in_dim, hidden, pw):
     dz1 = (dz2 @ p.w2.T) * gelu_grad(z1)
     want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
             "db2": dz2.sum(axis=0)}
-    out, cache = mlp2_forward(x, p, sigmoid_out=True)
-    assert len(cache) == 4
+    out, g = mlp2_pass(x, p, y) if pw is None else mlp2_pass(x, p, y, pw)
     assert np.array_equal(out, pred)
-    g = (mlp2_backward(cache, p, y) if pw is None
-         else mlp2_backward(cache, p, y, pos_weight=pw))
     for key, ref in want.items():
         assert np.array_equal(g[key], ref), key
 
@@ -345,9 +341,9 @@ def test_blocked_kernels_equal_whole_array_formulas(monkeypatch, width, rows):
     dz1 = (dz2 @ p.w2.T) * _gelu_grad_whole(z1)
     want = {"dw1": x.T @ dz1, "db1": dz1.sum(axis=0), "dw2": h.T @ dz2,
             "db2": dz2.sum(axis=0)}
-    out, cache = mlp2_forward(x, p, sigmoid_out=True)
+    assert np.array_equal(mlp2_forward(x, p, sigmoid_out=True), pred)
+    out, g = mlp2_pass(x, p, y, pos_weight=2.0)
     assert np.array_equal(out, pred)
-    g = mlp2_backward(cache, p, y, pos_weight=2.0)
     assert g.keys() == want.keys()
     for key, ref in want.items():
         assert np.array_equal(g[key], ref), key
@@ -387,24 +383,37 @@ def test_forward_product_blocks_run_on_every_core(monkeypatch):
     # tensor._BLOCK elements
     x = rng.uniforms(700 * 8, -1, 1).reshape(700, 8)
     p = mlp2_init(rng, 8, 256, 1)
-    blocks, lock, both = [], threading.Lock(), threading.Event()
-    real = tensor.linear
+    blocks, real = [], tensor.linear
 
-    def recorded(a, w, *args, **kwargs):
-        if w is p.w1:
-            with lock:
-                blocks.append((len(a), threading.get_ident()))
-                waits = len(blocks) == 1
-                if len({t for _, t in blocks}) > 1:
-                    both.set()
-            if waits:   # up to 5 s, for a block on a second thread
-                both.wait(timeout=5)
+    def block(a, w, *args, **kwargs):
+        blocks.append((len(a), threading.get_ident()))
         return real(a, w, *args, **kwargs)
 
-    monkeypatch.setattr(tensor, "linear", recorded)
+    first = SecondThread(block)
+    monkeypatch.setattr(tensor, "linear", lambda a, w, *args, **kwargs: (
+        first if w is p.w1 else real)(a, w, *args, **kwargs))
     mlp2_forward(x, p, sigmoid_out=True)
     assert sorted(n for n, _ in blocks) == [233, 233, 234]
     assert len({t for _, t in blocks}) == 2
+
+
+def test_mlp2_forward_returns_its_output_alone(monkeypatch):
+    # no spent cache, no (output, cache) tuple, and no gelu'(z1) unless a
+    # training loop passes in the arrays for it
+    assert "spent" not in inspect.signature(mlp2_forward).parameters
+    calls, prime = [], tensor._gelu_prime
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return prime(*args)
+
+    monkeypatch.setattr(tensor, "_gelu_prime", counted)
+    x = Rng(34).uniforms(700 * 6).reshape(700, 6)
+    for sigmoid_out in (False, True):
+        out = mlp2_forward(x, mlp2_init(Rng(35), 6, 256, 2),
+                           sigmoid_out=sigmoid_out)
+        assert type(out) is np.ndarray and out.shape == (700, 2)
+    assert calls == []
 
 
 def test_mlp2_forward_rejects_bad_input():
@@ -412,19 +421,9 @@ def test_mlp2_forward_rejects_bad_input():
         mlp2_forward(np.zeros((2, 5)), mlp2_zeros(6, 4, 1))
 
 
-def test_mlp2_forward_rejects_a_spent_cache_of_another_shape():
-    p = mlp2_zeros(6, 4, 1)
-    _, spent = mlp2_forward(np.zeros((3, 6)), p)
-    with pytest.raises(ValueError, match="spent cache"):
-        mlp2_forward(np.zeros((2, 6)), p, spent=spent)
-
-
 def test_backward_rejects_label_shape():
-    x = np.zeros((2, 6))
-    p = mlp2_zeros(6, 4, 1)
-    _, cache = mlp2_forward(x, p, sigmoid_out=True)
     with pytest.raises(ValueError, match="label shape"):
-        mlp2_backward(cache, p, np.zeros((3, 1)))
+        mlp2_pass(np.zeros((2, 6)), mlp2_zeros(6, 4, 1), np.zeros((3, 1)))
 
 
 # --- FLOP accounting ---
@@ -645,26 +644,23 @@ def _cores(monkeypatch, n: int, blas=None) -> None:
 
 def test_map_on_cores_returns_results_in_input_order(monkeypatch):
     # more threads than cores and a short switch interval, so a lost
-    # update of the shared cursor would skip or repeat an item; item 0
-    # waits (up to 5 s) for a second thread, so that the caller cannot
-    # take every item before a worker wakes
+    # update of the shared cursor would skip or repeat an item; the first
+    # item waits for a second thread, so that the caller cannot take
+    # every item before another thread starts
     blas = _FakeBlas(2)
     _cores(monkeypatch, 8, blas)
-    seen, threads, both = [], set(), threading.Event()
+    seen = []
 
     def square(x):
         seen.append(x)
-        threads.add(threading.get_ident())
-        if len(threads) > 1:
-            both.set()
-        elif x == 0:
-            both.wait(timeout=5)
         return x * x
 
+    recorded = SecondThread(square)
+    threads = recorded.threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = map_on_cores(square, range(3000))
+        out = map_on_cores(recorded, range(3000))
     finally:
         sys.setswitchinterval(interval)
     assert out == [x * x for x in range(3000)]
@@ -813,22 +809,12 @@ def test_map_on_cores_is_the_plain_loop(monkeypatch, case):
     assert blas.log == []
 
 
-class _TwoThreads:
-    """An item function that returns 2 * x and records its thread. Until
-    a second thread has run an item, an item waits for one (up to 5 s),
-    so a test of two threads does not rest on how they are scheduled."""
+class _TwoThreads(SecondThread):
+    """An item function that returns 2 * x and records its thread; its
+    first item waits for a second thread."""
 
     def __init__(self):
-        self.threads, self.lock, self.both = set(), threading.Lock(), \
-            threading.Event()
-
-    def __call__(self, x):
-        with self.lock:
-            self.threads.add(threading.current_thread())
-            if len(self.threads) > 1:
-                self.both.set()
-        self.both.wait(timeout=5)
-        return 2 * x
+        super().__init__(lambda x: 2 * x)
 
 
 def test_no_thread_outlives_a_call(monkeypatch):
@@ -886,7 +872,7 @@ def test_map_on_cores_runs_a_call_inside_an_item_inline(monkeypatch):
         assert (double, inner_ys, threads) == (2 * x, [0, 1, 2, 3], {me})
 
 
-def test_a_failed_call_leaves_the_workers_to_the_next(monkeypatch):
+def test_a_failed_call_leaves_the_cores_to_the_next(monkeypatch):
     _cores(monkeypatch, 2, _FakeBlas(2))
 
     def fail(x):
@@ -901,7 +887,7 @@ def test_a_failed_call_leaves_the_workers_to_the_next(monkeypatch):
         assert len(fn.threads) == 2
 
 
-def test_a_call_waits_for_its_items_and_not_for_busy_workers(monkeypatch):
+def test_a_call_waits_for_its_items_and_not_for_busy_threads(monkeypatch):
     # one call holds each of its 3 items on 3 cores: a second call, from
     # another thread, still runs its 4 items on threads of its own and
     # returns while the first call's threads stay held
@@ -931,9 +917,9 @@ def test_a_call_waits_for_its_items_and_not_for_busy_workers(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_forked_child_maps_on_workers_of_its_own(monkeypatch):
+def test_a_forked_child_maps_on_threads_of_its_own(monkeypatch):
     _cores(monkeypatch, 2, _FakeBlas(2))
-    map_on_cores(abs, range(4))          # the parent's workers are running
+    map_on_cores(abs, range(4))          # the parent's threads have ended
     pid = os.fork()
     if pid == 0:                         # the child reports by exit code
         code = 1
