@@ -345,11 +345,10 @@ def _parts_grid_and_p0():
     return _grid(side=32, dim=16, seed=3), p0.ravel()
 
 
-def _recorded_maps(monkeypatch, wait: bool) -> list[tuple[int, set[int]]]:
+def _recorded_maps(monkeypatch, wait: bool) -> list[tuple[int, set]]:
     """The part count and the threads of each encoder map_on_cores call
-    from now on. With wait, each part of a call of two or more waits (up
-    to 5 s) until a part runs on a second thread, so that the test does
-    not rest on how the threads happen to be scheduled."""
+    from now on. With wait, the first part of a call of two or more waits
+    for a part on a second thread (helpers.SecondThread)."""
     calls, real = [], encoder.map_on_cores
 
     def recorded(fn, items):
