@@ -159,14 +159,9 @@ def grid_positions(indices: np.ndarray, side: int, dim: int) -> np.ndarray:
 
 
 def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
-         counter: FlopCounter = NO_FLOPS) -> tuple[np.ndarray, np.ndarray]:
-    """Self-attention + FFN over [V; I]; returns the fused halves (V', I')."""
-    if instr.shape[0] == 0:
-        raise ValueError("instruction token matrix must be non-empty")
-    if v.shape[1] != model.dim or instr.shape[1] != model.dim:
-        raise ValueError(
-            f"fusion dim mismatch: model {model.dim}, V {v.shape}, "
-            f"I {instr.shape}")
+         counter: FlopCounter = NO_FLOPS) -> np.ndarray:
+    """Self-attention + FFN over every row of [V; I], charged whole;
+    returns the fused visual rows V'. InstructionSpec keeps I non-empty."""
     nv = v.shape[0]
     x = np.vstack([v, instr])
     if model.use_positions:
@@ -175,7 +170,7 @@ def fuse(model: IfmModel, v: np.ndarray, instr: np.ndarray,
         x[nv:] += _ladder(np.arange(nv, len(x), dtype=np.float64), model.dim)
     x = attn_residual(x, model.fusion, counter, ("ifm", "ifm"))
     x = ffn_residual(x, model.fusion, counter, ("ifm", "ifm"))
-    return x[:nv], x[nv:]
+    return x[:nv]
 
 
 def filter_tokens(model: IfmModel, v_fused: np.ndarray, eps: float,
@@ -202,7 +197,7 @@ def train_ifm(model: IfmModel, samples: list[tuple[np.ndarray, np.ndarray, np.nd
     feats = []
     labels = []
     for v, instr, y in samples:
-        vp, _ = fuse(model, v, instr)
+        vp = fuse(model, v, instr)
         feats.append(vp)
         labels.append(np.asarray(y, dtype=np.float64).reshape(-1, 1))
         if feats[-1].shape[0] != labels[-1].shape[0]:
@@ -220,7 +215,7 @@ def evaluate_ifm(model: IfmModel,
     """Recall/precision of kept tokens against relevance labels."""
     kept = []
     for v, instr, _ in samples:
-        vp, _ = fuse(model, v, instr)
+        vp = fuse(model, v, instr)
         mask = np.zeros(v.shape[0], dtype=bool)
         mask[filter_tokens(model, vp, eps=eps)] = True
         kept.append(mask)

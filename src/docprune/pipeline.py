@@ -483,7 +483,7 @@ def _walk_doc(i: int, config: PipelineConfig, models: Models,
     spec, _, instr = _instruction(config, models, doc, i)
     for members, encoded, v_in in _encoded_groups(models, doc, settings):
         with _step(members, "ifm") as c:
-            fused_v, _ = fuse(models.ifm, v_in, instr, c)
+            fused_v = fuse(models.ifm, v_in, instr, c)
         by_eps: dict[float, list[_Setting]] = {}
         for s in members:
             by_eps.setdefault(s.config.eps_i, []).append(s)

@@ -1,13 +1,15 @@
 """Dense float64 kernel: matmul, softmax, layernorm, attention, 2-layer MLP.
 
-All matrices are C-contiguous numpy float64 arrays of shape (rows, cols).
-matmul, softmax_rows and attention also take stacks of them, (W, rows,
-cols), and charge W times the count of one.
+Arrays are numpy float64 with rows along the last axis; matmul,
+softmax_rows, layernorm and attention take stacks (W, rows, cols) as numpy
+does and charge W times the count of one. Kernels check no shapes: their
+makers do, and a mismatch that reaches a kernel fails in numpy.
 Compute cost is tracked by an explicit per-run :class:`FlopCounter` using
 two documented conventions:
 
-* a multiply-accumulate counts as 2 FLOPs (so matmul of (m,k)@(k,n) is
-  ``2*m*k*n``, and a bias add is ``m*n``),
+* a multiply-accumulate counts as 2 FLOPs, so a product is charged 2k per
+  element it computed (matmul of (m,k)@(k,n) is ``2*m*k*n``), and a bias
+  add is ``m*n``,
 * softmax, normalisation and elementwise nonlinearities count 5 FLOPs per
   element.
 
@@ -299,30 +301,14 @@ class SharedFlops(FlopCounter):
                 c.by_category[name] = c.by_category.get(name, 0) + n
 
 
-def _check_2d(name: str, a: np.ndarray) -> None:
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-
-
-def _check_stacks(**operands: np.ndarray) -> None:
-    """The operands are all 2-D, or all stacks (W, rows, cols) of one W."""
-    lead = next(iter(operands.values())).shape[:-2]
-    for name, a in operands.items():
-        if a.ndim not in (2, 3) or a.shape[:-2] != lead:
-            raise ValueError(
-                f"{name} must be 2-D or a 3-D stack like the first operand, "
-                "got " + ", ".join(f"{n} {o.shape}"
-                                   for n, o in operands.items()))
-
-
 def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter = NO_FLOPS,
            out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, into out when given; 3-D operands are stacks of products."""
-    _check_stacks(a=a, b=b)
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    counter.add(2 * math.prod(a.shape) * b.shape[-1])
-    return np.matmul(a, b, out=out)
+    """np.matmul(a, b), into out when given, charged 2k FLOPs per element
+    of the product it computed (k = a.shape[-1]): exact for stacks,
+    broadcast stacks and vector operands alike."""
+    y = np.matmul(a, b, out=out)
+    counter.add(2 * y.size * a.shape[-1])
+    return y
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -338,9 +324,8 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 def softmax_rows(a: np.ndarray, counter: FlopCounter = NO_FLOPS,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax along the last axis of a 2-D or stacked 3-D array, into out
-    (a itself allowed) when given."""
-    _check_stacks(a=a)
+    """Softmax along the last axis, into out (a itself allowed) when given;
+    leading axes are independent rows."""
     e = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     counter.add(ELEMWISE_FLOPS * a.size)
@@ -350,16 +335,12 @@ def softmax_rows(a: np.ndarray, counter: FlopCounter = NO_FLOPS,
 
 def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
               counter: FlopCounter = NO_FLOPS) -> np.ndarray:
-    _check_2d("a", a)
-    if gamma.shape != (a.shape[1],) or beta.shape != (a.shape[1],):
-        raise ValueError(
-            f"layernorm affine shape mismatch: cols={a.shape[1]}, "
-            f"gamma={gamma.shape}, beta={beta.shape}")
+    """Each row over the last axis normalised, then gamma * row + beta."""
     # ndarray.var's own steps, on the rows centred once; the output then
     # takes over the squares' buffer
-    centred = a - a.mean(axis=1, keepdims=True)
+    centred = a - a.mean(axis=-1, keepdims=True)
     out = centred * centred
-    var = np.add.reduce(out, axis=1, keepdims=True) / a.shape[1]
+    var = np.add.reduce(out, axis=-1, keepdims=True) / a.shape[-1]
     counter.add(ELEMWISE_FLOPS * a.size)
     np.multiply(gamma, centred, out=out)
     out /= np.sqrt(var + 1e-5)
@@ -369,13 +350,8 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
               counter: FlopCounter = NO_FLOPS) -> np.ndarray:
-    """softmax(q.kT / sqrt(d)).v, single head; 3-D operands are a stack of
-    independent attentions, one per leading index."""
-    _check_stacks(q=q, k=k, v=v)
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError(f"attention q/k dim mismatch: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ValueError(f"attention k/v row mismatch: {k.shape} vs {v.shape}")
+    """softmax(q.kT / sqrt(d)).v, single head; leading axes are a stack of
+    independent attentions, one per leading index, as np.matmul takes them."""
     scale = 1.0 / float(q.shape[-1]) ** 0.5
     scores = matmul(q, k.swapaxes(-1, -2), counter)
     scores *= scale
@@ -470,10 +446,6 @@ class Mlp2:
     w2: np.ndarray
     b2: np.ndarray
 
-    @property
-    def in_dim(self) -> int:
-        return self.w1.shape[0]
-
     def copy(self) -> "Mlp2":
         return Mlp2(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
@@ -505,9 +477,6 @@ def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter = NO_FLOPS,
     on the calling thread. Each block charges its linear and gelu, under
     the caller's category.
     """
-    _check_2d("x", x)
-    if x.shape[1] != p.in_dim:
-        raise ValueError(f"mlp2 input dim mismatch: x {x.shape}, w1 {p.w1.shape}")
     h, d = hidden or (np.empty((len(x), p.w1.shape[1])), None)
 
     def block(r):

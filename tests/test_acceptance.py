@@ -206,7 +206,7 @@ def test_criterion_7_gradient_checks():
         rng = Rng(500 + seed)
         v = rng.uniforms(16 * 16, -1.0, 1.0).reshape(16, 16)
         instr = rng.uniforms(3 * 16, -1.0, 1.0).reshape(3, 16)
-        fused, _ = fuse(ifm, v, instr)
+        fused = fuse(ifm, v, instr)
         y = (rng.uniforms(16) > 0.5).astype(np.float64).reshape(-1, 1)
         _check_grads(fused, ifm.clf, y, pw=1.0 if seed % 2 else 4.0)
     assert time.perf_counter() - t0 < 30.0

@@ -1,5 +1,5 @@
-"""tools/benchrec.py's statistics over fixed result lines; no benchmark
-runs here."""
+"""tools/benchrec.py's statistics over fixed result lines, and its
+calibration at toy sizes; no benchmark runs here."""
 
 import importlib.util
 import json
@@ -91,3 +91,13 @@ def test_a_failed_run_leaves_its_pair_out(benchrec):
     assert s["operations"] == {
         "a": {"runs_failed": 0, "attempted": 40, "failed": 0},
         "b": {"runs_failed": 1, "attempted": 20, "failed": 3}}
+
+
+def test_calibration_times_small_products(benchrec, monkeypatch):
+    monkeypatch.setattr(benchrec, "CALIBRATION_S", 0.002)
+    monkeypatch.setattr(benchrec, "CALIBRATION_ROUNDS", 2)
+    monkeypatch.setattr(benchrec, "GEMM_SIDE", 32)
+    cal = benchrec.calibrate()
+    assert cal["small_product"] == [64, 32, 32] and cal["small_reps"] >= 1000
+    median, least, most = cal["small_product_us"]
+    assert 0 < least <= median <= most

@@ -64,26 +64,19 @@ def test_embedding_looks_up_rows(model):
 
 def test_fuse_output_shapes(model):
     v, instr = _visual(10), _instr(model)
-    vp, ip = fuse(model, v, instr)
-    assert vp.shape == (10, DIM)
-    assert ip.shape == (3, DIM)
-
-
-def test_fuse_rejects_empty_instruction(model):
-    with pytest.raises(ValueError, match="non-empty"):
-        fuse(model, _visual(), np.zeros((0, DIM)))
+    assert fuse(model, v, instr).shape == (10, DIM)
 
 
 def test_fuse_rejects_dim_mismatch(model):
-    with pytest.raises(ValueError, match="dim mismatch"):
+    with pytest.raises(ValueError):
         fuse(model, np.zeros((4, DIM + 1)), _instr(model))
-    with pytest.raises(ValueError, match="dim mismatch"):
+    with pytest.raises(ValueError):
         fuse(model, _visual(), np.zeros((2, DIM + 1)))
 
 
 def test_fuse_changes_visual_tokens(model):
     v = _visual()
-    vp, _ = fuse(model, v, _instr(model))
+    vp = fuse(model, v, _instr(model))
     assert not np.allclose(vp, v)
 
 
@@ -91,27 +84,25 @@ def test_instruction_order_ignored_without_positions():
     model = ifm_init(seed=3, dim=DIM, use_positions=False)
     v = _visual()
     instr = _instr(model, ids=(1, 33, 65, 70))
-    vp, ip = fuse(model, v, instr)
-    perm = [2, 0, 3, 1]
-    vp2, ip2 = fuse(model, v, instr[perm])
+    vp = fuse(model, v, instr)
+    vp2 = fuse(model, v, instr[[2, 0, 3, 1]])
     np.testing.assert_allclose(vp2, vp, atol=1e-12)
-    np.testing.assert_allclose(ip2, ip[perm], atol=1e-12)
 
 
 def test_instruction_order_matters_with_positions(model):
     assert model.use_positions
     v = _visual()
     instr = _instr(model, ids=(1, 33, 65, 70))
-    vp, _ = fuse(model, v, instr)
-    vp2, _ = fuse(model, v, instr[[2, 0, 3, 1]])
+    vp = fuse(model, v, instr)
+    vp2 = fuse(model, v, instr[[2, 0, 3, 1]])
     assert not np.allclose(vp2, vp, atol=1e-9)
 
 
 def test_fuse_deterministic_and_counted(model):
     v, instr = _visual(), _instr(model)
     c1, c2 = FlopCounter(), FlopCounter()
-    a, _ = fuse(model, v, instr, c1)
-    b, _ = fuse(model, v, instr, c2)
+    a = fuse(model, v, instr, c1)
+    b = fuse(model, v, instr, c2)
     np.testing.assert_array_equal(a, b)
     assert c1.get("ifm") == c2.get("ifm") > 0
 
@@ -119,20 +110,20 @@ def test_fuse_deterministic_and_counted(model):
 # --- filtering ---------------------------------------------------------------
 
 def test_threshold_zero_keeps_all(model):
-    vp, _ = fuse(model, _visual(), _instr(model))
+    vp = fuse(model, _visual(), _instr(model))
     kept = filter_tokens(model, vp, eps=0.0)
     np.testing.assert_array_equal(kept, np.arange(12))
 
 
 def test_threshold_one_keeps_almost_nothing(model):
-    vp, _ = fuse(model, _visual(), _instr(model))
+    vp = fuse(model, _visual(), _instr(model))
     kept = filter_tokens(model, vp, eps=1.0)
     # sigmoid never reaches 1 except in saturation; a seeded init stays inside
     assert kept.size == 0
 
 
 def test_kept_monotone_in_threshold(model):
-    vp, _ = fuse(model, _visual(64, seed=5), _instr(model))
+    vp = fuse(model, _visual(64, seed=5), _instr(model))
     previous = set(filter_tokens(model, vp, eps=0.0))
     for eps in np.linspace(0.0, 1.0, 11):
         kept = set(filter_tokens(model, vp, eps=float(eps)))
@@ -187,7 +178,7 @@ def test_all_relevant_labels_learned(model):
     samples = _samples(model, all_relevant=True)
     model, curve = train_ifm(model, samples, epochs=50, lr=0.5, pos_weight=1.0)
     assert curve[-1] < curve[0]
-    vp, _ = fuse(model, samples[0][0], samples[0][1])
+    vp = fuse(model, samples[0][0], samples[0][1])
     scores = mlp2_forward(vp, model.clf, sigmoid_out=True)
     assert scores.mean() > 0.9
 
@@ -212,7 +203,7 @@ def test_evaluate_separable_data(model):
     samples = _samples(model, n=2)
     labelled = []
     for v, instr, _ in samples:
-        vp, _ = fuse(model, v, instr)
+        vp = fuse(model, v, instr)
         scores = mlp2_forward(vp, model.clf, sigmoid_out=True)
         labelled.append((v, instr, (scores >= 0.5).astype(np.float64)))
     stats = evaluate_ifm(model, labelled, eps=0.5)
@@ -240,8 +231,8 @@ def test_save_load_round_trip(tmp_path, model):
     assert back.dim == model.dim
     assert back.use_positions == model.use_positions
     v, instr = _visual(), _instr(model)
-    a, _ = fuse(model, v, instr)
-    b, _ = fuse(back, v, instr)
+    a = fuse(model, v, instr)
+    b = fuse(back, v, instr)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
         mlp2_forward(a, model.clf, sigmoid_out=True),

@@ -55,10 +55,8 @@ def test_matmul_against_triple_loop():
 
 
 def test_matmul_rejects_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError):
         matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="2-D"):
-        matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 def test_matmul_transpose_consistency():
@@ -108,16 +106,11 @@ def test_layernorm_row_statistics():
     np.testing.assert_allclose(out.var(axis=1), np.ones(4), atol=1e-3)
 
 
-def test_row_kernels_take_only_2d_inputs():
-    with pytest.raises(ValueError, match=r"a must be 2-D, got shape"):
-        layernorm(np.zeros((2, 3, 4)), np.ones(4), np.zeros(4))
-    with pytest.raises(ValueError, match=r"x must be 2-D, got shape"):
-        mlp2_forward(np.zeros((2, 3, 6)), mlp2_zeros(6, 8, 1))
-
-
 def test_layernorm_validates_shapes():
-    with pytest.raises(ValueError, match="affine"):
+    with pytest.raises(ValueError):
         layernorm(np.zeros((2, 4)), np.ones(3), np.zeros(4))
+    with pytest.raises(ValueError):
+        layernorm(np.zeros((2, 4)), np.ones(4), np.zeros(3))
 
 
 # --- attention ---
@@ -149,9 +142,9 @@ def test_attention_matches_composed_oracle():
 
 
 def test_attention_rejects_mismatch():
-    with pytest.raises(ValueError, match="q/k"):
+    with pytest.raises(ValueError):     # q/k width
         attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
-    with pytest.raises(ValueError, match="k/v"):
+    with pytest.raises(ValueError):     # k/v rows
         attention(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 4)))
 
 
@@ -165,8 +158,10 @@ def _stack(seed, *shape):
 def test_stacked_kernels_equal_their_slices(rows):
     q, k = _stack(40, 5, rows, 8), _stack(41, 5, rows, 8)
     v = _stack(42, 5, rows, 6)
+    gamma, beta = _stack(43, 8), _stack(44, 8)
     cases = ((matmul, (q, k.swapaxes(1, 2))), (softmax_rows, (q,)),
-             (attention, (q, k, v)))
+             (attention, (q, k, v)),
+             (lambda a, c: layernorm(a, gamma, beta, c), (q,)))
     for f, args in cases:
         c_stack, c_one = FlopCounter(), FlopCounter()
         out = f(*args, c_stack)
@@ -180,6 +175,12 @@ def test_stacked_flops_are_w_times_one_slice():
     c = FlopCounter()
     matmul(np.zeros((7, 3, 4)), np.zeros((7, 4, 5)), c)
     assert c.total() == 7 * 2 * 3 * 4 * 5
+    c = FlopCounter()      # one (4, 5) operand broadcast over the stack
+    assert matmul(np.zeros((7, 3, 4)), np.zeros((4, 5)), c).shape == (7, 3, 5)
+    assert c.total() == 7 * 2 * 3 * 4 * 5
+    c = FlopCounter()      # a vector operand: (3,) @ (3, 2) is 2 outputs
+    assert matmul(np.ones(3), np.ones((3, 2)), c).tolist() == [3.0, 3.0]
+    assert c.total() == 2 * 3 * 2
     c = FlopCounter()
     softmax_rows(np.zeros((7, 2, 8)), c)
     assert c.total() == 7 * ELEMWISE_FLOPS * 16
@@ -197,18 +198,11 @@ def test_softmax_rows_into_its_input():
 
 
 def test_stacked_shapes_are_checked_by_operand():
-    stack = "must be 2-D or a 3-D stack like the first operand"
-    with pytest.raises(ValueError, match=f"^b {stack}, got a .*, b "):
-        matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
-    with pytest.raises(ValueError, match=f"^b {stack}"):
+    with pytest.raises(ValueError):     # stacks of unequal W
         matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
-    with pytest.raises(ValueError, match=f"^a {stack}"):
-        softmax_rows(np.zeros((1, 2, 3, 4)))
-    with pytest.raises(ValueError, match=f"^v {stack}"):
-        attention(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), np.zeros((3, 4)))
-    with pytest.raises(ValueError, match=f"^k {stack}"):
+    with pytest.raises(ValueError):     # a key that is no matrix
         attention(np.zeros((3, 4)), np.zeros(4), np.zeros((3, 4)))
-    with pytest.raises(ValueError, match="k/v"):
+    with pytest.raises(ValueError):     # k/v rows
         attention(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)),
                   np.zeros((2, 5, 4)))
 
@@ -417,8 +411,10 @@ def test_mlp2_forward_returns_its_output_alone(monkeypatch):
 
 
 def test_mlp2_forward_rejects_bad_input():
-    with pytest.raises(ValueError, match="dim mismatch"):
+    with pytest.raises(ValueError):     # width
         mlp2_forward(np.zeros((2, 5)), mlp2_zeros(6, 4, 1))
+    with pytest.raises(ValueError):     # a 3-D x
+        mlp2_forward(np.zeros((2, 3, 6)), mlp2_zeros(6, 8, 1))
 
 
 def test_backward_rejects_label_shape():

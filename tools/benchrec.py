@@ -19,8 +19,9 @@ and the relative change of the medians, (B - A) / A. "gain" marks a
 metric where B wins at least nine tenths of the pairs and its median is
 better than A's by more than A's interquartile range. ``--label X``
 also writes ``BENCH_X.json`` at the root of this repository: every run,
-the summary and a calibration (single-thread float64 GEMM GFLOP/s, and
-how much faster two such loops on two threads run than one).
+the summary and a calibration (single-thread float64 GEMM GFLOP/s, how
+much faster two such loops on two threads run than one, and µs per small
+product call).
 
 The script times and writes only its own processes and files, removes
 its directories when it ends and leaves no process running.
@@ -45,6 +46,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GEMM_SIDE = 512
+# (rows, inner, cols) of the small product: one desk stage-1 window
+# projection, the size of most of a run's products
+SMALL_PRODUCT = (64, 32, 32)
 # seconds of GEMM per loop, and rounds of one loop then two
 CALIBRATION_S = 0.25
 CALIBRATION_ROUNDS = 5
@@ -183,6 +187,25 @@ def _gemm_loop(reps: int) -> None:
         np.matmul(a, a, out=out)
 
 
+def _small_loop(reps: int) -> None:
+    import numpy as np
+    m, k, n = SMALL_PRODUCT
+    a, b = np.full((m, k), 0.5), np.full((k, n), 0.5)
+    for _ in range(reps):
+        np.matmul(a, b)
+
+
+def _reps(loop, step: int) -> int:
+    """Repetitions of loop, in multiples of step, that take about
+    CALIBRATION_S once it has run step of them."""
+    loop(step)
+    reps, t0 = 0, time.perf_counter()
+    while time.perf_counter() - t0 < CALIBRATION_S:
+        loop(step)
+        reps += step
+    return reps
+
+
 def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
@@ -200,25 +223,30 @@ def _two_loops(reps: int) -> None:
 
 def calibrate() -> dict:
     """Run in a child whose OpenBLAS holds one thread. Over CALIBRATION_ROUNDS
-    rounds of one GEMM loop on one thread and then two on two threads:
-    single-thread GFLOP/s at GEMM_SIDE, and two threads' rate over one
-    thread's (median, least and most)."""
-    _gemm_loop(10)
-    reps, t0 = 0, time.perf_counter()
-    while time.perf_counter() - t0 < CALIBRATION_S:
-        _gemm_loop(5)
-        reps += 5
-    rates, scaling = [], []
+    rounds of one GEMM loop on one thread, then two on two threads, then
+    one loop of small products: single-thread GFLOP/s at GEMM_SIDE, two
+    threads' rate over one thread's, and µs per np.matmul call at
+    SMALL_PRODUCT (the last two as median, least and most). numpy's own
+    product, not docprune's, so the figure describes the machine alone."""
+    reps, small_reps = _reps(_gemm_loop, 5), _reps(_small_loop, 1000)
+    rates, scaling, small_us = [], [], []
     for _ in range(CALIBRATION_ROUNDS):
         one = _timed(lambda: _gemm_loop(reps))
         two = _timed(lambda: _two_loops(reps))
         rates.append(2 * GEMM_SIDE ** 3 * reps / one / 1e9)
         scaling.append(2 * one / two)
+        small_us.append(_timed(lambda: _small_loop(small_reps))
+                        / small_reps * 1e6)
+
+    def spread(values):
+        return [round(f(values), 3) for f in (statistics.median, min, max)]
+
     return {"gemm_side": GEMM_SIDE, "reps": reps,
             "rounds": CALIBRATION_ROUNDS,
             "gemm_gflop_per_s_1_thread": round(statistics.median(rates), 3),
-            "two_thread_scaling": [round(f(scaling), 3) for f in
-                                   (statistics.median, min, max)]}
+            "two_thread_scaling": spread(scaling),
+            "small_product": list(SMALL_PRODUCT), "small_reps": small_reps,
+            "small_product_us": spread(small_us)}
 
 
 def calibration() -> dict:
