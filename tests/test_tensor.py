@@ -106,6 +106,13 @@ def test_layernorm_row_statistics():
     np.testing.assert_allclose(out.var(axis=1), np.ones(4), atol=1e-3)
 
 
+def test_row_kernels_take_only_2d_inputs():
+    # layernorm and softmax_rows take stacks (test_stacked_kernels_equal_
+    # their_slices); the MLP's hidden rows are a matrix, so a 3-D x fails
+    with pytest.raises(ValueError):
+        mlp2_forward(np.zeros((2, 3, 6)), mlp2_zeros(6, 8, 1))
+
+
 def test_layernorm_validates_shapes():
     with pytest.raises(ValueError):
         layernorm(np.zeros((2, 4)), np.ones(3), np.zeros(4))
@@ -413,8 +420,6 @@ def test_mlp2_forward_returns_its_output_alone(monkeypatch):
 def test_mlp2_forward_rejects_bad_input():
     with pytest.raises(ValueError):     # width
         mlp2_forward(np.zeros((2, 5)), mlp2_zeros(6, 4, 1))
-    with pytest.raises(ValueError):     # a 3-D x
-        mlp2_forward(np.zeros((2, 3, 6)), mlp2_zeros(6, 8, 1))
 
 
 def test_backward_rejects_label_shape():
