@@ -206,6 +206,10 @@ def _cmd_train_ifm(args) -> int:
     config, corpus = _config_and_corpus(args)
     models = build_models(config)
     samples = prepare_ifm_samples(config, corpus, models)
+    if not any(len(v) for v, _, _ in samples):
+        raise ConfigError(f"no visual token survives the encoder on any of "
+                          f"the {len(samples)} pages: raise config field "
+                          "'content_fraction' or lower 'eps_c'")
     _, curve = train_ifm(models.ifm, samples, args.epochs, args.lr,
                          pos_weight=args.pos_weight)
     save_ifm(args.out, models.ifm)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .content_filter import binarize
 from .patching import TokenGrid
-from .rng import Rng, init_uniform
+from .rng import Rng, init_linear
 from .tensor import (MIN_MAPPED_PARTS, NO_FLOPS, FlopCounter, attention,
                      gelu, layernorm, linear, map_on_cores, row_parts)
 
@@ -113,23 +113,16 @@ class EncodeResult:
 
 def block_init(rng: Rng, dim: int, ffn_ratio: int) -> BlockWeights:
     hidden = ffn_ratio * dim
-    bound = 1.0 / dim ** 0.5
-    def proj(tag):
-        r = rng.derive(tag)
-        return init_uniform(r, dim, dim, dim), r.uniforms(dim, -bound, bound)
-    wq, bq = proj("q")
-    wk, bk = proj("k")
-    wv, bv = proj("v")
-    wo, bo = proj("o")
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = (
+        init_linear(rng.derive(tag), dim, dim) for tag in "qkvo")
     rf = rng.derive("ffn")
+    w1, b1 = init_linear(rf, dim, hidden)
+    w2, b2 = init_linear(rf, hidden, dim)
     return BlockWeights(
         ln1_g=np.ones(dim), ln1_b=np.zeros(dim),
         wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo,
         ln2_g=np.ones(dim), ln2_b=np.zeros(dim),
-        w1=init_uniform(rf, dim, hidden, dim),
-        b1=rf.uniforms(hidden, -bound, bound),
-        w2=init_uniform(rf, hidden, dim, hidden),
-        b2=rf.uniforms(dim, -1.0 / hidden ** 0.5, 1.0 / hidden ** 0.5),
+        w1=w1, b1=b1, w2=w2, b2=b2,
     )
 
 
@@ -144,10 +137,7 @@ def encoder_init(seed: int, d0: int = 32, depths: tuple[int, ...] = (2, 2, 6, 2)
         blocks.append([block_init(rs.derive(f"block{j}"), d, ffn_ratio)
                        for j in range(depth)])
         if s < 3:
-            rm = rs.derive("merge")
-            merges.append((init_uniform(rm, 4 * d, 2 * d, 4 * d),
-                           rm.uniforms(2 * d, -1.0 / (4 * d) ** 0.5,
-                                       1.0 / (4 * d) ** 0.5)))
+            merges.append(init_linear(rs.derive("merge"), 4 * d, 2 * d))
     return EncoderModel(blocks=blocks, merges=merges, window=window)
 
 
@@ -410,7 +400,8 @@ def encode(model: EncoderModel, grid: TokenGrid, p0: np.ndarray,
             attn_flops=computed * window_attn_flops(model.window, cur.dim),
             raw_entry=raw, binarized=binp))
         if s < len(model.merges):
-            # merge= by keyword: the benchmark's tracer reads that argument
+            # merge= and counter= by keyword: bench/tracer.py's _merge_name
+            # reads the merge at index 2, but merge_patches takes it at 1
             cur = merge_patches(cur, merge=model.merges[s], counter=counter)
 
     kept = (np.flatnonzero(maps[-1][1] > 0.0) if gated

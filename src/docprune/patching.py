@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng, init_uniform
+from .rng import Rng, init_linear
 from .tensor import NO_FLOPS, FlopCounter, linear
 
 
@@ -48,12 +48,7 @@ class PatchEmbed:
 
 
 def patch_embed_init(rng: Rng, patch_size: int, dim: int) -> PatchEmbed:
-    fan_in = patch_size * patch_size
-    return PatchEmbed(
-        patch_size=patch_size,
-        weight=init_uniform(rng, fan_in, dim, fan_in),
-        bias=rng.uniforms(dim, -1.0 / fan_in ** 0.5, 1.0 / fan_in ** 0.5),
-    )
+    return PatchEmbed(patch_size, *init_linear(rng, patch_size ** 2, dim))
 
 
 def flatten_patches(img: np.ndarray, patch_size: int) -> np.ndarray:

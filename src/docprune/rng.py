@@ -82,7 +82,10 @@ class Rng:
         return Rng((child + GAMMA) & _MASK)
 
 
-def init_uniform(rng: Rng, rows: int, cols: int, fan_in: int) -> np.ndarray:
-    """Weight init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    bound = 1.0 / float(fan_in) ** 0.5
-    return rng.uniforms(rows * cols, -bound, bound).reshape(rows, cols)
+def init_linear(rng: Rng, n_in: int,
+                n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """A linear layer's (n_in x n_out weight, n_out bias), drawn in that
+    order from rng, each uniform in [-1/sqrt(n_in), +1/sqrt(n_in)]."""
+    bound = 1.0 / float(n_in) ** 0.5
+    weight = rng.uniforms(n_in * n_out, -bound, bound).reshape(n_in, n_out)
+    return weight, rng.uniforms(n_out, -bound, bound)

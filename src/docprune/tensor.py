@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import init_uniform
+from .rng import init_linear
 
 ELEMWISE_FLOPS = 5
 
@@ -451,12 +451,8 @@ class Mlp2:
 
 
 def mlp2_init(rng, in_dim: int, hidden: int, out_dim: int) -> Mlp2:
-    return Mlp2(
-        w1=init_uniform(rng, in_dim, hidden, in_dim),
-        b1=rng.uniforms(hidden, -1.0 / in_dim ** 0.5, 1.0 / in_dim ** 0.5),
-        w2=init_uniform(rng, hidden, out_dim, hidden),
-        b2=rng.uniforms(out_dim, -1.0 / hidden ** 0.5, 1.0 / hidden ** 0.5),
-    )
+    return Mlp2(*init_linear(rng, in_dim, hidden),
+                *init_linear(rng, hidden, out_dim))
 
 
 def mlp2_forward(x: np.ndarray, p: Mlp2, counter: FlopCounter = NO_FLOPS,

@@ -1,8 +1,10 @@
-"""tools/benchrec.py's statistics over fixed result lines, and its
-calibration at toy sizes; no benchmark runs here."""
+"""tools/benchrec.py's statistics over fixed result lines, one run of a
+stub benchmark, and its calibration at toy sizes; no benchmark runs
+here."""
 
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,25 @@ def test_calibration_times_small_products(benchrec, monkeypatch):
     assert cal["small_product"] == [64, 32, 32] and cal["small_reps"] >= 1000
     median, least, most = cal["small_product_us"]
     assert 0 < least <= median <= most
+
+
+def test_run_once_keeps_the_evidence_line_whole(benchrec, tmp_path):
+    # a checkout whose bench/run.py prints a span table, the evidence line
+    # and the result line, as the real one does, echoing its arguments
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(textwrap.dedent("""
+        import json, sys
+        print("span table")
+        print(json.dumps({"evidence": {"argv": sys.argv[1:],
+                                       "environment": {"nproc": 2}}}))
+        print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                          "metrics": {"op_s": {"value": 0.5,
+                                               "unit": "s"}}}))
+        """))
+    run = benchrec.run_once(tmp_path, "run-desk", 7, 0.5, trace=1)
+    assert run["returncode"] == 0
+    assert benchrec.metric_values(run) == {"op_s": 0.5}
+    assert run["evidence"] == json.dumps({"evidence": {
+        "argv": ["--workload", "run-desk", "--seed", "7", "--seconds", "0.5",
+                 "--trace", "1"],
+        "environment": {"nproc": 2}}})

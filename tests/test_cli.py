@@ -463,6 +463,19 @@ def test_train_ifm_then_use(tmp_path, config_file, capsys):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+def test_train_ifm_with_no_surviving_token_is_exit_2(tmp_path, capsys):
+    # blank pages: the encoder prunes every token, so no sample has a row
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, content_fraction=0.0)))
+    out = tmp_path / "w" / "ifm.hrvd"
+    assert main(["train-ifm", "--config", str(path), "--n", "2",
+                 "--epochs", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no visual token survives" in err
+    assert "'content_fraction'" in err and "'eps_c'" in err
+    assert not out.parent.exists()
+
+
 def test_unknown_profile_is_exit_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"profile": "huge"}))

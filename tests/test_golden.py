@@ -7,12 +7,14 @@ the program computes something different, not just differently.
 
 The report digests are portable: the last test below recomputes them in
 subprocesses whose environment emulates another CPU or BLAS build. The
-float digests (IFM samples, trained weights) hold only on the kernels
-they were taken on: numpy's AVX-512 loops and OpenBLAS 0.3.31's AVX-512
-GEMM kernels.
+seeded weights are portable too: splitmix64 draws are the same on every
+CPU. The float digests (IFM samples, trained weights) hold only on the
+kernels they were taken on: numpy's AVX-512 loops and OpenBLAS 0.3.31's
+AVX-512 GEMM kernels.
 """
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -74,6 +76,11 @@ SMALL_RUNS = {
         "12b826c29f751cc426e6665a617936c82f7a1406a43c93b552e7a9e4c8b49e83",
 }
 
+# every array build_models seeds (desk seed 7, then SMALL) and then the
+# untrained mlp_detector(3, 4), in field order
+SEEDED_WEIGHTS = (
+    "e78c2caada385cce689da628b2205cbd509f2ab2ccab91d04e21abd057f56b82")
+
 IFM_SAMPLES_4DOCS = (
     "ef1a7a857b41ccf0f3ce8f5070a39d271c8898c5a2db98266535580287f08ae3")
 
@@ -97,6 +104,20 @@ def _weights_sha(mlp) -> str:
     for a in (mlp.w1, mlp.b1, mlp.w2, mlp.b2):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def _hash_arrays(h, obj) -> None:
+    """Feed h the shape and little-endian float64 bytes of every array in
+    obj, walking dataclasses by field and lists and tuples in order."""
+    if isinstance(obj, np.ndarray):
+        h.update(repr(obj.shape).encode())
+        h.update(np.ascontiguousarray(obj, dtype="<f8").tobytes())
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _hash_arrays(h, getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _hash_arrays(h, item)
 
 
 def _assert_attention_closed_form(report) -> None:
@@ -144,6 +165,14 @@ def test_small_run_digests(det_weights, name, overrides):
     report = run(PipelineConfig(**{**SMALL, **overrides}))
     assert _sha(report.to_json()) == SMALL_RUNS[name]
     _assert_attention_closed_form(report)
+
+
+def test_seeded_weights_digest():
+    h = hashlib.sha256()
+    for cfg in (PipelineConfig(seed=7), PipelineConfig(**SMALL)):
+        _hash_arrays(h, build_models(cfg))
+    _hash_arrays(h, mlp_detector(3, 4))
+    assert h.hexdigest() == SEEDED_WEIGHTS
 
 
 def test_ifm_samples_digest():

@@ -3,7 +3,7 @@ bit-identical between scalar and vectorized paths."""
 
 import numpy as np
 
-from docprune.rng import GAMMA, Rng, init_uniform
+from docprune.rng import GAMMA, Rng, init_linear
 
 # first outputs of splitmix64 seeded with 0, from the reference C listing
 SEED0_OUTPUTS = [
@@ -79,8 +79,13 @@ def test_randint_and_choice_deterministic():
     assert Rng(5).choice(seq) == Rng(5).choice(seq)
 
 
-def test_init_uniform_bounds():
-    w = init_uniform(Rng(1), 16, 8, fan_in=8)
-    bound = 1.0 / np.sqrt(8)
-    assert w.shape == (16, 8)
-    assert np.all(np.abs(w) <= bound)
+def test_init_linear_bounds_and_draw_order():
+    w, b = init_linear(Rng(1), 16, 8)
+    bound = 1.0 / np.sqrt(16)
+    assert w.shape == (16, 8) and b.shape == (8,)
+    assert np.all(np.abs(w) <= bound) and np.all(np.abs(b) <= bound)
+    # the weight's draws, then the bias's, from one stream: every seeded
+    # model's bytes rest on this order
+    np.testing.assert_array_equal(
+        np.concatenate([w.ravel(), b]),
+        Rng(1).uniforms(16 * 8 + 8, -bound, bound))

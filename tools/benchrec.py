@@ -8,9 +8,10 @@ A and B are git revisions (a commit, a tag, a tree id). Each is exported
 with ``git archive`` into a temporary directory: the two checkouts sit at
 paths of equal length and start with no byte-compiled files. Each pair
 runs ``bench/run.py`` once per side, in a fresh interpreter, alternating
-which side goes first. Every run's
-result line is kept verbatim, with the load average before and after it
-and the CPU seconds of the child and its set-up probes
+which side goes first. After the pairs each side runs once more with
+``--trace 1``, for its per-layer metrics. Every run's evidence and
+result lines are kept verbatim, with the load average before and after
+it and the CPU seconds of the child and its set-up probes
 (``RUSAGE_CHILDREN``).
 
 Printed per metric: each side's median and quartiles, the pairs B wins
@@ -19,9 +20,9 @@ and the relative change of the medians, (B - A) / A. "gain" marks a
 metric where B wins at least nine tenths of the pairs and its median is
 better than A's by more than A's interquartile range. ``--label X``
 also writes ``BENCH_X.json`` at the root of this repository: every run,
-the summary and a calibration (single-thread float64 GEMM GFLOP/s, how
-much faster two such loops on two threads run than one, and µs per small
-product call).
+the traced ones included, the summary and a calibration (single-thread
+float64 GEMM GFLOP/s, how much faster two such loops on two threads run
+than one, and µs per small product call).
 
 The script times and writes only its own processes and files, removes
 its directories when it ends and leaves no process running.
@@ -70,15 +71,15 @@ def export(rev: str, dest: Path) -> str:
     return resolved
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One fresh-process run of the checkout's bench/run.py."""
     load_before = os.getloadavg()
     used = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     res = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds)],
+         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
         timeout=10 * seconds + 600)
     wall = time.perf_counter() - t0
@@ -95,10 +96,9 @@ def run_once(checkout: Path, workload: str, seed: int,
     }
     if run["result"] is None:
         run["stderr"] = res.stderr[-2000:]
-    evidence = [json.loads(line)["evidence"] for line in lines
-                if line.startswith('{"evidence"')]
+    evidence = [line for line in lines if line.startswith('{"evidence"')]
     if evidence:
-        run["environment"] = evidence[-1].get("environment")
+        run["evidence"] = evidence[-1]
     return run
 
 
@@ -298,6 +298,12 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1} {side.upper()}: "
                       f"{pair[side]['result'] or 'FAILED'}", flush=True)
             pairs.append(pair)
+        traced = {}
+        for side in "ab":
+            traced[side] = run_once(dirs[side], args.workload, args.seed,
+                                    args.seconds, trace=1)
+            print(f"traced {side.upper()}: "
+                  f"{traced[side]['result'] or 'FAILED'}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     summary = summarize(pairs, better)
@@ -310,7 +316,7 @@ def main(argv=None) -> int:
                   "seed": args.seed, "seconds": args.seconds,
                   "revisions": {s: {"rev": r, "tree": ids[s]}
                                 for s, r in zip("ab", args.ab)},
-                  "pairs": pairs, "summary": summary,
+                  "pairs": pairs, "traced": traced, "summary": summary,
                   "calibration": calibration()}
         path = ROOT / f"BENCH_{args.label}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
